@@ -28,7 +28,6 @@ from .errors import (
     InvalidCovariance,
     InvalidDegrees,
     MaterializationTooLarge,
-    NotNormalized,
     NotNormalizedToTwoNu,
     OddOrder,
     OrderMismatch,
@@ -46,12 +45,6 @@ MONTE_CARLO = "monte-carlo"
 def _check_order(d: int) -> None:
     if d > MAX_ORDER:
         raise ParameterOutOfRange(f"bounds support order d <= {MAX_ORDER}, got d={d}")
-
-
-def _require_unit(f: SymmetricKernel) -> None:
-    got = kernels.second_moment(f)
-    if abs(got - 1.0) > 1e-9:
-        raise NotNormalized(f"kernel second moment is {got!r}, expected 1.0")
 
 
 @dataclass(frozen=True)
@@ -183,7 +176,7 @@ def t1(f: SymmetricKernel, cap: int = DEFAULT_MATERIALIZATION_CAP) -> tuple:
     if f.d < 2:
         raise ParameterOutOfRange(f"t1 needs d >= 2, got d={f.d}")
     _check_order(f.d)
-    _require_unit(f)
+    kernels.require_second_moment(f, 1.0)
     norms, exact = _symmetrized_norms(f, range(1, f.d), cap)
     acc = sum(
         math.factorial(r - 1) ** 2
@@ -200,7 +193,7 @@ def t2(f: SymmetricKernel, fourth_moment: float) -> float:
     fourth moment is the exact Gaussian-input value."""
     if f.d < 2:
         raise ParameterOutOfRange(f"t2 needs d >= 2, got d={f.d}")
-    _require_unit(f)
+    kernels.require_second_moment(f, 1.0)
     return math.sqrt((f.d - 1) / (3.0 * f.d) * abs(fourth_moment - 3.0))
 
 
@@ -249,7 +242,7 @@ def normal_smooth_bound(
     standard error).
     """
     _check_order(f.d)
-    _require_unit(f)
+    kernels.require_second_moment(f, 1.0)
     max_inf = contractions.max_influence(f)
     inv = budget.b3 * (30.0 * profile.beta4) ** f.d * math.factorial(f.d) * math.sqrt(max_inf)
     cstar = c_star(budget, f.d)
@@ -285,7 +278,7 @@ def wasserstein_bound(
     valid only when B1 + B2 <= 3/(4 sqrt(2)); otherwise the report is
     marked inapplicable and carries no number."""
     _check_order(f.d)
-    _require_unit(f)
+    kernels.require_second_moment(f, 1.0)
     max_inf = contractions.max_influence(f)
     b1 = 2.0 * (30.0 * profile.beta4) ** f.d * math.factorial(f.d) * math.sqrt(max_inf)
     factor = math.sqrt((f.d - 1) / (3.0 * f.d)) if f.d > 1 else 0.0
@@ -318,9 +311,7 @@ def _check_chi2_preconditions(f: SymmetricKernel, nu: int) -> None:
         raise InvalidDegrees(f"degrees of freedom must be a positive integer, got {nu}")
     if f.d % 2 != 0:
         raise OddOrder(f"chi-square approximation needs even order, got d={f.d}")
-    got = kernels.second_moment(f)
-    if abs(got - 2.0 * nu) > 1e-9 * 2.0 * nu:
-        raise NotNormalizedToTwoNu(f"kernel second moment is {got!r}, expected {2.0 * nu!r}")
+    kernels.require_second_moment(f, 2.0 * nu, NotNormalizedToTwoNu)
 
 
 def t3(f: SymmetricKernel, nu: int, cap: int = DEFAULT_MATERIALIZATION_CAP) -> tuple:
@@ -437,8 +428,8 @@ def delta_ij(f_i: SymmetricKernel, f_j: SymmetricKernel) -> float:
     if f_i.d > f_j.d:
         raise OrderMismatch(f"need d_i <= d_j, got d_i={f_i.d}, d_j={f_j.d}")
     _check_order(f_j.d)
-    _require_unit(f_i)
-    _require_unit(f_j)
+    kernels.require_second_moment(f_i, 1.0)
+    kernels.require_second_moment(f_j, 1.0)
     di, dj = f_i.d, f_j.d
     acc = 0.0
     for r in range(1, di):
@@ -474,14 +465,24 @@ def delta_matrix(kernel_list) -> np.ndarray:
     return delta
 
 
-def _joint_influence_stats(kernel_list) -> tuple:
-    """(C, max-max influence) with C = sum_i max_j Inf_i(f_j)."""
+def _mixing_term(kernel_list, profile: MomentProfile) -> tuple:
+    """(C, max-max influence, mixing term) with C = sum_i max_j Inf_i(f_j):
+
+        C * (beta3 + sqrt(8/pi)) * [sum_j (16 sqrt(2) beta3)^{(d_j-1)/3} d_j!]^3
+          * sqrt(max_j max_i Inf_i(f_j)).
+    """
     n_max = max(f.N for f in kernel_list)
     stacked = np.zeros((len(kernel_list), n_max))
     for j, f in enumerate(kernel_list):
         stacked[j, : f.N] = contractions.influence_profile(f).values
     per_index_max = stacked.max(axis=0)
-    return float(per_index_max.sum()), float(per_index_max.max())
+    c_sum, max_max_inf = float(per_index_max.sum()), float(per_index_max.max())
+    cube = sum(
+        (16.0 * math.sqrt(2.0) * profile.beta3) ** ((f.d - 1) / 3.0) * math.factorial(f.d)
+        for f in kernel_list
+    )
+    mixing = c_sum * (profile.beta3 + math.sqrt(8.0 / math.pi)) * cube ** 3 * math.sqrt(max_max_inf)
+    return c_sum, max_max_inf, mixing
 
 
 def multivariate_smooth_bound(
@@ -501,20 +502,10 @@ def multivariate_smooth_bound(
         raise ParameterOutOfRange("need at least one kernel")
     for f in kernel_list:
         _check_order(f.d)
-        _require_unit(f)
+        kernels.require_second_moment(f, 1.0)
     delta = delta_matrix(kernel_list)
     delta_total = float(np.trace(delta) + 2.0 * np.triu(delta, k=1).sum())
-    c_sum, max_max_inf = _joint_influence_stats(kernel_list)
-    cube = sum(
-        (16.0 * math.sqrt(2.0) * profile.beta3) ** ((f.d - 1) / 3.0) * math.factorial(f.d)
-        for f in kernel_list
-    )
-    mixing = (
-        c_sum
-        * (profile.beta3 + math.sqrt(8.0 / math.pi))
-        * cube ** 3
-        * math.sqrt(max_max_inf)
-    )
+    c_sum, max_max_inf, mixing = _mixing_term(kernel_list, profile)
     components = {
         "m": float(len(kernel_list)),
         "b2m": budget.b2m,
@@ -566,20 +557,10 @@ def convex_sets_bound(
     V = validate_covariance(V, m)
     for f in kernel_list:
         _check_order(f.d)
-        _require_unit(f)
+        kernels.require_second_moment(f, 1.0)
     delta = delta_matrix(kernel_list)
     b1 = float(0.5 * np.trace(delta) + np.triu(delta, k=1).sum())
-    c_sum, max_max_inf = _joint_influence_stats(kernel_list)
-    cube = sum(
-        (16.0 * math.sqrt(2.0) * profile.beta3) ** ((f.d - 1) / 3.0) * math.factorial(f.d)
-        for f in kernel_list
-    )
-    b2 = (
-        c_sum
-        * (profile.beta3 + math.sqrt(8.0 / math.pi))
-        * cube ** 3
-        * math.sqrt(max_max_inf)
-    )
+    _, _, b2 = _mixing_term(kernel_list, profile)
     if rank_data is None:
         if np.array_equal(V, np.eye(m)):
             rank, b_scale = m, 1.0

@@ -88,21 +88,23 @@ def contract(f: SymmetricKernel, r: int, cap: int = DEFAULT_MATERIALIZATION_CAP)
     return ContractionTensor(arity=out_arity, N=f.N, values=out, symmetric=(out_arity <= 2))
 
 
+def _first_seen_ids(rows: np.ndarray) -> tuple:
+    """(id of each row, distinct count), rows numbered by first occurrence."""
+    _, first, inverse = np.unique(kernels.row_keys(rows), return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse], len(first)
+
+
 def _slice_matrix(f: SymmetricKernel, r: int):
-    """Sparse matrix S over (complement (d-r)-subset, r-subset) -> value."""
-    row_ids: dict = {}
-    col_ids: dict = {}
-    rows, cols, vals = [], [], []
-    for t, v in f.entries.items():
-        for s in itertools.combinations(t, r):
-            u = tuple(i for i in t if i not in s)
-            rows.append(row_ids.setdefault(u, len(row_ids)))
-            cols.append(col_ids.setdefault(s, len(col_ids)))
-            vals.append(v)
-    S = scipy.sparse.coo_matrix(
-        (vals, (rows, cols)), shape=(len(row_ids), len(col_ids))
-    ).tocsr()
-    return S
+    """Sparse matrix S over (complement (d-r)-subset, r-subset) -> value, rows
+    and columns numbered by first occurrence in canonical entry order."""
+    subsets = list(itertools.combinations(range(f.d), r))
+    rest = [[k for k in range(f.d) if k not in s] for s in subsets]
+    row_ids, n_rows = _first_seen_ids(f.index_array[:, rest].reshape(-1, f.d - r))
+    col_ids, n_cols = _first_seen_ids(f.index_array[:, subsets].reshape(-1, r))
+    vals = np.repeat(f.value_array, len(subsets))
+    return scipy.sparse.coo_matrix((vals, (row_ids, col_ids)), shape=(n_rows, n_cols)).tocsr()
 
 
 def contraction_norm(f: SymmetricKernel, r: int) -> float:
@@ -157,11 +159,9 @@ def influence_profile(f: SymmetricKernel) -> InfluenceProfile:
     Equals (d-1)!^{-1} times the ordered-tuple sum of f^2 over tuples whose
     first coordinate is i.  The influences sum to ||f||_d^2 / (d-1)!.
     """
-    acc = np.zeros(f.N)
-    for t, v in f.entries.items():
-        vv = v * v
-        for i in t:
-            acc[i - 1] += vv
+    squares = np.repeat(f.value_array * f.value_array, f.d)
+    # bincount adds in entry order, one index at a time
+    acc = np.bincount(f.index_array.ravel(), weights=squares, minlength=f.N)
     return InfluenceProfile(values=acc)
 
 

@@ -30,6 +30,10 @@ class DuplicateTuple(ValidationError):
     """Same canonical tuple supplied twice."""
 
 
+class NonFiniteValue(ValidationError):
+    """Kernel coefficient is NaN or infinite."""
+
+
 class DimensionMismatch(ValidationError):
     """Vector or tuple length does not match the kernel."""
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -29,101 +29,117 @@ from .errors import (
     DuplicateTuple,
     IndexOutOfRange,
     NonCanonicalTuple,
+    NonFiniteValue,
+    NotNormalized,
     ParameterOutOfRange,
     UnsupportedFamilyParameters,
     ZeroKernel,
 )
 
 FAMILY_TAGS = ("single_pair", "constant", "disjoint_pairs", "walsh", "random_sparse")
+NORMALIZED_RTOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
 class SymmetricKernel:
-    """Sparse-canonical symmetric kernel (immutable after construction)."""
+    """Sparse-canonical symmetric kernel.  Build it with `kernel_from_arrays`
+    or `make_kernel`, which validate the entries and freeze both arrays."""
 
     d: int
     N: int
-    entries: dict  # {strictly increasing 1-based tuple: nonzero float}
-
-    # Parallel array form, built once; used by the vectorized evaluators.
-    index_array: np.ndarray = field(init=False, repr=False, compare=False)
-    value_array: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        items = sorted(self.entries.items())
-        if items:
-            idx = np.array([t for t, _ in items], dtype=np.int64) - 1
-            vals = np.array([v for _, v in items], dtype=np.float64)
-        else:
-            idx = np.empty((0, self.d), dtype=np.int64)
-            vals = np.empty(0, dtype=np.float64)
-        object.__setattr__(self, "index_array", idx)
-        object.__setattr__(self, "value_array", vals)
+    index_array: np.ndarray = field(repr=False)  # (K, d) 0-based, rows strictly increasing, sorted
+    value_array: np.ndarray = field(repr=False)  # (K,) nonzero finite coefficients
 
     def __eq__(self, other):
         if not isinstance(other, SymmetricKernel):
             return NotImplemented
-        return self.d == other.d and self.N == other.N and self.entries == other.entries
+        return (
+            self.d == other.d
+            and self.N == other.N
+            and np.array_equal(self.index_array, other.index_array)
+            and np.array_equal(self.value_array, other.value_array)
+        )
 
     @property
     def entry_count(self) -> int:
-        return len(self.entries)
+        return len(self.value_array)
+
+    @property
+    def entries(self) -> dict:
+        """{strictly increasing 1-based tuple: value}, built on each access."""
+        rows = (self.index_array + 1).tolist()
+        return {tuple(t): v for t, v in zip(rows, self.value_array.tolist())}
 
     def __repr__(self):
         return f"SymmetricKernel(d={self.d}, N={self.N}, entries={self.entry_count})"
 
 
-def _validate_tuple(t, d: int, N: int) -> tuple:
-    t = tuple(int(i) for i in t)
-    if len(t) != d:
-        raise DimensionMismatch(f"entry tuple {t} has length {len(t)}, expected {d}")
-    for i in t:
-        if not 1 <= i <= N:
-            raise IndexOutOfRange(f"index {i} outside 1..{N} in entry {t}")
-    if any(a >= b for a, b in zip(t, t[1:])):
-        raise NonCanonicalTuple(f"entry tuple {t} is not strictly increasing")
-    return t
+def kernel_from_arrays(d: int, N: int, index, values) -> SymmetricKernel:
+    """The one constructor every kernel passes through.
 
-
-def make_kernel(d: int, N: int, canonical_entries) -> SymmetricKernel:
-    """Build a kernel from canonical (strictly increasing tuple -> value) entries.
-
-    Accepts a mapping or an iterable of (tuple, value) pairs.  Exact-zero
-    coefficients are dropped (sparse canonical form).  Rejects unsorted or
-    diagonal tuples, out-of-range indices, and repeated tuples.
+    `index` holds 1-based canonical tuples as the rows of a (K, d) integer
+    array and `values` their coefficients.  Rejects a bad order or
+    dimension, tuples of the wrong length, out-of-range indices, rows that
+    are not strictly increasing, non-finite values and repeated tuples (a
+    zero-valued repeat included); then drops exact zeros.  Rows are kept in
+    lexicographic order.
     """
     if int(d) != d or d < 1:
         raise ParameterOutOfRange(f"order d must be a positive integer, got {d}")
     if int(N) != N or N < d:
         raise ParameterOutOfRange(f"dimension N must satisfy N >= d, got N={N}, d={d}")
     d, N = int(d), int(N)
-    if isinstance(canonical_entries, Mapping):
-        items: Iterable = canonical_entries.items()
-    else:
-        items = canonical_entries
-    entries: dict = {}
-    for t, v in items:
-        t = _validate_tuple(t, d, N)
-        if t in entries:
-            raise DuplicateTuple(f"entry tuple {t} supplied twice")
-        v = float(v)
-        if v != 0.0:
-            entries[t] = v
-    return SymmetricKernel(d=d, N=N, entries=entries)
+    try:
+        index = np.array(index, dtype=np.int64, ndmin=2)
+        values = np.array(values, dtype=np.float64, ndmin=1)
+    except (ValueError, OverflowError):
+        raise DimensionMismatch(f"entries must be integer {d}-tuples with real values") from None
+    if index.size == 0:
+        index = index.reshape(0, d)
+    if index.ndim != 2 or index.shape[1] != d or values.shape != (len(index),):
+        raise DimensionMismatch(f"entry tuples have shape {index.shape}, need ({values.size}, {d})")
+    order = np.lexsort(index.T[::-1])
+    index, values = index[order], values[order]
+    distinct = np.ones(len(index), dtype=bool)
+    distinct[1:] = (index[1:] != index[:-1]).any(axis=1)
+    for ok, exc, what in (
+        (((index > 0) & (index <= N)).all(axis=1), IndexOutOfRange, f"has an index outside 1..{N}"),
+        ((np.diff(index, axis=1) > 0).all(axis=1), NonCanonicalTuple, "is not strictly increasing"),
+        (np.isfinite(values), NonFiniteValue, "has a non-finite value"),
+        (distinct, DuplicateTuple, "is supplied twice"),
+    ):
+        if not ok.all():
+            raise exc(f"entry tuple {tuple(index[np.argmin(ok)].tolist())} {what}")
+    keep = values != 0.0
+    index, values = index[keep] - 1, values[keep]
+    index.flags.writeable = values.flags.writeable = False
+    return SymmetricKernel(d=d, N=N, index_array=index, value_array=values)
+
+
+def make_kernel(d: int, N: int, canonical_entries) -> SymmetricKernel:
+    """Build a kernel from canonical (strictly increasing tuple -> value)
+    entries, given as a mapping or an iterable of (tuple, value) pairs."""
+    mapping = isinstance(canonical_entries, Mapping)
+    items = list(canonical_entries.items() if mapping else canonical_entries)
+    return kernel_from_arrays(d, N, [t for t, _ in items], [v for _, v in items])
+
+
+def row_keys(index: np.ndarray) -> np.ndarray:
+    """Each row of an integer index array as one opaque key, for set
+    operations on tuples (the key order is not lexicographic)."""
+    index = np.ascontiguousarray(index)
+    return index.view(np.dtype((np.void, index.itemsize * index.shape[1]))).ravel()
 
 
 def evaluate(f: SymmetricKernel, idx) -> float:
     """Kernel value at an arbitrary ordered tuple (0 on diagonals)."""
-    t = tuple(int(i) for i in idx)
+    t = sorted(int(i) for i in idx)
     if len(t) != f.d:
         raise DimensionMismatch(f"tuple length {len(t)} != order {f.d}")
-    for i in t:
-        if not 1 <= i <= f.N:
-            raise IndexOutOfRange(f"index {i} outside 1..{f.N}")
-    s = tuple(sorted(t))
-    if any(a == b for a, b in zip(s, s[1:])):
-        return 0.0
-    return f.entries.get(s, 0.0)
+    if t[0] < 1 or t[-1] > f.N:
+        raise IndexOutOfRange(f"index {t[0] if t[0] < 1 else t[-1]} outside 1..{f.N}")
+    hit = np.flatnonzero((f.index_array == np.subtract(t, 1)).all(axis=1))
+    return float(f.value_array[hit[0]]) if hit.size else 0.0
 
 
 def squared_norm(f: SymmetricKernel) -> float:
@@ -134,6 +150,13 @@ def squared_norm(f: SymmetricKernel) -> float:
 def second_moment(f: SymmetricKernel) -> float:
     """E[Q_d(X)^2] for unit-variance independent inputs: d! * ||f||_d^2."""
     return math.factorial(f.d) * squared_norm(f)
+
+
+def require_second_moment(f: SymmetricKernel, target: float, exc=NotNormalized) -> None:
+    """Raise `exc` unless E[Q_d^2] is within relative 1e-9 of target (NaN fails)."""
+    got = second_moment(f)
+    if not abs(got - target) <= NORMALIZED_RTOL * target:
+        raise exc(f"kernel second moment is {got!r}, expected {target!r}")
 
 
 def evaluate_sum(f: SymmetricKernel, x) -> float:
@@ -175,15 +198,11 @@ def evaluate_sum_batch(f: SymmetricKernel, X: np.ndarray) -> np.ndarray:
 
 
 def dense_tensor(f: SymmetricKernel) -> np.ndarray:
-    """Dense (N,)*d array of kernel values over all ordered tuples (cached)."""
-    cached = getattr(f, "_dense", None)
-    if cached is not None:
-        return cached
+    """Dense (N,)*d array of kernel values over all ordered tuples, one
+    scatter per coordinate permutation."""
     F = np.zeros((f.N,) * f.d)
-    for t, v in f.entries.items():
-        for p in itertools.permutations(t):
-            F[tuple(i - 1 for i in p)] = v
-    object.__setattr__(f, "_dense", F)
+    for p in itertools.permutations(range(f.d)):
+        F[tuple(f.index_array[:, list(p)].T)] = f.value_array
     return F
 
 
@@ -195,11 +214,7 @@ def normalize_to_variance(f: SymmetricKernel, sigma2: float) -> SymmetricKernel:
     if cur == 0.0:
         raise ZeroKernel("cannot normalize a kernel with zero norm")
     lam = math.sqrt(sigma2 / cur)
-    return SymmetricKernel(d=f.d, N=f.N, entries={t: lam * v for t, v in f.entries.items()})
-
-
-def is_normalized(f: SymmetricKernel, sigma2: float, rtol: float = 1e-9) -> bool:
-    return abs(second_moment(f) - sigma2) <= rtol * sigma2
+    return kernel_from_arrays(f.d, f.N, f.index_array + 1, lam * f.value_array)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +243,8 @@ def constant_kernel(N: int, sigma2: float = 1.0) -> SymmetricKernel:
     if N < 2:
         raise UnsupportedFamilyParameters(f"constant family needs N >= 2, got {N}")
     c = math.sqrt(sigma2 / (2.0 * N * (N - 1)))
-    return make_kernel(2, N, {(i, j): c for i in range(1, N + 1) for j in range(i + 1, N + 1)})
+    rows = np.column_stack(np.triu_indices(N, k=1)) + 1
+    return kernel_from_arrays(2, N, rows, np.full(len(rows), c))
 
 
 def disjoint_pairs(m: int, sigma2: float = 1.0) -> SymmetricKernel:
@@ -236,16 +252,17 @@ def disjoint_pairs(m: int, sigma2: float = 1.0) -> SymmetricKernel:
     if m < 1:
         raise UnsupportedFamilyParameters(f"disjoint_pairs needs m >= 1, got {m}")
     v = math.sqrt(sigma2 / (4.0 * m))
-    return make_kernel(2, 2 * m, {(2 * k - 1, 2 * k): v for k in range(1, m + 1)})
+    odd = np.arange(1, 2 * m, 2)
+    return kernel_from_arrays(2, 2 * m, np.column_stack([odd, odd + 1]), np.full(m, v))
 
 
 def walsh_kernel(d: int, N: int, sigma2: float = 1.0) -> SymmetricKernel:
     """Kernel of x_1 ... x_{d-1} * sum_{i>=d} x_i / sqrt(N-d+1), E[Q^2] = sigma2."""
     if d < 2 or N <= d:
         raise UnsupportedFamilyParameters(f"walsh family needs N > d >= 2, got d={d}, N={N}")
-    head = tuple(range(1, d))
     v = math.sqrt(sigma2) / (math.factorial(d) * math.sqrt(N - d + 1))
-    return make_kernel(d, N, {head + (i,): v for i in range(d, N + 1)})
+    rows = np.column_stack([np.tile(np.arange(1, d), (N - d + 1, 1)), np.arange(d, N + 1)])
+    return kernel_from_arrays(d, N, rows, np.full(N - d + 1, v))
 
 
 def random_sparse_kernel(
@@ -273,13 +290,11 @@ def random_sparse_kernel(
     else:
         seen: set = set()
         while len(seen) < entry_count:
-            t = tuple(sorted(rng.choice(N, size=d, replace=False) + 1))
-            seen.add(t)
+            seen.add(tuple(sorted(rng.choice(N, size=d, replace=False) + 1)))
         chosen = sorted(seen)
     values = rng.standard_normal(entry_count)
     values[values == 0.0] = 1.0  # keep the support size deterministic
-    raw = make_kernel(d, N, {t: v for t, v in zip(chosen, values)})
-    return normalize_to_variance(raw, sigma2)
+    return normalize_to_variance(kernel_from_arrays(d, N, chosen, values), sigma2)
 
 
 def generate_family(spec: KernelFamilySpec) -> SymmetricKernel:
@@ -313,28 +328,37 @@ def format_kernel(f: SymmetricKernel) -> str:
     Values are written with repr(), which round-trips doubles exactly, and
     records are sorted, so write -> read -> write is byte identical.
     """
+    record = " ".join(["{}"] * f.d) + " {!r}"
     lines = [KERNEL_MAGIC, f"d {f.d}", f"N {f.N}"]
-    for t in sorted(f.entries):
-        lines.append(" ".join(str(i) for i in t) + " " + repr(f.entries[t]))
+    rows = zip((f.index_array + 1).tolist(), f.value_array.tolist())
+    lines += [record.format(*t, v) for t, v in rows]
     return "\n".join(lines) + "\n"
 
 
 def parse_kernel(text: str) -> SymmetricKernel:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != KERNEL_MAGIC:
+    lines = [ln for ln in text.splitlines() if ln and not ln.isspace()]
+    if not lines or lines[0].strip() != KERNEL_MAGIC:
         raise ParameterOutOfRange(f"not a kernel file (expected header {KERNEL_MAGIC!r})")
     try:
         d = int(lines[1].split()[1])
         N = int(lines[2].split()[1])
     except (IndexError, ValueError) as exc:
         raise ParameterOutOfRange(f"malformed kernel header: {exc}") from None
-    entries = []
-    for ln in lines[3:]:
-        parts = ln.split()
-        if len(parts) != d + 1:
-            raise ParameterOutOfRange(f"malformed kernel record {ln!r}")
-        entries.append((tuple(int(p) for p in parts[:d]), float(parts[d])))
-    return make_kernel(d, N, entries)
+    # one split over all records, with a "|" token between them: every record
+    # has d + 1 fields exactly when each separator sits at its expected slot
+    records = lines[3:]
+    tokens = " | ".join(records).split()
+    width = d + 2
+    gaps = len(records) - 1
+    if len(tokens) != width * len(records) - 1 or tokens[d + 1 :: width].count("|") != gaps:
+        bad = next((ln for ln in records if len(ln.split()) != d + 1), "")
+        raise ParameterOutOfRange(f"malformed kernel record {bad.strip()!r}")
+    try:
+        values = np.fromiter(map(float, tokens[d::width]), np.float64)
+        columns = [np.fromiter(map(int, tokens[k::width]), np.int64) for k in range(d)]
+    except (ValueError, OverflowError) as exc:
+        raise ParameterOutOfRange(f"malformed kernel record: {exc}") from None
+    return kernel_from_arrays(d, N, np.array(columns, dtype=np.int64).T, values)
 
 
 def write_kernel(f: SymmetricKernel, path) -> None:

@@ -19,13 +19,11 @@ from . import contractions, kernels
 from .errors import (
     EnumerationTooLarge,
     InvalidDegrees,
-    NotNormalized,
     ParameterOutOfRange,
 )
 from .kernels import SymmetricKernel
 
 ENUMERATION_MAX_N = 22
-NORMALIZED_RTOL = 1e-9
 
 
 def hermite(q: int, x):
@@ -65,19 +63,14 @@ def gaussian_cross_moment(f: SymmetricKernel, g: SymmetricKernel) -> float:
     if f.d != g.d:
         return 0.0
     dfact = math.factorial(f.d)
-    acc = 0.0
-    small, big = (f, g) if f.entry_count <= g.entry_count else (g, f)
-    for t, v in small.entries.items():
-        w = big.entries.get(t)
-        if w is not None:
-            acc += v * w
+    _, fi, gi = np.intersect1d(
+        kernels.row_keys(f.index_array), kernels.row_keys(g.index_array),
+        assume_unique=True, return_indices=True,
+    )
+    order = np.argsort(fi)  # shared tuples in canonical order, summed one by one
+    products = f.value_array[fi[order]] * g.value_array[gi[order]]
+    acc = float(np.cumsum(products)[-1]) if products.size else 0.0
     return dfact * dfact * acc
-
-
-def _require_second_moment(f: SymmetricKernel, target: float, exc=NotNormalized) -> None:
-    got = kernels.second_moment(f)
-    if abs(got - target) > NORMALIZED_RTOL * target:
-        raise exc(f"kernel second moment is {got!r}, expected {target!r}")
 
 
 def gaussian_fourth_moment(
@@ -90,7 +83,7 @@ def gaussian_fourth_moment(
 
     Exact; always >= 3, with equality only when all contractions vanish.
     """
-    _require_second_moment(f, 1.0)
+    kernels.require_second_moment(f, 1.0)
     d = f.d
     acc = 0.0
     for r in range(1, d):
@@ -124,7 +117,7 @@ def gaussian_chi_square_combination(
         raise ParameterOutOfRange(f"needs even order, got d={f.d}")
     if int(nu) != nu or nu < 1:
         raise InvalidDegrees(f"degrees of freedom must be a positive integer, got {nu}")
-    _require_second_moment(f, 2.0 * nu)
+    kernels.require_second_moment(f, 2.0 * nu)
     d = f.d
     c_d = contractions.chi_square_match_constant(d)
     defect = contractions.chi_square_defect(f, cap)
@@ -190,8 +183,8 @@ def exact_rademacher_distribution(f: SymmetricKernel) -> ExactDistribution:
     codes = np.arange(n_patterns, dtype=np.uint64)
     q = np.zeros(n_patterns)
     dfact = float(math.factorial(f.d))
-    for t, v in sorted(f.entries.items()):
-        mask = np.uint64(sum(1 << (i - 1) for i in t))
+    masks = (np.uint64(1) << f.index_array.astype(np.uint64)).sum(axis=1, dtype=np.uint64)
+    for mask, v in zip(masks, f.value_array.tolist()):
         parity = (np.bitwise_count(codes & mask) & np.uint64(1)).astype(np.float64)
         q += (dfact * v) * (1.0 - 2.0 * parity)
     atoms, counts = np.unique(q, return_counts=True)

@@ -9,8 +9,7 @@ inputs produce byte-identical documents.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,14 +87,13 @@ def parse_sections(text: str, magic: str):
 @dataclass
 class RunManifest:
     """Provenance of a CLI run.  Only semantic parameters are serialized:
-    worker counts, output paths, and the wall-clock stamp are execution
-    details that must not change report bytes."""
+    worker counts and output paths are execution details that must not
+    change report bytes, and no wall-clock time is recorded."""
 
     command: str
     params: dict
     seed: int | None = None
     version: str = __version__
-    created_at: float = field(default_factory=time.time, compare=False)
 
     def to_section(self) -> dict:
         out = {"command": self.command, "version": self.version}

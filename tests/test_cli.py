@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -50,6 +51,14 @@ class TestKernelCommands:
 
     def test_missing_file_exit_2(self, tmp_path):
         assert run(["kernel", "inspect", "--kernel", str(tmp_path / "nope.kern")]) == 2
+
+    def test_non_finite_kernel_exit_2(self, tmp_path):
+        kern = tmp_path / "nan.kern"
+        kern.write_text("artifact-kernel v1\nd 2\nN 4\n1 2 0.5\n3 4 nan\n")
+        assert run(["bound", "normal", "--kernel", str(kern), "--law", "rademacher",
+                    "--out", str(tmp_path / "r.txt")]) == 2
+        kern.write_text("artifact-kernel v1\nd 2\nN 4\n1 2 0.5\n3 4 inf\n")
+        assert run(["kernel", "inspect", "--kernel", str(kern)]) == 2
 
 
 class TestBoundCommands:
@@ -208,3 +217,81 @@ class TestDiagnoseCommand:
         self._write_spec(spec, {"kind": "fourth_moment", "family": "disjoint_pairs",
                                 "d": 2, "sweep": [100, 10]})
         assert run(["diagnose", "--spec", str(spec)]) == 2
+
+
+GOLDEN_INPUTS = {
+    "single_pair.kern": ["--family", "single_pair"],
+    "c12.kern": ["--family", "constant", "-N", "12"],
+    "dp8.kern": ["--family", "disjoint_pairs", "--m", "8"],
+    "w3.kern": ["--family", "walsh", "--d", "3", "-N", "10"],
+    "rs2.kern": ["--family", "random_sparse", "--d", "2", "-N", "12", "--seed", "3"],
+    "rs3.kern": ["--family", "random_sparse", "--d", "3", "-N", "12", "--seed", "5"],
+    "d.kern": ["--family", "disjoint_pairs", "--m", "50"],
+}
+
+GOLDEN_COMMANDS = {
+    "inspect.rep": ["kernel", "inspect", "--kernel", "rs2.kern"],
+    "normalized.kern": ["kernel", "normalize", "--kernel", "rs3.kern", "--sigma2", "2.0"],
+    "normal_rs2.rep": ["bound", "normal", "--kernel", "rs2.kern", "--law", "rademacher"],
+    "normal_rs3.rep": ["bound", "normal", "--kernel", "rs3.kern", "--law", "gaussian"],
+    "normal_w3.rep": ["bound", "normal", "--kernel", "w3.kern", "--law", "uniform",
+                      "--n", "2000", "--seed", "4"],
+    "chi2_c12.rep": ["bound", "chi2", "--kernel", "c12.kern", "--law", "rademacher"],
+    "chi2_c12_mc.rep": ["bound", "chi2", "--kernel", "c12.kern", "--law", "gaussian",
+                        "--n", "2000", "--seed", "7"],
+    "multi_3.rep": ["bound", "multi", "--kernel", "rs3.kern", "--kernel", "w3.kern",
+                    "--budget", "1,1"],
+    "multi_2.rep": ["bound", "multi", "--kernel", "rs2.kern", "--kernel", "c12.kern",
+                    "--kernel", "dp8.kern", "--budget", "1,1"],
+    # the criterion-10 manifests of the acceptance suite, at one worker
+    "c10_simulate.rep": ["simulate", "--kernel", "d.kern", "--law", "uniform",
+                         "--n", "4000", "--seed", "77"],
+    "c10_bound.rep": ["bound", "normal", "--kernel", "d.kern", "--law", "rademacher",
+                      "--n", "4000", "--seed", "78", "--budget", "0,0,1"],
+    "c10_diagnose.rep": ["diagnose", "--spec", "sweep.txt"],
+}
+
+# sha256 of each output, taken before kernels moved to array-only storage
+# (x86-64, numpy 2.4, OpenBLAS); the storage change must not move a byte.
+# Sizes stay small enough that no BLAS call splits across threads: at
+# N = 16 the 2^N sign enumeration already gives thread-dependent moments.
+GOLDEN_SHA256 = {
+    "single_pair.kern": "1e1c4556202bae5d430f1316e17f1c0f9e865628c9b66a215dd6ab10ec519b0e",
+    "c12.kern": "b8f2df5edbc6886175e03d8deba40fde2046cd28326a8c14a72b552100362985",
+    "dp8.kern": "3694f329cdd8c76e03400c8c0d977698921065c025e7985f6c10372d8316ff52",
+    "w3.kern": "f8e7d400a503731e50adec7ffcf17a69ed0c488b1ce223ba0193c11d8b8a95d4",
+    "rs2.kern": "a688a69352b40133ab14b31bf4fd97e736d891c533078e83028259d35e5e11a5",
+    "rs3.kern": "d5814ec911496d5b7172fe1e6fb658b6d1d627e907f318f87d9b4596943c8492",
+    "d.kern": "e03ce3c544d206e0e04bb0a5cc37576e49cd0b4e600cc04f7d1787b540c03061",
+    "inspect.rep": "6177dbb8d7464378984b7dbaae92606c628f9852beaadece773c0f19ea0c3f14",
+    "normalized.kern": "1481a193f38eec959a6d11c2d71931654d4825347c647846237a1ec18a71b407",
+    "normal_rs2.rep": "501d26beb3faf3229d1de8df260ef4d1b3d143a9a5d6766c6d2dd47f02985a93",
+    "normal_rs3.rep": "d67b12029eeb45b94bb566b0de4df8545b390d8275364e32ca8629679199efd8",
+    "normal_w3.rep": "0eb87bb6d63a848a84e058d51eb98b10e8165d890d29b9edcc01f4606904bb91",
+    "chi2_c12.rep": "20e40dd4a725e140bf397c2491bc1c05e477bd8586a034286cd2d1a92c06df62",
+    "chi2_c12_mc.rep": "9f00740d8c693256f65bb037f1e7cf2eeee16b2232d9f515c752f6dd8694c7df",
+    "multi_3.rep": "365df0bfcaa2e3308a5efeb17dc8aefec76d79f714ae5659a7e1b51a98b25c6a",
+    "multi_2.rep": "2c7b01bbc6da663bf0ea6c2cb8e3d2c5da2c12765d3304cbb487201a93ab5be1",
+    "c10_simulate.rep": "75eb36bc01359787f44831f81c7480b84eeb8af57237f6e9fc7a44349019b10e",
+    "c10_bound.rep": "8e02adae2c009c02c76c412f64cf69f33616f2708cdae65ee271c8fe4e342e3a",
+    "c10_diagnose.rep": "dd1096b6b891674e126b1101d9b5a5520b5cc317d7562a9249fe24db573a3f5d",
+}
+
+
+def test_output_bytes_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # reports name their inputs by relative path
+    for name, argv in GOLDEN_INPUTS.items():
+        assert run(["kernel", "generate", *argv, "--out", name]) == 0
+    (tmp_path / "sweep.txt").write_text(reportio.format_sections(reportio.DIAGNOSE_MAGIC, [(
+        "sequence",
+        {"kind": "universality", "family": "disjoint_pairs", "d": 2,
+         "sweep": [4, 32], "laws": ["rademacher", "shifted_exponential"],
+         "n": 2000, "seed": 5},
+    )]))
+    for name, argv in GOLDEN_COMMANDS.items():
+        assert run([*argv, "--out", name]) == 0, name
+    got = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in [*GOLDEN_INPUTS, *GOLDEN_COMMANDS]
+    }
+    assert got == GOLDEN_SHA256

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from homsum import contractions, kernels
 from homsum.errors import MaterializationTooLarge, OddOrder, RankOutOfRange
@@ -214,3 +215,51 @@ class TestCruxGap:
         for f in random_kernels(rng, 120, d_range=(2, 4), n_max=8):
             lhs, rhs = contractions.crux_gap(f)
             assert lhs >= rhs - 1e-12 * max(1.0, lhs)
+
+
+def loop_influences(f):
+    """Per-entry loop over the canonical entries: the reference order."""
+    acc = np.zeros(f.N)
+    for t, v in f.entries.items():
+        for i in t:
+            acc[i - 1] += v * v
+    return acc
+
+
+def loop_gram_norm(f, r):
+    """contraction_norm through a slice matrix built entry by entry, rows and
+    columns numbered by first occurrence."""
+    row_ids, col_ids, rows, cols, vals = {}, {}, [], [], []
+    for t, v in f.entries.items():
+        for s in itertools.combinations(t, r):
+            u = tuple(i for i in t if i not in s)
+            rows.append(row_ids.setdefault(u, len(row_ids)))
+            cols.append(col_ids.setdefault(s, len(col_ids)))
+            vals.append(v)
+    S = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(len(row_ids), len(col_ids))).tocsr()
+    gram_sq = float(((S.T @ S).tocoo().data ** 2).sum())
+    return math.factorial(r) * math.factorial(f.d - r) * math.sqrt(gram_sq)
+
+
+def test_array_readers_equal_entry_loops_bitwise():
+    rng = np.random.default_rng(131)
+    for f in random_kernels(rng, 30, d_range=(2, 4), n_max=9):
+        assert contractions.influence_profile(f).values.tobytes() == loop_influences(f).tobytes()
+        for r in range(1, f.d):
+            assert contractions.contraction_norm(f, r).hex() == loop_gram_norm(f, r).hex()
+
+
+def test_file_round_trip_keeps_statistics_bitwise():
+    # influences and Gram norms sum in canonical order, whatever order the
+    # entries were generated in, so a kernel read back from its file agrees
+    def stats(k):
+        return [
+            contractions.max_influence(k).hex(),
+            contractions.influence_profile(k).total.hex(),
+            *(contractions.contraction_norm(k, r).hex() for r in range(1, k.d)),
+        ]
+
+    for d, N in ((2, 30), (3, 20)):
+        for seed in range(20):
+            f = kernels.random_sparse_kernel(d, N, seed=seed)
+            assert stats(f) == stats(kernels.parse_kernel(kernels.format_kernel(f))), (d, seed)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -10,6 +11,8 @@ from homsum.errors import (
     DuplicateTuple,
     IndexOutOfRange,
     NonCanonicalTuple,
+    NonFiniteValue,
+    NotNormalized,
     ParameterOutOfRange,
     UnsupportedFamilyParameters,
     ZeroKernel,
@@ -48,6 +51,15 @@ class TestMakeKernel:
         with pytest.raises(DimensionMismatch):
             kernels.make_kernel(2, 4, {(1, 2, 3): 1.0})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(NonFiniteValue):
+            kernels.make_kernel(2, 4, {(1, 2): 0.5, (3, 4): bad})
+
+    def test_duplicate_behind_zero_rejected(self):
+        with pytest.raises(DuplicateTuple):
+            kernels.make_kernel(2, 3, [((1, 2), 0.0), ((1, 2), 0.5)])
+
     def test_zeros_dropped(self):
         f = kernels.make_kernel(2, 4, {(1, 2): 0.0, (3, 4): 1.0})
         assert f.entries == {(3, 4): 1.0}
@@ -56,6 +68,33 @@ class TestMakeKernel:
         f = kernels.make_kernel(3, 4, {(1, 2, 3): 0.7, (2, 3, 4): -0.2})
         assert f.entry_count == 2
         assert kernels.evaluate(f, (3, 1, 2)) == 0.7
+
+
+class TestStorage:
+    def test_fields_are_order_dimension_and_two_frozen_arrays(self):
+        f = kernels.random_sparse_kernel(3, 8, seed=1)
+        assert [fl.name for fl in dataclasses.fields(f)] == ["d", "N", "index_array", "value_array"]
+        assert not f.index_array.flags.writeable
+        assert not f.value_array.flags.writeable
+
+    def test_rows_zero_based_and_sorted(self):
+        f = kernels.make_kernel(2, 4, [((3, 4), 1.0), ((1, 2), 0.5), ((1, 3), -0.25)])
+        assert f.index_array.tolist() == [[0, 1], [0, 2], [2, 3]]
+        assert f.value_array.tolist() == [0.5, -0.25, 1.0]
+
+    def test_dense_tensor_matches_evaluate(self):
+        rng = np.random.default_rng(3)
+        for f in random_kernels(rng, 6, d_range=(1, 3), n_max=6):
+            F = kernels.dense_tensor(f)
+            for idx in itertools.product(range(1, f.N + 1), repeat=f.d):
+                assert F[tuple(i - 1 for i in idx)] == kernels.evaluate(f, idx)
+
+    def test_second_moment_check_fails_on_nan(self, p2):
+        kernels.require_second_moment(p2, 1.0)
+        with pytest.raises(NotNormalized):
+            kernels.require_second_moment(p2, 1.1)
+        with pytest.raises(NotNormalized):
+            kernels.require_second_moment(p2, math.nan)
 
 
 class TestEvaluate:
@@ -256,6 +295,17 @@ class TestKernelFile:
         kernels.write_kernel(f, path)
         g = kernels.read_kernel(path)
         assert g.entries == f.entries
+
+    @pytest.mark.parametrize("records, error", [
+        ("1 2 0.5\n3 4 nan\n", NonFiniteValue),
+        ("1 2 0.5\n3 4 inf\n", NonFiniteValue),
+        ("1 2 0.0\n1 2 0.5\n", DuplicateTuple),
+        ("1 2 0.5 3\n4 0.5\n", ParameterOutOfRange),
+        ("1 x 0.5\n", ParameterOutOfRange),
+    ], ids=["nan", "inf", "duplicate_behind_zero", "misaligned_fields", "non_integer_index"])
+    def test_parse_rejects_bad_records(self, records, error):
+        with pytest.raises(error):
+            kernels.parse_kernel("artifact-kernel v1\nd 2\nN 4\n" + records)
 
     def test_reject_garbage(self, tmp_path):
         path = tmp_path / "junk"

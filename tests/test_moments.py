@@ -84,6 +84,16 @@ class TestSecondAndCrossMoments:
         # only the common tuple contributes: 2!^2 * 0.25
         assert moments.gaussian_cross_moment(a, b) == pytest.approx(1.0, rel=1e-14)
 
+    def test_cross_moment_equals_entry_loop_bitwise(self):
+        for seed in range(10):
+            a = kernels.random_sparse_kernel(3, 7, seed=seed, entry_count=20)
+            b = kernels.random_sparse_kernel(3, 7, seed=seed + 50, entry_count=25)
+            acc = 0.0  # canonical order, one shared tuple at a time
+            for t, v in a.entries.items():
+                if t in b.entries:
+                    acc += v * b.entries[t]
+            assert moments.gaussian_cross_moment(a, b).hex() == (36 * acc).hex()
+
     def test_cross_moment_matches_monte_carlo(self):
         from homsum import simulate
 
