@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 
 from . import bounds, contractions, diagnose, errors, kernels, moments, reportio, simulate
 from .bounds import BoundReport, MomentProfile, TestFunctionBudget
-from .contractions import ContractionTensor, InfluenceProfile
+from .contractions import ChaosNorms, ContractionTensor, InfluenceProfile
 from .kernels import KernelFamilySpec, SymmetricKernel, make_kernel
 from .moments import ExactDistribution
 from .simulate import DistributionSpec, SampleConfig, SampleSummary
@@ -15,6 +15,7 @@ from .simulate import DistributionSpec, SampleConfig, SampleSummary
 __all__ = [
     "__version__",
     "BoundReport",
+    "ChaosNorms",
     "ContractionTensor",
     "DistributionSpec",
     "ExactDistribution",

@@ -27,7 +27,6 @@ from .contractions import DEFAULT_MATERIALIZATION_CAP
 from .errors import (
     InvalidCovariance,
     InvalidDegrees,
-    MaterializationTooLarge,
     NotNormalizedToTwoNu,
     OddOrder,
     OrderMismatch,
@@ -40,6 +39,7 @@ MAX_ORDER = 12  # factorial/binomial arithmetic kept in exact-integer range
 EXACT = "exact"
 UPPER_BOUND = "upper-bound"
 MONTE_CARLO = "monte-carlo"
+UNAVAILABLE = "unavailable:capacity"  # a statistic that needs a contraction past the cap
 
 
 def _check_order(d: int) -> None:
@@ -104,16 +104,10 @@ class BoundReport:
 
     def recompute_total(self) -> float:
         c = self.components
-        if self.kind == "normal":
+        if self.kind in ("normal", "chi2"):
+            scale = c["c_star"] if self.kind == "normal" else c["prefactor"]
             factor = math.sqrt((c["d"] - 1) / (3.0 * c["d"]))
-            return c["invariance"] + c["c_star"] * factor * (
-                c["moment_term"] + c["influence_term"]
-            )
-        if self.kind == "chi2":
-            factor = math.sqrt((c["d"] - 1) / (3.0 * c["d"]))
-            return c["invariance"] + c["prefactor"] * factor * (
-                c["moment_term"] + c["influence_term"]
-            )
+            return c["invariance"] + scale * factor * (c["moment_term"] + c["influence_term"])
         if self.kind == "wasserstein":
             if not self.applicable:
                 return float("nan")
@@ -149,20 +143,23 @@ def c_star(budget: TestFunctionBudget, d: int) -> float:
     return 4.0 * math.sqrt(2.0) * (1.0 + 5.0 ** (1.5 * d)) * inner
 
 
-def _symmetrized_norms(f, ranks, cap):
-    """{r: norm} using exact symmetrized norms where materializable and the
-    unsymmetrized Gram norm (an upper bound) elsewhere; flags the fallback."""
-    norms, exact = {}, True
-    for r in ranks:
-        try:
-            norms[r] = contractions.symmetrized_contraction_norm(f, r, cap)
-        except MaterializationTooLarge:
-            norms[r] = contractions.contraction_norm(f, r)
-            exact = False
-    return norms, exact
+def _contraction_sum(norms, ranks) -> tuple:
+    """(d^2 sum_{r in ranks} (r-1)!^2 C(d-1,r-1)^4 (2d-2r)! ||sym(f *_r f)||^2,
+    exactness); past the cap the Gram norm, an upper bound, stands in for
+    the symmetrized norm and the sum is flagged "upper-bound"."""
+    d = norms.f.d
+    pairs = [norms.symmetrized(r) for r in ranks]
+    acc = sum(
+        math.factorial(r - 1) ** 2
+        * math.comb(d - 1, r - 1) ** 4
+        * math.factorial(2 * d - 2 * r)
+        * value ** 2
+        for r, (value, _) in zip(ranks, pairs)
+    )
+    return d ** 2 * acc, EXACT if all(exact for _, exact in pairs) else UPPER_BOUND
 
 
-def t1(f: SymmetricKernel, cap: int = DEFAULT_MATERIALIZATION_CAP) -> tuple:
+def t1(f, cap: int = DEFAULT_MATERIALIZATION_CAP) -> tuple:
     """Contraction statistic for the normal approximation of a unit-variance
     kernel:
 
@@ -171,21 +168,17 @@ def t1(f: SymmetricKernel, cap: int = DEFAULT_MATERIALIZATION_CAP) -> tuple:
 
     Returns (value, exactness); when a symmetrized norm cannot be
     materialized its unsymmetrized upper bound is substituted and the
-    result is flagged "upper-bound" (still a valid bound).
+    result is flagged "upper-bound" (still a valid bound).  f is a kernel
+    or its contractions.ChaosNorms record.
     """
+    norms = contractions.chaos_norms(f, cap)
+    f = norms.f
     if f.d < 2:
         raise ParameterOutOfRange(f"t1 needs d >= 2, got d={f.d}")
     _check_order(f.d)
     kernels.require_second_moment(f, 1.0)
-    norms, exact = _symmetrized_norms(f, range(1, f.d), cap)
-    acc = sum(
-        math.factorial(r - 1) ** 2
-        * math.comb(f.d - 1, r - 1) ** 4
-        * math.factorial(2 * f.d - 2 * r)
-        * norms[r] ** 2
-        for r in range(1, f.d)
-    )
-    return math.sqrt(f.d ** 2 * acc), EXACT if exact else UPPER_BOUND
+    value, exactness = _contraction_sum(norms, range(1, f.d))
+    return math.sqrt(value), exactness
 
 
 def t2(f: SymmetricKernel, fourth_moment: float) -> float:
@@ -197,18 +190,18 @@ def t2(f: SymmetricKernel, fourth_moment: float) -> float:
     return math.sqrt((f.d - 1) / (3.0 * f.d) * abs(fourth_moment - 3.0))
 
 
+def _invariance_term(d: int, beta: float, b3: float, max_inf: float) -> float:
+    """b3 * (30 beta)^d * d! * sqrt(max influence)."""
+    return b3 * (30.0 * beta) ** d * math.factorial(d) * math.sqrt(max_inf)
+
+
 def invariance_bound(f: SymmetricKernel, beta3: float, b3: float) -> float:
     """Distance between input laws: b3 * (30 beta3)^d * d! * sqrt(max influence),
     with beta3 >= sup E|X_i|^3."""
     if beta3 < 1.0 or b3 < 0.0:
         raise ParameterOutOfRange(f"need beta3 >= 1 and b3 >= 0, got {beta3}, {b3}")
     _check_order(f.d)
-    return (
-        b3
-        * (30.0 * beta3) ** f.d
-        * math.factorial(f.d)
-        * math.sqrt(contractions.max_influence(f))
-    )
+    return _invariance_term(f.d, beta3, b3, contractions.max_influence(f))
 
 
 def _influence_term_normal(d: int, alpha: float, max_inf: float) -> float:
@@ -244,7 +237,7 @@ def normal_smooth_bound(
     _check_order(f.d)
     kernels.require_second_moment(f, 1.0)
     max_inf = contractions.max_influence(f)
-    inv = budget.b3 * (30.0 * profile.beta4) ** f.d * math.factorial(f.d) * math.sqrt(max_inf)
+    inv = _invariance_term(f.d, profile.beta4, budget.b3, max_inf)
     cstar = c_star(budget, f.d)
     moment_term = math.sqrt(abs(eq4x - 3.0))
     influence_term = _influence_term_normal(f.d, profile.alpha, max_inf)
@@ -280,7 +273,7 @@ def wasserstein_bound(
     _check_order(f.d)
     kernels.require_second_moment(f, 1.0)
     max_inf = contractions.max_influence(f)
-    b1 = 2.0 * (30.0 * profile.beta4) ** f.d * math.factorial(f.d) * math.sqrt(max_inf)
+    b1 = _invariance_term(f.d, profile.beta4, 2.0, max_inf)
     factor = math.sqrt((f.d - 1) / (3.0 * f.d)) if f.d > 1 else 0.0
     b2 = (
         12.0
@@ -314,7 +307,7 @@ def _check_chi2_preconditions(f: SymmetricKernel, nu: int) -> None:
     kernels.require_second_moment(f, 2.0 * nu, NotNormalizedToTwoNu)
 
 
-def t3(f: SymmetricKernel, nu: int, cap: int = DEFAULT_MATERIALIZATION_CAP) -> tuple:
+def t3(f, nu: int, cap: int = DEFAULT_MATERIALIZATION_CAP) -> tuple:
     """Chi-square contraction statistic for a kernel with E[Q^2] = 2 nu:
 
         [ 4 d! || f - (1/c_d) sym(f *_{d/2} f) ||_d^2
@@ -322,23 +315,17 @@ def t3(f: SymmetricKernel, nu: int, cap: int = DEFAULT_MATERIALIZATION_CAP) -> t
                 || sym(f *_r f) ||^2 ]^{1/2}
 
     with c_d = 4 ((d/2)!)^3 / (d!)^2.  Returns (value, exactness); the
-    critical d/2 term always requires materialization.
+    critical d/2 term always requires materialization.  f is a kernel or
+    its contractions.ChaosNorms record.
     """
+    norms = contractions.chaos_norms(f, cap)
+    f = norms.f
     _check_order(f.d)
     _check_chi2_preconditions(f, nu)
     c_d = contractions.chi_square_match_constant(f.d)
-    defect = contractions.chi_square_defect(f, cap)
-    first = 4.0 * math.factorial(f.d) * (defect / c_d) ** 2
-    off_ranks = [r for r in range(1, f.d) if r != f.d // 2]
-    norms, exact = _symmetrized_norms(f, off_ranks, cap)
-    rest = f.d ** 2 * sum(
-        math.factorial(r - 1) ** 2
-        * math.comb(f.d - 1, r - 1) ** 4
-        * math.factorial(2 * f.d - 2 * r)
-        * norms[r] ** 2
-        for r in off_ranks
-    )
-    return math.sqrt(first + rest), EXACT if exact else UPPER_BOUND
+    first = 4.0 * math.factorial(f.d) * (norms.defect() / c_d) ** 2
+    rest, exactness = _contraction_sum(norms, [r for r in range(1, f.d) if r != f.d // 2])
+    return math.sqrt(first + rest), exactness
 
 
 def t4(eq3: float, eq4: float, nu: int, d: int) -> float:
@@ -377,7 +364,7 @@ def chi_square_smooth_bound(
     _check_order(f.d)
     _check_chi2_preconditions(f, nu)
     max_inf = contractions.max_influence(f)
-    inv = budget.b3 * (30.0 * profile.beta4) ** f.d * math.factorial(f.d) * math.sqrt(max_inf)
+    inv = _invariance_term(f.d, profile.beta4, budget.b3, max_inf)
     moment_term = math.sqrt(abs(eq4x - 12.0 * eq3x - 12.0 * nu ** 2 + 48.0 * nu))
     influence_term = (
         4.0
@@ -416,7 +403,7 @@ def chi_square_smooth_bound(
 # Multivariate bounds
 # ---------------------------------------------------------------------------
 
-def delta_ij(f_i: SymmetricKernel, f_j: SymmetricKernel) -> float:
+def delta_ij(f_i, f_j) -> float:
     """Pairwise contraction statistic for vectors of unit-variance sums
     (requires d_i <= d_j):
 
@@ -424,13 +411,16 @@ def delta_ij(f_i: SymmetricKernel, f_j: SymmetricKernel) -> float:
             sqrt((d_i+d_j-2r)!) (||f_i *_{d_i-r} f_i||_{2r}
                                  + ||f_j *_{d_j-r} f_j||_{2r})
         + [d_i < d_j] sqrt(d_j! C(d_j,d_i) ||f_j *_{d_j-d_i} f_j||_{2 d_i}).
+
+    Each argument is a kernel or its contractions.ChaosNorms record.
     """
-    if f_i.d > f_j.d:
-        raise OrderMismatch(f"need d_i <= d_j, got d_i={f_i.d}, d_j={f_j.d}")
-    _check_order(f_j.d)
-    kernels.require_second_moment(f_i, 1.0)
-    kernels.require_second_moment(f_j, 1.0)
-    di, dj = f_i.d, f_j.d
+    n_i, n_j = contractions.chaos_norms(f_i), contractions.chaos_norms(f_j)
+    di, dj = n_i.f.d, n_j.f.d
+    if di > dj:
+        raise OrderMismatch(f"need d_i <= d_j, got d_i={di}, d_j={dj}")
+    _check_order(dj)
+    kernels.require_second_moment(n_i.f, 1.0)
+    kernels.require_second_moment(n_j.f, 1.0)
     acc = 0.0
     for r in range(1, di):
         acc += (
@@ -438,28 +428,24 @@ def delta_ij(f_i: SymmetricKernel, f_j: SymmetricKernel) -> float:
             * math.comb(di - 1, r - 1)
             * math.comb(dj - 1, r - 1)
             * math.sqrt(math.factorial(di + dj - 2 * r))
-            * (
-                contractions.contraction_norm(f_i, di - r)
-                + contractions.contraction_norm(f_j, dj - r)
-            )
+            * (n_i.gram(di - r) + n_j.gram(dj - r))
         )
     total = dj / math.sqrt(2.0) * acc
     if di < dj:
-        total += math.sqrt(
-            math.factorial(dj)
-            * math.comb(dj, di)
-            * contractions.contraction_norm(f_j, dj - di)
-        )
+        total += math.sqrt(math.factorial(dj) * math.comb(dj, di) * n_j.gram(dj - di))
     return total
 
 
 def delta_matrix(kernel_list) -> np.ndarray:
-    m = len(kernel_list)
+    """Symmetric matrix of delta_ij over kernels (or their ChaosNorms
+    records), reading one record per kernel."""
+    norms = [contractions.chaos_norms(f) for f in kernel_list]
+    m = len(norms)
     delta = np.zeros((m, m))
     for i in range(m):
         for j in range(i, m):
-            a, b = kernel_list[i], kernel_list[j]
-            if a.d > b.d:
+            a, b = norms[i], norms[j]
+            if a.f.d > b.f.d:
                 a, b = b, a
             delta[i, j] = delta[j, i] = delta_ij(a, b)
     return delta
@@ -500,10 +486,7 @@ def multivariate_smooth_bound(
     """
     if not kernel_list:
         raise ParameterOutOfRange("need at least one kernel")
-    for f in kernel_list:
-        _check_order(f.d)
-        kernels.require_second_moment(f, 1.0)
-    delta = delta_matrix(kernel_list)
+    delta = delta_matrix(kernel_list)  # delta_ij checks each kernel's order and variance
     delta_total = float(np.trace(delta) + 2.0 * np.triu(delta, k=1).sum())
     c_sum, max_max_inf, mixing = _mixing_term(kernel_list, profile)
     components = {
@@ -533,20 +516,18 @@ def validate_covariance(V: np.ndarray, m: int) -> np.ndarray:
 
 
 def rank_data_from_covariance(V: np.ndarray) -> tuple:
-    """(k, eigenvalues, column-orthonormal B, b) for V = B diag(lam) B^T;
-    b is the largest magnitude entry of lam^{-1/2} B^T."""
+    """(k, b) for V = B diag(lam) B^T with k positive eigenvalues lam and
+    column-orthonormal B; b is the largest magnitude entry of lam^{-1/2} B^T."""
     eigvals, vecs = np.linalg.eigh(V)
     tol = 1e-10 * max(1.0, float(eigvals.max()))
     keep = eigvals > tol
     lam = eigvals[keep]
     B = vecs[:, keep]
     b = float(np.abs(B.T / np.sqrt(lam)[:, None]).max())
-    return int(keep.sum()), lam, B, b
+    return int(keep.sum()), b
 
 
-def convex_sets_bound(
-    kernel_list, profile: MomentProfile, V, rank_data=None
-) -> BoundReport:
+def convex_sets_bound(kernel_list, profile: MomentProfile, V) -> BoundReport:
     """Distance over indicators of convex sets (dominates the Kolmogorov
     distance): 8 (b^2 B1 + b^3 B2)^{1/4} m^{3/8}, with b = 1 for identity
     covariance, B1 = (1/2) sum_i Delta_ii + sum_{i<j} Delta_ij, and B2 the
@@ -555,19 +536,10 @@ def convex_sets_bound(
         raise ParameterOutOfRange("need at least one kernel")
     m = len(kernel_list)
     V = validate_covariance(V, m)
-    for f in kernel_list:
-        _check_order(f.d)
-        kernels.require_second_moment(f, 1.0)
-    delta = delta_matrix(kernel_list)
+    delta = delta_matrix(kernel_list)  # delta_ij checks each kernel's order and variance
     b1 = float(0.5 * np.trace(delta) + np.triu(delta, k=1).sum())
     _, _, b2 = _mixing_term(kernel_list, profile)
-    if rank_data is None:
-        if np.array_equal(V, np.eye(m)):
-            rank, b_scale = m, 1.0
-        else:
-            rank, _, _, b_scale = rank_data_from_covariance(V)
-    else:
-        rank, _, _, b_scale = rank_data
+    rank, b_scale = (m, 1.0) if np.array_equal(V, np.eye(m)) else rank_data_from_covariance(V)
     components = {
         "m": float(m),
         "b1": b1,

@@ -130,37 +130,29 @@ def cmd_kernel(args) -> int:
     return 0
 
 
-def _estimate_moments(f, law, config, need_third):
-    """(eq3, eq4, exactness, se) under the requested input law; exact where
-    an oracle applies, Monte Carlo otherwise."""
-    if law.tag == "rademacher" and f.N <= moments.ENUMERATION_MAX_N:
-        dist = moments.exact_rademacher_distribution(f)
-        return dist.moment(3), dist.moment(4), bounds.EXACT, None
-    if law.tag == "gaussian" and not need_third:
-        return float("nan"), moments.gaussian_fourth_moment(f), bounds.EXACT, None
-    summary = simulate.sample_sums(f, law, config)
-    return summary.moment(3), summary.moment(4), bounds.MONTE_CARLO, summary.standard_error(4)
-
-
-def _attach_statistics(report, f, kind, nu) -> None:
+def _attach_statistics(report, norms, kind, nu) -> None:
     """Add the contraction/moment statistics (and the total-variation bound
-    2*t1) to a univariate bound report when they are computable."""
-    try:
-        if kind in ("normal", "wasserstein") and f.d >= 2:
-            value, flag = bounds.t1(f)
-            report.components["t1"] = value
-            report.components["tv_bound"] = 2.0 * value
-            report.exactness["t1"] = flag
-            report.components["t2"] = bounds.t2(f, moments.gaussian_fourth_moment(f))
-        elif kind == "chi2":
-            value, flag = bounds.t3(f, nu)
-            report.components["t3"] = value
-            report.exactness["t3"] = flag
+    2*t1) to a univariate bound report; a statistic that needs a contraction
+    past the materialization cap is flagged unavailable:capacity instead."""
+    f = norms.f
+    if kind in ("normal", "wasserstein") and f.d >= 2:
+        value, report.exactness["t1"] = bounds.t1(norms)
+        report.components.update(t1=value, tv_bound=2.0 * value)
+        try:
+            report.components["t2"] = bounds.t2(f, moments.gaussian_fourth_moment(norms))
+        except CapacityError:
+            report.exactness["t2"] = bounds.UNAVAILABLE
+    elif kind == "chi2":
+        try:
+            report.components["t3"], report.exactness["t3"] = bounds.t3(norms, nu)
+        except CapacityError:
+            report.exactness["t3"] = bounds.UNAVAILABLE
+        try:
             # t4 from the exact fourth-minus-twelve-third combination
-            comb = moments.gaussian_chi_square_combination(f, nu)
+            comb = moments.gaussian_chi_square_combination(norms, nu)
             report.components["t4"] = bounds.t4(0.0, comb, nu, f.d)
-    except CapacityError:
-        pass  # statistics stay absent when materialization is infeasible
+        except CapacityError:
+            report.exactness["t4"] = bounds.UNAVAILABLE
 
 
 def cmd_bound(args) -> int:
@@ -190,22 +182,20 @@ def cmd_bound(args) -> int:
     else:
         a, bb, b3 = _parse_floats(args.budget, 3, "--budget")
         budget = bounds.TestFunctionBudget(a=a, b=bb, b3=b3)
-        f = kernel_list[0]
-        if args.kind == "chi2":
+        chi2 = args.kind == "chi2"
+        f = kernels.normalize_to_variance(kernel_list[0], 2.0 * args.nu if chi2 else 1.0)
+        norms = contractions.ChaosNorms(f)
+        eq3, eq4, exactness, se = moments.estimate_moments(norms, law, config, need_third=chi2)
+        if chi2:
             params["nu"] = args.nu
-            f = kernels.normalize_to_variance(f, 2.0 * args.nu)
-            eq3, eq4, exactness, se = _estimate_moments(f, law, config, need_third=True)
             report = bounds.chi_square_smooth_bound(
                 f, profile, budget, args.nu, eq3, eq4, exactness, se
             )
+        elif args.kind == "normal":
+            report = bounds.normal_smooth_bound(f, profile, budget, eq4, exactness, se)
         else:
-            f = kernels.normalize_to_variance(f, 1.0)
-            _, eq4, exactness, se = _estimate_moments(f, law, config, need_third=False)
-            if args.kind == "normal":
-                report = bounds.normal_smooth_bound(f, profile, budget, eq4, exactness, se)
-            else:
-                report = bounds.wasserstein_bound(f, profile, eq4, exactness, se)
-        _attach_statistics(report, f, args.kind, args.nu)
+            report = bounds.wasserstein_bound(f, profile, eq4, exactness, se)
+        _attach_statistics(report, norms, args.kind, args.nu)
         if exactness == bounds.MONTE_CARLO:
             params["seed"] = args.seed
     manifest = reportio.RunManifest(f"bound-{args.kind}", params, seed=args.seed)

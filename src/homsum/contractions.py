@@ -15,9 +15,9 @@ Norms come in two flavors:
       ||f *_r f||^2 = sum_{a,b in [N]^r} <f(a,.), f(b,.)>^2
   on the sparse slice structure, never materializing the output; cost is
   quadratic in the number of distinct r-subsets carrying support.
-* `symmetrized_contraction_norm` needs the dense tensor (there is no Gram
-  shortcut after averaging over coordinate permutations), except for output
-  arity 2 where the contraction is already symmetric.
+* the symmetrized norm ||sym(f *_r f)|| needs the dense tensor (there is no
+  Gram shortcut after averaging over coordinate permutations), except for
+  output arity 2 where the contraction is already symmetric.
 """
 
 from __future__ import annotations
@@ -139,18 +139,48 @@ def symmetrize(T: ContractionTensor) -> ContractionTensor:
     return ContractionTensor(T.arity, T.N, acc, symmetric=True)
 
 
-def symmetrized_contraction_norm(
-    f: SymmetricKernel, r: int, cap: int = DEFAULT_MATERIALIZATION_CAP
-) -> float:
-    """Frobenius norm of the symmetrization of f *_r f.
+class ChaosNorms:
+    """The Wiener-chaos norms of one kernel f, each computed on its first
+    request and kept: Gram norms ||f *_r f||, symmetrized norms
+    ||sym(f *_r f)|| and the chi-square defect."""
 
-    Always <= contraction_norm(f, r).  Output arity 2 (r = d-1) is already
-    symmetric, so the Gram path applies and no materialization is needed.
-    """
-    r = _check_rank(f, r)
-    if r == f.d or r == f.d - 1:
-        return contraction_norm(f, r)
-    return symmetrize(contract(f, r, cap)).frobenius_norm()
+    def __init__(self, f: SymmetricKernel, cap: int = DEFAULT_MATERIALIZATION_CAP):
+        self.f, self.cap, self._memo = f, cap, {}
+
+    def _get(self, key, compute):
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+    def gram(self, r: int) -> float:
+        """||f *_r f|| by the Gram identity (no cap)."""
+        return self._get(("gram", r), lambda: contraction_norm(self.f, r))
+
+    def exact_symmetrized(self, r: int) -> float:
+        """||sym(f *_r f)||; raises MaterializationTooLarge past the cap."""
+        r = _check_rank(self.f, r)
+        if r >= self.f.d - 1:
+            return self.gram(r)
+        return self._get(
+            ("sym", r), lambda: symmetrize(contract(self.f, r, self.cap)).frobenius_norm()
+        )
+
+    def symmetrized(self, r: int) -> tuple:
+        """(||sym(f *_r f)||, exact); past the cap the Gram norm, an upper
+        bound, stands in and exact is False."""
+        try:
+            return self.exact_symmetrized(r), True
+        except MaterializationTooLarge:
+            return self.gram(r), False
+
+    def defect(self) -> float:
+        """chi_square_defect(f, cap); raises MaterializationTooLarge past the cap."""
+        return self._get("defect", lambda: chi_square_defect(self.f, self.cap))
+
+
+def chaos_norms(f, cap: int = DEFAULT_MATERIALIZATION_CAP) -> ChaosNorms:
+    """f when it already is a ChaosNorms record (with its own cap), else f's record."""
+    return f if isinstance(f, ChaosNorms) else ChaosNorms(f, cap)
 
 
 def influence_profile(f: SymmetricKernel) -> InfluenceProfile:
@@ -201,8 +231,3 @@ def crux_gap(f: SymmetricKernel) -> tuple:
     lhs = contraction_norm(f, f.d - 1) ** 2
     rhs = (math.factorial(f.d - 1) * max_influence(f)) ** 2
     return lhs, rhs
-
-
-def all_contraction_norms(f: SymmetricKernel) -> dict:
-    """{r: ||f *_r f||} for r = 1..d-1 (empty for d = 1)."""
-    return {r: contraction_norm(f, r) for r in range(1, f.d)}

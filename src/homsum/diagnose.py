@@ -62,8 +62,8 @@ class SequenceSpec:
         )
 
     def sample_config(self, point_index: int, law_index: int = 0) -> simulate.SampleConfig:
-        # distinct deterministic master seed per (point, law) cell
-        offset = 1 + point_index * 16 + law_index
+        # distinct master seed per (point, law) cell; up to 16 laws keep stride 16
+        offset = 1 + point_index * max(16, len(self.laws)) + law_index
         return simulate.SampleConfig(
             n=self.n, seed=self.seed + 7919 * offset, workers=self.workers,
             batch_size=self.batch_size,
@@ -116,11 +116,24 @@ def assess(points, statistic_names, tolerance=TREND_TOLERANCE, threshold=TERMINA
     return trends, verdict
 
 
-def _norm_stats(f: SymmetricKernel) -> dict:
-    stats = {"max_influence": contractions.max_influence(f)}
-    for r, norm in contractions.all_contraction_norms(f).items():
-        stats[f"contraction_norm_r{r}"] = norm
-    return stats
+def _norm_stats(norms: contractions.ChaosNorms, skip: int | None = None) -> dict:
+    """{contraction_norm_r<r>: ||f *_r f||} for r = 1..d-1 other than `skip`."""
+    return {f"contraction_norm_r{r}": norms.gram(r) for r in range(1, norms.f.d) if r != skip}
+
+
+def _criterion_sweep(kind: str, spec: SequenceSpec, sigma2: float, point_stats) -> VerdictReport:
+    """Sweep report tracking every statistic of `point_stats(norms)`, where
+    norms is the ChaosNorms record of the kernel normalized to E[Q^2] = sigma2."""
+    points = []
+    for size in spec.sweep:
+        f = kernels.normalize_to_variance(spec.kernel_at(size), sigma2)
+        points.append({"size": float(size), **point_stats(contractions.ChaosNorms(f))})
+    tracked = [k for k in points[0] if k != "size"]
+    trends, verdict = assess(points, tracked, spec.tolerance, spec.threshold)
+    return VerdictReport(
+        kind=kind, points=points, trends=trends, verdict=verdict,
+        tolerance=spec.tolerance, threshold=spec.threshold, statistics_used=tracked,
+    )
 
 
 def fourth_moment_diagnostic(spec: SequenceSpec) -> VerdictReport:
@@ -128,19 +141,11 @@ def fourth_moment_diagnostic(spec: SequenceSpec) -> VerdictReport:
     |E Q^4 - 3| under Gaussian inputs (exact), every contraction norm, and
     the maximal influence; positive verdict iff all of them decrease to
     below the threshold."""
-    points = []
-    for size in spec.sweep:
-        f = kernels.normalize_to_variance(spec.kernel_at(size), 1.0)
-        stats = {"size": float(size)}
-        stats.update(_norm_stats(f))
-        stats["fourth_moment_gap"] = abs(moments.gaussian_fourth_moment(f) - 3.0)
-        points.append(stats)
-    tracked = [k for k in points[0] if k != "size"]
-    trends, verdict = assess(points, tracked, spec.tolerance, spec.threshold)
-    return VerdictReport(
-        kind="fourth_moment", points=points, trends=trends, verdict=verdict,
-        tolerance=spec.tolerance, threshold=spec.threshold, statistics_used=tracked,
-    )
+    return _criterion_sweep("fourth_moment", spec, 1.0, lambda norms: {
+        "max_influence": contractions.max_influence(norms.f),
+        **_norm_stats(norms),
+        "fourth_moment_gap": abs(moments.gaussian_fourth_moment(norms) - 3.0),
+    })
 
 
 def chi_square_diagnostic(spec: SequenceSpec, nu: int | None = None) -> VerdictReport:
@@ -152,20 +157,9 @@ def chi_square_diagnostic(spec: SequenceSpec, nu: int | None = None) -> VerdictR
         raise InvalidDegrees(f"need integer nu >= 1, got {nu}")
     if spec.d % 2 != 0:
         raise OddOrder(f"chi-square diagnostic needs even order, got d={spec.d}")
-    points = []
-    for size in spec.sweep:
-        f = kernels.normalize_to_variance(spec.kernel_at(size), 2.0 * nu)
-        stats = {"size": float(size), "chi_square_defect": contractions.chi_square_defect(f)}
-        for r in range(1, f.d):
-            if r != f.d // 2:
-                stats[f"contraction_norm_r{r}"] = contractions.contraction_norm(f, r)
-        points.append(stats)
-    tracked = [k for k in points[0] if k != "size"]
-    trends, verdict = assess(points, tracked, spec.tolerance, spec.threshold)
-    return VerdictReport(
-        kind="chi_square", points=points, trends=trends, verdict=verdict,
-        tolerance=spec.tolerance, threshold=spec.threshold, statistics_used=tracked,
-    )
+    return _criterion_sweep("chi_square", spec, 2.0 * nu, lambda norms: {
+        "chi_square_defect": norms.defect(), **_norm_stats(norms, skip=spec.d // 2),
+    })
 
 
 def de_jong_report(
@@ -182,14 +176,7 @@ def de_jong_report(
     f = kernels.normalize_to_variance(f, 1.0)
     budget = budget or bounds.TestFunctionBudget(b3=1.0)
     summary = simulate.sample_sums(f, dist, config)
-    if dist.tag == "rademacher" and f.N <= moments.ENUMERATION_MAX_N:
-        eq4, eq4_exact, eq4_se = (
-            moments.exact_rademacher_distribution(f).moment(4), bounds.EXACT, None,
-        )
-    elif dist.tag == "gaussian":
-        eq4, eq4_exact, eq4_se = moments.gaussian_fourth_moment(f), bounds.EXACT, None
-    else:
-        eq4, eq4_exact, eq4_se = summary.moment(4), bounds.MONTE_CARLO, summary.standard_error(4)
+    _, eq4, eq4_exact, eq4_se = moments.estimate_moments(f, dist, config, summary=summary)
     max_inf = contractions.max_influence(f)
     report = bounds.normal_smooth_bound(
         f, simulate.law_moment_profile(dist), budget, eq4, eq4_exact, eq4_se
@@ -282,7 +269,8 @@ def multivariate_diagnostic(
                 for a in kernel_list
             ]
         )
-        delta = bounds.delta_matrix(kernel_list)
+        norms = [contractions.ChaosNorms(f) for f in kernel_list]
+        delta = bounds.delta_matrix(norms)
         cfg = simulate.SampleConfig(
             n=config.n, seed=config.seed + 7919 * (pi + 1), workers=config.workers,
             batch_size=config.batch_size,
@@ -294,8 +282,7 @@ def multivariate_diagnostic(
             "covariance_residual": float(np.abs(cross - V).max()),
             "max_delta": float(delta.max()),
             "max_contraction_norm": max(
-                (norm for f in kernel_list for norm in contractions.all_contraction_norms(f).values()),
-                default=0.0,
+                (norm for n in norms for norm in _norm_stats(n).values()), default=0.0
             ),
             "joint_ks": simulate.ks_joint_two_sample(joint.samples, reference),
         }

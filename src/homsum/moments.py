@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import contractions, kernels
+from . import contractions, kernels, simulate
+from .bounds import EXACT, MONTE_CARLO
 from .errors import (
     EnumerationTooLarge,
     InvalidDegrees,
@@ -74,7 +75,7 @@ def gaussian_cross_moment(f: SymmetricKernel, g: SymmetricKernel) -> float:
 
 
 def gaussian_fourth_moment(
-    f: SymmetricKernel, cap: int = contractions.DEFAULT_MATERIALIZATION_CAP
+    f, cap: int = contractions.DEFAULT_MATERIALIZATION_CAP
 ) -> float:
     """E[Q_d(G)^4] for a kernel with E[Q^2] = 1, from contraction norms:
 
@@ -82,25 +83,27 @@ def gaussian_fourth_moment(
                  * || sym(f *_r f) ||^2.
 
     Exact; always >= 3, with equality only when all contractions vanish.
+    f is a kernel or its contractions.ChaosNorms record; a symmetrized norm
+    past the cap raises MaterializationTooLarge.
     """
-    kernels.require_second_moment(f, 1.0)
-    d = f.d
+    norms = contractions.chaos_norms(f, cap)
+    kernels.require_second_moment(norms.f, 1.0)
+    d = norms.f.d
     acc = 0.0
     for r in range(1, d):
-        snorm = contractions.symmetrized_contraction_norm(f, r, cap)
         acc += (
             math.factorial(r)
             * math.factorial(r - 1)
             * math.comb(d, r) ** 2
             * math.comb(d - 1, r - 1) ** 2
             * math.factorial(2 * d - 2 * r)
-            * snorm ** 2
+            * norms.exact_symmetrized(r) ** 2
         )
     return 3.0 + 3.0 * d * acc
 
 
 def gaussian_chi_square_combination(
-    f: SymmetricKernel, nu: int, cap: int = contractions.DEFAULT_MATERIALIZATION_CAP
+    f, nu: int, cap: int = contractions.DEFAULT_MATERIALIZATION_CAP
 ) -> float:
     """E[Q^4(G)] - 12 E[Q^3(G)] for an even-order kernel with E[Q^2] = 2 nu,
     exactly from contraction norms:
@@ -111,21 +114,21 @@ def gaussian_chi_square_combination(
               || sym(f *_r f) ||^2.
 
     This is the observable combination consumed by the chi-square moment
-    statistic; the third moment alone has no closed contraction form.
+    statistic; the third moment alone has no closed contraction form.  f is
+    a kernel or its contractions.ChaosNorms record.
     """
-    if f.d % 2 != 0:
-        raise ParameterOutOfRange(f"needs even order, got d={f.d}")
+    norms = contractions.chaos_norms(f, cap)
+    d = norms.f.d
+    if d % 2 != 0:
+        raise ParameterOutOfRange(f"needs even order, got d={d}")
     if int(nu) != nu or nu < 1:
         raise InvalidDegrees(f"degrees of freedom must be a positive integer, got {nu}")
-    kernels.require_second_moment(f, 2.0 * nu)
-    d = f.d
+    kernels.require_second_moment(norms.f, 2.0 * nu)
     c_d = contractions.chi_square_match_constant(d)
-    defect = contractions.chi_square_defect(f, cap)
-    acc = 24.0 * math.factorial(d) * (defect / c_d) ** 2
+    acc = 24.0 * math.factorial(d) * (norms.defect() / c_d) ** 2
     for r in range(1, d):
         if r == d // 2:
             continue
-        snorm = contractions.symmetrized_contraction_norm(f, r, cap)
         acc += (
             3.0
             * d
@@ -134,9 +137,27 @@ def gaussian_chi_square_combination(
             * math.comb(d, r) ** 2
             * math.comb(d - 1, r - 1) ** 2
             * math.factorial(2 * d - 2 * r)
-            * snorm ** 2
+            * norms.exact_symmetrized(r) ** 2
         )
     return 12.0 * nu ** 2 - 48.0 * nu + acc
+
+
+def estimate_moments(f, law, config, need_third: bool = False, summary=None) -> tuple:
+    """(E Q^3, E Q^4, exactness, standard error) under the input law: 2^N
+    enumeration for Rademacher inputs with N <= 22, the contraction identity
+    for Gaussian inputs unless the third moment is needed (E Q^3 is then
+    nan), else Monte Carlo from `summary`, drawn under `config` if not given.
+    f is a kernel or its contractions.ChaosNorms record."""
+    norms = contractions.chaos_norms(f)
+    f = norms.f
+    if law.tag == "rademacher" and f.N <= ENUMERATION_MAX_N:
+        dist = exact_rademacher_distribution(f)
+        return dist.moment(3), dist.moment(4), EXACT, None
+    if law.tag == "gaussian" and not need_third:
+        return float("nan"), gaussian_fourth_moment(norms), EXACT, None
+    if summary is None:
+        summary = simulate.sample_sums(f, law, config)
+    return summary.moment(3), summary.moment(4), MONTE_CARLO, summary.standard_error(4)
 
 
 @dataclass(frozen=True)

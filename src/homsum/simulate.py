@@ -13,6 +13,7 @@ from __future__ import annotations
 import concurrent.futures
 import math
 import multiprocessing
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -176,19 +177,20 @@ def _compute_block_span(kernel_list, dist, seed, span, n_inputs):
 def _sample_matrix(kernel_list, dist: DistributionSpec, config: SampleConfig) -> np.ndarray:
     """(n, m) matrix of sums.  Every block is computed identically whatever
     the worker count (per-draw streams, per-block evaluation), and blocks
-    land at fixed offsets, so the result is bitwise worker-independent."""
+    land at fixed offsets, so the result is bitwise worker-independent.  At
+    most one process per CPU and per block is started."""
     n_inputs = max(f.N for f in kernel_list)
     out = np.empty((config.n, len(kernel_list)))
     blocks = [
         (lo, min(lo + config.batch_size, config.n))
         for lo in range(0, config.n, config.batch_size)
     ]
-    if config.workers == 1 or len(blocks) == 1:
+    workers = min(config.workers, os.cpu_count() or 1, len(blocks))
+    if workers == 1:
         for lo, hi in blocks:
             out[lo:hi] = _compute_block(kernel_list, dist, config.seed, lo, hi, n_inputs)
         return out
-    spans = [blocks[w :: config.workers] for w in range(config.workers)]
-    spans = [s for s in spans if s]
+    spans = [blocks[w::workers] for w in range(workers)]
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
     ctx = multiprocessing.get_context(method)
     with concurrent.futures.ProcessPoolExecutor(

@@ -1,10 +1,11 @@
+import collections
 import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from homsum import cli, kernels, reportio, simulate
+from homsum import cli, contractions, kernels, reportio, simulate
 
 
 def run(args):
@@ -128,6 +129,74 @@ class TestBoundCommands:
         assert sections["bound"]["applicable"] is False
 
 
+class TestCapacityFlags:
+    """A statistic that needs a contraction past the materialization cap is
+    flagged unavailable:capacity instead of vanishing from the report."""
+
+    def _bound(self, tmp_path, generate, argv):
+        kern, out = tmp_path / "k.kern", tmp_path / "r.txt"
+        assert run(["kernel", "generate", *generate, "--out", str(kern)]) == 0
+        assert run(["bound", *argv, "--kernel", str(kern), "--out", str(out)]) == 0
+        return dict(reportio.parse_sections(out.read_text(), reportio.REPORT_MAGIC))["bound"]
+
+    def test_t2_flagged_when_a_symmetrized_norm_is_past_the_cap(self, tmp_path):
+        # rank 1 of d=5, N=8 needs 8^8 values; 2^8 sign patterns keep the
+        # enumerated moments independent of the BLAS thread count
+        bound = self._bound(tmp_path, ["--family", "random_sparse", "--d", "5", "-N", "8",
+                                       "--seed", "1"], ["normal", "--law", "rademacher"])
+        assert bound["t1_exactness"] == "upper-bound"
+        assert bound["t2_exactness"] == "unavailable:capacity"
+        assert "t2" not in bound
+        assert bound["eq4x_exactness"] == "exact"
+
+    def test_t3_t4_flagged_when_the_defect_is_past_the_cap(self, tmp_path):
+        # the defect of d=4, N=60 needs 60^4 values
+        bound = self._bound(tmp_path, ["--family", "walsh", "--d", "4", "-N", "60"],
+                            ["chi2", "--law", "gaussian", "--n", "200", "--seed", "1"])
+        assert bound["t3_exactness"] == bound["t4_exactness"] == "unavailable:capacity"
+        assert "t3" not in bound and "t4" not in bound
+
+
+def _count_calls(monkeypatch, module, names):
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
+def test_each_norm_computed_once_per_command(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, argv in (("w4.kern", ["--family", "walsh", "--d", "4", "-N", "6"]),
+                       ("rs3.kern", ["--family", "random_sparse", "--d", "3", "-N", "12",
+                                     "--seed", "5"])):
+        assert run(["kernel", "generate", *argv, "--out", name]) == 0
+    (tmp_path / "fm.txt").write_text(reportio.format_sections(reportio.DIAGNOSE_MAGIC, [(
+        "sequence", {"kind": "fourth_moment", "family": "constant", "d": 2, "sweep": [10, 20, 30]},
+    )]))
+    calls = _count_calls(monkeypatch, contractions,
+                         ("contract", "symmetrize", "contraction_norm", "chi_square_defect"))
+    once_per_rank = {"contract": 2, "symmetrize": 2, "contraction_norm": 1}
+    cases = [
+        (["bound", "normal", "--kernel", "w4.kern", "--law", "gaussian"], once_per_rank),
+        (["bound", "chi2", "--kernel", "w4.kern", "--law", "gaussian", "--n", "200"],
+         {**once_per_rank, "chi_square_defect": 1}),
+        (["bound", "multi", "--kernel", "rs3.kern", "--kernel", "w4.kern", "--budget", "1,1"],
+         {"contraction_norm": 5}),
+        (["diagnose", "--spec", "fm.txt"], {"contraction_norm": 3}),  # one per sweep point
+    ]
+    for argv, want in cases:
+        calls.clear()
+        assert run([*argv, "--out", "r.txt"]) == 0
+        assert dict(calls) == want, argv
+
+
 class TestSimulateCommand:
     def test_report_fields(self, tmp_path):
         kern = tmp_path / "d.kern"
@@ -227,6 +296,21 @@ GOLDEN_INPUTS = {
     "rs2.kern": ["--family", "random_sparse", "--d", "2", "-N", "12", "--seed", "3"],
     "rs3.kern": ["--family", "random_sparse", "--d", "3", "-N", "12", "--seed", "5"],
     "d.kern": ["--family", "disjoint_pairs", "--m", "50"],
+    "w4.kern": ["--family", "walsh", "--d", "4", "-N", "6"],
+}
+
+GOLDEN_SPECS = {
+    "sweep.txt": {"kind": "universality", "family": "disjoint_pairs", "d": 2,
+                  "sweep": [4, 32], "laws": ["rademacher", "shifted_exponential"],
+                  "n": 2000, "seed": 5},
+    "fourth_rs3.txt": {"kind": "fourth_moment", "family": "random_sparse", "d": 3,
+                       "sweep": [8, 10, 12], "seed": 3},
+    "chi2_c.txt": {"kind": "chi_square", "family": "constant", "d": 2,
+                   "sweep": [10, 20, 40], "nu": 1},
+    "dejong_rad.txt": {"kind": "de_jong", "family": "disjoint_pairs", "d": 2, "sweep": [6],
+                       "laws": ["rademacher"], "n": 2000, "seed": 4},
+    "dejong_unif.txt": {"kind": "de_jong", "family": "walsh", "d": 2, "sweep": [12],
+                        "laws": ["uniform"], "n": 2000, "seed": 6},
 }
 
 GOLDEN_COMMANDS = {
@@ -249,10 +333,19 @@ GOLDEN_COMMANDS = {
     "c10_bound.rep": ["bound", "normal", "--kernel", "d.kern", "--law", "rademacher",
                       "--n", "4000", "--seed", "78", "--budget", "0,0,1"],
     "c10_diagnose.rep": ["diagnose", "--spec", "sweep.txt"],
+    "normal_w4.rep": ["bound", "normal", "--kernel", "w4.kern", "--law", "gaussian"],
+    "chi2_w4.rep": ["bound", "chi2", "--kernel", "w4.kern", "--law", "rademacher"],
+    "wasserstein_rs3.rep": ["bound", "wasserstein", "--kernel", "rs3.kern", "--law", "gaussian"],
+    "fourth_rs3.rep": ["diagnose", "--spec", "fourth_rs3.txt"],
+    "chi2_c.rep": ["diagnose", "--spec", "chi2_c.txt"],
+    "dejong_rad.rep": ["diagnose", "--spec", "dejong_rad.txt"],
+    "dejong_unif.rep": ["diagnose", "--spec", "dejong_unif.txt"],
 }
 
-# sha256 of each output, taken before kernels moved to array-only storage
-# (x86-64, numpy 2.4, OpenBLAS); the storage change must not move a byte.
+# sha256 of each output (x86-64, numpy 2.4, OpenBLAS).  The first 19 were
+# taken before kernels moved to array-only storage, the rest (w4.kern onward)
+# before contraction norms were computed once per kernel; neither change may
+# move a byte.
 # Sizes stay small enough that no BLAS call splits across threads: at
 # N = 16 the 2^N sign enumeration already gives thread-dependent moments.
 GOLDEN_SHA256 = {
@@ -263,6 +356,7 @@ GOLDEN_SHA256 = {
     "rs2.kern": "a688a69352b40133ab14b31bf4fd97e736d891c533078e83028259d35e5e11a5",
     "rs3.kern": "d5814ec911496d5b7172fe1e6fb658b6d1d627e907f318f87d9b4596943c8492",
     "d.kern": "e03ce3c544d206e0e04bb0a5cc37576e49cd0b4e600cc04f7d1787b540c03061",
+    "w4.kern": "e231c56f1c1f53e3ffcb4e31e4f8fd041e5c76b67ba03e1a4be752191e6b77ca",
     "inspect.rep": "6177dbb8d7464378984b7dbaae92606c628f9852beaadece773c0f19ea0c3f14",
     "normalized.kern": "1481a193f38eec959a6d11c2d71931654d4825347c647846237a1ec18a71b407",
     "normal_rs2.rep": "501d26beb3faf3229d1de8df260ef4d1b3d143a9a5d6766c6d2dd47f02985a93",
@@ -275,6 +369,13 @@ GOLDEN_SHA256 = {
     "c10_simulate.rep": "75eb36bc01359787f44831f81c7480b84eeb8af57237f6e9fc7a44349019b10e",
     "c10_bound.rep": "8e02adae2c009c02c76c412f64cf69f33616f2708cdae65ee271c8fe4e342e3a",
     "c10_diagnose.rep": "dd1096b6b891674e126b1101d9b5a5520b5cc317d7562a9249fe24db573a3f5d",
+    "normal_w4.rep": "a43319dd40e47b90126037102a986d4a6be14b3db29f2d53ebe188e2a9959528",
+    "chi2_w4.rep": "aaa48dea099c799a1ced9cdaa6f802459b63ea33b7c1b26b227bb52b89520206",
+    "wasserstein_rs3.rep": "f4364a1bb5d9fcb56e4c0be7d10e0498b141528cace2b919219f63e104355507",
+    "fourth_rs3.rep": "1b2ff86102aba4273c59a30772ce9b138dd0cbb0041280b9b0dcbae9dfb9b357",
+    "chi2_c.rep": "eecba57cd543450f21e4b3beaff7d0635006d3f0d44f28bcf1031df99aaaab87",
+    "dejong_rad.rep": "39c69edb15c010ae6b9229d55f52d247bbd3a4c1cbbd930afbcf948a267a5910",
+    "dejong_unif.rep": "7bc5a51afa0fa48e719529fa0da6ec32852faa153b74ca4182fa367e452f1fc2",
 }
 
 
@@ -282,12 +383,10 @@ def test_output_bytes_pinned(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # reports name their inputs by relative path
     for name, argv in GOLDEN_INPUTS.items():
         assert run(["kernel", "generate", *argv, "--out", name]) == 0
-    (tmp_path / "sweep.txt").write_text(reportio.format_sections(reportio.DIAGNOSE_MAGIC, [(
-        "sequence",
-        {"kind": "universality", "family": "disjoint_pairs", "d": 2,
-         "sweep": [4, 32], "laws": ["rademacher", "shifted_exponential"],
-         "n": 2000, "seed": 5},
-    )]))
+    for name, body in GOLDEN_SPECS.items():
+        (tmp_path / name).write_text(
+            reportio.format_sections(reportio.DIAGNOSE_MAGIC, [("sequence", body)])
+        )
     for name, argv in GOLDEN_COMMANDS.items():
         assert run([*argv, "--out", name]) == 0, name
     got = {

@@ -90,6 +90,29 @@ class TestContractionNorm:
                 assert gram == pytest.approx(mat, rel=1e-12, abs=1e-300)
 
 
+class TestChaosNorms:
+    def test_past_cap_falls_back_to_gram(self):
+        f = kernels.walsh_kernel(4, 6)  # ranks 1 and 2 need 6^6 and 6^4 values
+        norms = contractions.ChaosNorms(f, cap=1000)
+        for _ in range(2):
+            with pytest.raises(MaterializationTooLarge):
+                norms.exact_symmetrized(1)
+            with pytest.raises(MaterializationTooLarge):
+                norms.defect()
+            assert norms.symmetrized(1) == (contractions.contraction_norm(f, 1), False)
+            assert norms.symmetrized(3) == (contractions.contraction_norm(f, 3), True)
+
+    def test_within_cap_equals_direct_computation(self):
+        f = kernels.walsh_kernel(4, 6)
+        norms = contractions.ChaosNorms(f)
+        for r in (1, 2):
+            T = contractions.symmetrize(contractions.contract(f, r))
+            assert norms.symmetrized(r) == (T.frobenius_norm(), True)
+        for r in (1, 2, 3):
+            assert norms.gram(r) == contractions.contraction_norm(f, r)
+        assert norms.defect() == contractions.chi_square_defect(f)
+
+
 class TestSymmetrize:
     def test_fixed_point(self, p2):
         T = contractions.contract(p2, 1)
@@ -113,7 +136,7 @@ class TestSymmetrize:
         rng = np.random.default_rng(109)
         for f in random_kernels(rng, 40, d_range=(2, 3), n_max=7):
             for r in range(1, f.d):
-                s = contractions.symmetrized_contraction_norm(f, r)
+                s = contractions.ChaosNorms(f).exact_symmetrized(r)
                 u = contractions.contraction_norm(f, r)
                 assert s <= u * (1 + 1e-12) + 1e-15
 
@@ -124,7 +147,7 @@ class TestSymmetrize:
         want = 0.5 * (T + T.T)
         got = contractions.symmetrize(contractions.contract(f, 1)).values
         np.testing.assert_allclose(got, want, atol=1e-16)
-        assert contractions.symmetrized_contraction_norm(f, 1) == pytest.approx(
+        assert contractions.ChaosNorms(f).exact_symmetrized(1) == pytest.approx(
             float(np.sqrt((want ** 2).sum())), rel=1e-13
         )
 

@@ -48,6 +48,15 @@ class TestSequenceSpec:
         f = spec.kernel_at(10)
         assert kernels.second_moment(f) == pytest.approx(4.0, rel=1e-12)
 
+    def test_cell_seeds_distinct_with_many_laws(self):
+        laws = tuple(f"two_point:{k / 20}" for k in range(1, 18))  # 17 laws
+        spec = diagnose.SequenceSpec(family="disjoint_pairs", d=2, sweep=(4, 8), laws=laws)
+        seeds = [spec.sample_config(p, k).seed for p in range(2) for k in range(len(laws))]
+        assert len(set(seeds)) == len(seeds)
+        # up to 16 laws the stride stays 16, so existing seeds do not move
+        few = diagnose.SequenceSpec(family="disjoint_pairs", d=2, sweep=(4, 8), laws=laws[:16])
+        assert few.sample_config(1, 0).seed == 7919 * 17
+
 
 class TestFourthMomentDiagnostic:
     def test_disjoint_pairs_positive(self):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -48,6 +49,36 @@ class TestSampling:
         ]
         assert np.array_equal(runs[0].samples, runs[1].samples)
         assert np.array_equal(runs[0].samples, runs[2].samples)
+
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        pool_sizes = []
+
+        class InlinePool:
+            """Runs each submitted span in this process; starts no worker."""
+
+            def __init__(self, max_workers, mp_context=None):
+                pool_sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(simulate.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        f = kernels.disjoint_pairs(5)
+        law = simulate.get_law("uniform")
+        wide = simulate.SampleConfig(n=640, seed=3, workers=64, batch_size=10)
+        capped = simulate.sample_sums(f, law, wide)
+        assert pool_sizes == [3]
+        serial = simulate.sample_sums(f, law, simulate.SampleConfig(n=640, seed=3, batch_size=10))
+        assert np.array_equal(capped.samples, serial.samples)
 
     def test_deterministic_given_seed_independent_of_runs(self):
         f = kernels.walsh_kernel(2, 9)
