@@ -8,8 +8,8 @@ term, and the Wasserstein bound with its applicability threshold.
 Chi-square: t3/t4 for even order and the corresponding smooth-test bound
 with the max(sqrt(2 pi / nu), 1/nu + 2/nu^2) prefactor.
 
-Multivariate: the pairwise contraction statistic delta_ij, the smooth-test
-bound over vectors of sums, and the convex-sets (hence Kolmogorov) bound.
+Multivariate: the pairwise contraction statistic delta_ij and the
+smooth-test bound over vectors of sums.
 
 All bounds are plain floats assembled into BoundReport records whose totals
 recompute exactly from their serialized components.
@@ -25,7 +25,6 @@ import numpy as np
 from . import contractions, kernels
 from .contractions import DEFAULT_MATERIALIZATION_CAP
 from .errors import (
-    InvalidCovariance,
     InvalidDegrees,
     NotNormalizedToTwoNu,
     OddOrder,
@@ -61,8 +60,8 @@ class TestFunctionBudget:
 
     def __post_init__(self):
         for name in ("a", "b", "b3", "b2m", "b3m"):
-            if getattr(self, name) < 0:
-                raise ParameterOutOfRange(f"budget field {name} must be >= 0")
+            if not 0.0 <= getattr(self, name) < math.inf:  # NaN fails
+                raise ParameterOutOfRange(f"budget field {name} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -71,12 +70,11 @@ class MomentProfile:
 
     beta3: float
     beta4: float
-    gamma_q: float | None = None
 
     def __post_init__(self):
-        if self.beta3 < 1.0 or self.beta4 < 1.0:
+        if not (1.0 <= self.beta3 < math.inf and 1.0 <= self.beta4 < math.inf):  # NaN fails
             raise ParameterOutOfRange(
-                "unit-variance laws force beta3 >= 1 and beta4 >= 1, got "
+                "unit-variance laws force finite beta3 >= 1 and beta4 >= 1, got "
                 f"beta3={self.beta3}, beta4={self.beta4}"
             )
 
@@ -114,12 +112,6 @@ class BoundReport:
             return 4.0 * (c["b1"] + c["b2"]) ** (1.0 / 3.0)
         if self.kind == "multivariate":
             return c["b2m"] * c["delta_total"] + c["b3m"] * c["mixing_term"]
-        if self.kind == "convex_sets":
-            return (
-                8.0
-                * (c["b_scale"] ** 2 * c["b1"] + c["b_scale"] ** 3 * c["b2"]) ** 0.25
-                * c["m"] ** 0.375
-            )
         raise ParameterOutOfRange(f"unknown report kind {self.kind!r}")
 
 
@@ -193,15 +185,6 @@ def t2(f: SymmetricKernel, fourth_moment: float) -> float:
 def _invariance_term(d: int, beta: float, b3: float, max_inf: float) -> float:
     """b3 * (30 beta)^d * d! * sqrt(max influence)."""
     return b3 * (30.0 * beta) ** d * math.factorial(d) * math.sqrt(max_inf)
-
-
-def invariance_bound(f: SymmetricKernel, beta3: float, b3: float) -> float:
-    """Distance between input laws: b3 * (30 beta3)^d * d! * sqrt(max influence),
-    with beta3 >= sup E|X_i|^3."""
-    if beta3 < 1.0 or b3 < 0.0:
-        raise ParameterOutOfRange(f"need beta3 >= 1 and b3 >= 0, got {beta3}, {b3}")
-    _check_order(f.d)
-    return _invariance_term(f.d, beta3, b3, contractions.max_influence(f))
 
 
 def _influence_term_normal(d: int, alpha: float, max_inf: float) -> float:
@@ -300,8 +283,7 @@ def wasserstein_bound(
 # ---------------------------------------------------------------------------
 
 def _check_chi2_preconditions(f: SymmetricKernel, nu: int) -> None:
-    if int(nu) != nu or nu < 1:
-        raise InvalidDegrees(f"degrees of freedom must be a positive integer, got {nu}")
+    InvalidDegrees.check(nu)
     if f.d % 2 != 0:
         raise OddOrder(f"chi-square approximation needs even order, got d={f.d}")
     kernels.require_second_moment(f, 2.0 * nu, NotNormalizedToTwoNu)
@@ -332,8 +314,7 @@ def t4(eq3: float, eq4: float, nu: int, d: int) -> float:
     """Chi-square moment statistic
     sqrt(((d-1)/(3d)) |E F^4 - 12 E F^3 - 12 nu^2 + 48 nu|); >= t3 with
     exact Gaussian-input moments."""
-    if int(nu) != nu or nu < 1:
-        raise InvalidDegrees(f"degrees of freedom must be a positive integer, got {nu}")
+    InvalidDegrees.check(nu)
     if d % 2 != 0 or d < 2:
         raise OddOrder(f"t4 needs even order >= 2, got d={d}")
     return math.sqrt((d - 1) / (3.0 * d) * abs(eq4 - 12.0 * eq3 - 12.0 * nu ** 2 + 48.0 * nu))
@@ -451,26 +432,6 @@ def delta_matrix(kernel_list) -> np.ndarray:
     return delta
 
 
-def _mixing_term(kernel_list, profile: MomentProfile) -> tuple:
-    """(C, max-max influence, mixing term) with C = sum_i max_j Inf_i(f_j):
-
-        C * (beta3 + sqrt(8/pi)) * [sum_j (16 sqrt(2) beta3)^{(d_j-1)/3} d_j!]^3
-          * sqrt(max_j max_i Inf_i(f_j)).
-    """
-    n_max = max(f.N for f in kernel_list)
-    stacked = np.zeros((len(kernel_list), n_max))
-    for j, f in enumerate(kernel_list):
-        stacked[j, : f.N] = contractions.influence_profile(f).values
-    per_index_max = stacked.max(axis=0)
-    c_sum, max_max_inf = float(per_index_max.sum()), float(per_index_max.max())
-    cube = sum(
-        (16.0 * math.sqrt(2.0) * profile.beta3) ** ((f.d - 1) / 3.0) * math.factorial(f.d)
-        for f in kernel_list
-    )
-    mixing = c_sum * (profile.beta3 + math.sqrt(8.0 / math.pi)) * cube ** 3 * math.sqrt(max_max_inf)
-    return c_sum, max_max_inf, mixing
-
-
 def multivariate_smooth_bound(
     kernel_list, profile: MomentProfile, budget: TestFunctionBudget
 ) -> BoundReport:
@@ -488,7 +449,17 @@ def multivariate_smooth_bound(
         raise ParameterOutOfRange("need at least one kernel")
     delta = delta_matrix(kernel_list)  # delta_ij checks each kernel's order and variance
     delta_total = float(np.trace(delta) + 2.0 * np.triu(delta, k=1).sum())
-    c_sum, max_max_inf, mixing = _mixing_term(kernel_list, profile)
+    n_max = max(f.N for f in kernel_list)
+    stacked = np.zeros((len(kernel_list), n_max))
+    for j, f in enumerate(kernel_list):
+        stacked[j, : f.N] = contractions.influence_profile(f).values
+    per_index_max = stacked.max(axis=0)
+    c_sum, max_max_inf = float(per_index_max.sum()), float(per_index_max.max())
+    cube = sum(
+        (16.0 * math.sqrt(2.0) * profile.beta3) ** ((f.d - 1) / 3.0) * math.factorial(f.d)
+        for f in kernel_list
+    )
+    mixing = c_sum * (profile.beta3 + math.sqrt(8.0 / math.pi)) * cube ** 3 * math.sqrt(max_max_inf)
     components = {
         "m": float(len(kernel_list)),
         "b2m": budget.b2m,
@@ -499,54 +470,5 @@ def multivariate_smooth_bound(
         "mixing_term": mixing,
     }
     report = BoundReport(kind="multivariate", components=components, delta=delta)
-    report.total = report.recompute_total()
-    return report
-
-
-def validate_covariance(V: np.ndarray, m: int) -> np.ndarray:
-    V = np.asarray(V, dtype=np.float64)
-    if V.shape != (m, m):
-        raise InvalidCovariance(f"covariance shape {V.shape}, expected ({m}, {m})")
-    if not np.allclose(V, V.T, atol=1e-12):
-        raise InvalidCovariance("covariance must be symmetric")
-    eigvals = np.linalg.eigvalsh(V)
-    if eigvals.min() < -1e-9 * max(1.0, eigvals.max()):
-        raise InvalidCovariance(f"covariance must be nonnegative, eigenvalues {eigvals}")
-    return V
-
-
-def rank_data_from_covariance(V: np.ndarray) -> tuple:
-    """(k, b) for V = B diag(lam) B^T with k positive eigenvalues lam and
-    column-orthonormal B; b is the largest magnitude entry of lam^{-1/2} B^T."""
-    eigvals, vecs = np.linalg.eigh(V)
-    tol = 1e-10 * max(1.0, float(eigvals.max()))
-    keep = eigvals > tol
-    lam = eigvals[keep]
-    B = vecs[:, keep]
-    b = float(np.abs(B.T / np.sqrt(lam)[:, None]).max())
-    return int(keep.sum()), b
-
-
-def convex_sets_bound(kernel_list, profile: MomentProfile, V) -> BoundReport:
-    """Distance over indicators of convex sets (dominates the Kolmogorov
-    distance): 8 (b^2 B1 + b^3 B2)^{1/4} m^{3/8}, with b = 1 for identity
-    covariance, B1 = (1/2) sum_i Delta_ii + sum_{i<j} Delta_ij, and B2 the
-    joint invariance term."""
-    if not kernel_list:
-        raise ParameterOutOfRange("need at least one kernel")
-    m = len(kernel_list)
-    V = validate_covariance(V, m)
-    delta = delta_matrix(kernel_list)  # delta_ij checks each kernel's order and variance
-    b1 = float(0.5 * np.trace(delta) + np.triu(delta, k=1).sum())
-    _, _, b2 = _mixing_term(kernel_list, profile)
-    rank, b_scale = (m, 1.0) if np.array_equal(V, np.eye(m)) else rank_data_from_covariance(V)
-    components = {
-        "m": float(m),
-        "b1": b1,
-        "b2": b2,
-        "b_scale": float(b_scale),
-        "rank": float(rank),
-    }
-    report = BoundReport(kind="convex_sets", components=components, delta=delta)
     report.total = report.recompute_total()
     return report

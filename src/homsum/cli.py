@@ -85,10 +85,23 @@ def _emit(text: str, out_path) -> None:
 
 
 def _parse_floats(s: str, count: int, what: str):
-    parts = [p for p in s.split(",") if p != ""]
-    if len(parts) != count:
+    try:
+        values = [float(p) for p in s.split(",") if p != ""]
+    except ValueError:
+        values = []  # a non-number is reported like a wrong count
+    if len(values) != count:
         raise ValidationError(f"{what} needs {count} comma-separated numbers, got {s!r}")
-    return [float(p) for p in parts]
+    return values
+
+
+def _spec_int(value, key: str) -> int:
+    """An integer field of a diagnose spec; anything else is a ValidationError."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValidationError(f"diagnose spec field {key!r} must be an integer, got {value!r}")
 
 
 def cmd_kernel(args) -> int:
@@ -259,18 +272,18 @@ def cmd_diagnose(args) -> int:
     laws = seq.get("laws", "gaussian")
     laws = tuple(laws) if isinstance(laws, list) else (laws,)
     sweep = seq.get("sweep", [])
-    sweep = tuple(sweep) if isinstance(sweep, list) else (sweep,)
+    sweep = sweep if isinstance(sweep, list) else [sweep]
     spec = diagnose.SequenceSpec(
         family=seq.get("family", "disjoint_pairs"),
-        d=int(seq.get("d", 2)),
-        sweep=sweep,
+        d=_spec_int(seq.get("d", 2), "d"),
+        sweep=tuple(_spec_int(s, "sweep") for s in sweep),
         target=seq.get("target", "normal"),
-        nu=int(seq.get("nu", 1)),
+        nu=_spec_int(seq.get("nu", 1), "nu"),
         laws=laws,
-        n=int(seq.get("n", 10_000)),
-        seed=int(seq.get("seed", 0)),
-        workers=int(args.workers if args.workers else seq.get("workers", 1)),
-        batch_size=int(seq.get("batch", 1024)),
+        n=_spec_int(seq.get("n", 10_000), "n"),
+        seed=_spec_int(seq.get("seed", 0), "seed"),
+        workers=args.workers if args.workers else _spec_int(seq.get("workers", 1), "workers"),
+        batch_size=_spec_int(seq.get("batch", 1024), "batch"),
     )
     if kind == "universality":
         report = diagnose.universality_experiment(spec)
@@ -312,7 +325,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, HomsumError, FileNotFoundError) as exc:
+    except (HomsumError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -43,7 +43,6 @@ class ContractionTensor:
     arity: int
     N: int
     values: np.ndarray
-    symmetric: bool = False
 
     def frobenius_norm(self) -> float:
         return float(np.sqrt((self.values ** 2).sum()))
@@ -75,7 +74,7 @@ def contract(f: SymmetricKernel, r: int, cap: int = DEFAULT_MATERIALIZATION_CAP)
     r = _check_rank(f, r)
     if r == f.d:
         scalar = np.array(kernels.squared_norm(f))
-        return ContractionTensor(arity=0, N=f.N, values=scalar, symmetric=True)
+        return ContractionTensor(arity=0, N=f.N, values=scalar)
     out_arity = 2 * f.d - 2 * r
     if max(f.N ** f.d, f.N ** out_arity) > cap:
         raise MaterializationTooLarge(
@@ -85,7 +84,7 @@ def contract(f: SymmetricKernel, r: int, cap: int = DEFAULT_MATERIALIZATION_CAP)
     dense = kernels.dense_tensor(f)
     M = dense.reshape(f.N ** r, f.N ** (f.d - r))
     out = (M.T @ M).reshape((f.N,) * out_arity)
-    return ContractionTensor(arity=out_arity, N=f.N, values=out, symmetric=(out_arity <= 2))
+    return ContractionTensor(arity=out_arity, N=f.N, values=out)
 
 
 def _first_seen_ids(rows: np.ndarray) -> tuple:
@@ -130,13 +129,13 @@ def contraction_norm(f: SymmetricKernel, r: int) -> float:
 
 def symmetrize(T: ContractionTensor) -> ContractionTensor:
     """Average over all coordinate permutations of the tensor."""
-    if T.arity <= 1 or T.symmetric:
-        return ContractionTensor(T.arity, T.N, T.values, symmetric=True)
+    if T.arity <= 1:
+        return T
     acc = np.zeros_like(T.values)
     for p in itertools.permutations(range(T.arity)):
         acc += np.transpose(T.values, p)
     acc /= math.factorial(T.arity)
-    return ContractionTensor(T.arity, T.N, acc, symmetric=True)
+    return ContractionTensor(T.arity, T.N, acc)
 
 
 class ChaosNorms:

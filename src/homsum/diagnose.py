@@ -1,5 +1,6 @@
-"""Convergence criteria evaluated on kernel sequences, with empirical
-universality experiments.
+"""Convergence criteria evaluated on kernel sequences: the fourth-moment
+and chi-square sweeps, the de Jong assumption report for one kernel, and
+empirical universality experiments across input laws.
 
 A sweep runs a named family over increasing sizes, records the criterion
 statistics at every point (fourth moment, contraction norms, chi-square
@@ -13,8 +14,6 @@ the recorded statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import bounds, contractions, kernels, moments, simulate
 from .errors import InvalidDegrees, OddOrder, ValidationError
@@ -52,8 +51,8 @@ class SequenceSpec:
             raise ValidationError(f"sweep must be nonempty strictly increasing, got {self.sweep}")
         if self.target not in ("normal", "chi2"):
             raise ValidationError(f"target must be 'normal' or 'chi2', got {self.target!r}")
-        if self.target == "chi2" and (int(self.nu) != self.nu or self.nu < 1):
-            raise InvalidDegrees(f"chi2 target needs integer nu >= 1, got {self.nu}")
+        if self.target == "chi2":
+            InvalidDegrees.check(self.nu)
 
     def kernel_at(self, size: int) -> SymmetricKernel:
         sigma2 = 2.0 * self.nu if self.target == "chi2" else 1.0
@@ -148,16 +147,14 @@ def fourth_moment_diagnostic(spec: SequenceSpec) -> VerdictReport:
     })
 
 
-def chi_square_diagnostic(spec: SequenceSpec, nu: int | None = None) -> VerdictReport:
+def chi_square_diagnostic(spec: SequenceSpec) -> VerdictReport:
     """Chi-square-target criterion statistics: the defect
     ||sym(f *_{d/2} f) - c_d f||_d and the off-critical contraction norms,
-    for kernels normalized to E[Q^2] = 2 nu."""
-    nu = spec.nu if nu is None else nu
-    if int(nu) != nu or nu < 1:
-        raise InvalidDegrees(f"need integer nu >= 1, got {nu}")
+    for kernels normalized to E[Q^2] = 2 spec.nu."""
+    InvalidDegrees.check(spec.nu)
     if spec.d % 2 != 0:
         raise OddOrder(f"chi-square diagnostic needs even order, got d={spec.d}")
-    return _criterion_sweep("chi_square", spec, 2.0 * nu, lambda norms: {
+    return _criterion_sweep("chi_square", spec, 2.0 * spec.nu, lambda norms: {
         "chi_square_defect": norms.defect(), **_norm_stats(norms, skip=spec.d // 2),
     })
 
@@ -242,58 +239,4 @@ def universality_experiment(spec: SequenceSpec) -> VerdictReport:
     return VerdictReport(
         kind="universality", points=points, trends=trends, verdict=verdict,
         tolerance=spec.tolerance, threshold=spec.threshold, statistics_used=tracked, notes=notes,
-    )
-
-
-def multivariate_diagnostic(
-    kernels_by_point,
-    V: np.ndarray,
-    config: simulate.SampleConfig,
-    dist: simulate.DistributionSpec | None = None,
-) -> VerdictReport:
-    """Joint convergence statistics for a sweep of kernel vectors: cross
-    moments against the target covariance, contraction norms, the pairwise
-    statistic matrix, and a joint empirical two-sample distance to a
-    Gaussian vector with covariance V."""
-    V = np.asarray(V, dtype=np.float64)
-    m = len(kernels_by_point[0])
-    bounds.validate_covariance(V, m)
-    dist = dist or simulate.get_law("gaussian")
-    points = []
-    for pi, kernel_list in enumerate(kernels_by_point):
-        if len(kernel_list) != m:
-            raise ValidationError("every sweep point must supply the same number of kernels")
-        cross = np.array(
-            [
-                [moments.gaussian_cross_moment(a, b) for b in kernel_list]
-                for a in kernel_list
-            ]
-        )
-        norms = [contractions.ChaosNorms(f) for f in kernel_list]
-        delta = bounds.delta_matrix(norms)
-        cfg = simulate.SampleConfig(
-            n=config.n, seed=config.seed + 7919 * (pi + 1), workers=config.workers,
-            batch_size=config.batch_size,
-        )
-        joint = simulate.sample_vector_sums(kernel_list, dist, cfg)
-        reference = simulate.gaussian_vector_sample(V, cfg)
-        stats = {
-            "size": float(max(f.N for f in kernel_list)),
-            "covariance_residual": float(np.abs(cross - V).max()),
-            "max_delta": float(delta.max()),
-            "max_contraction_norm": max(
-                (norm for n in norms for norm in _norm_stats(n).values()), default=0.0
-            ),
-            "joint_ks": simulate.ks_joint_two_sample(joint.samples, reference),
-        }
-        points.append(stats)
-    tracked = ["max_delta", "max_contraction_norm"]
-    trends, verdict = assess(points, tracked)
-    residual_ok = all(p["covariance_residual"] < TERMINAL_THRESHOLD for p in points)
-    if verdict is not None:
-        verdict = verdict and residual_ok
-    notes = [] if residual_ok else ["covariance residual exceeds threshold"]
-    return VerdictReport(
-        kind="multivariate", points=points, trends=trends, verdict=verdict,
-        statistics_used=tracked + ["covariance_residual"], notes=notes,
     )

@@ -57,6 +57,13 @@ class OddOrder(ValidationError):
 class InvalidDegrees(ValidationError):
     """Chi-square degrees of freedom must be a positive integer."""
 
+    @classmethod
+    def check(cls, nu) -> None:
+        """The one degrees-of-freedom check: raise unless nu is a positive
+        integer (NaN and infinity fail)."""
+        if not (nu >= 1 and float(nu).is_integer()):
+            raise cls(f"degrees of freedom must be a positive integer, got {nu}")
+
 
 class NotNormalized(ValidationError):
     """Kernel second moment is not the required value."""
@@ -72,10 +79,6 @@ class ParameterOutOfRange(ValidationError):
 
 class OrderMismatch(ValidationError):
     """Kernel orders supplied in the wrong relation (need d_i <= d_j)."""
-
-
-class InvalidCovariance(ValidationError):
-    """Covariance matrix is not symmetric nonnegative definite."""
 
 
 class MaterializationTooLarge(CapacityError):

@@ -64,12 +64,6 @@ class SymmetricKernel:
     def entry_count(self) -> int:
         return len(self.value_array)
 
-    @property
-    def entries(self) -> dict:
-        """{strictly increasing 1-based tuple: value}, built on each access."""
-        rows = (self.index_array + 1).tolist()
-        return {tuple(t): v for t, v in zip(rows, self.value_array.tolist())}
-
     def __repr__(self):
         return f"SymmetricKernel(d={self.d}, N={self.N}, entries={self.entry_count})"
 
@@ -131,17 +125,6 @@ def row_keys(index: np.ndarray) -> np.ndarray:
     return index.view(np.dtype((np.void, index.itemsize * index.shape[1]))).ravel()
 
 
-def evaluate(f: SymmetricKernel, idx) -> float:
-    """Kernel value at an arbitrary ordered tuple (0 on diagonals)."""
-    t = sorted(int(i) for i in idx)
-    if len(t) != f.d:
-        raise DimensionMismatch(f"tuple length {len(t)} != order {f.d}")
-    if t[0] < 1 or t[-1] > f.N:
-        raise IndexOutOfRange(f"index {t[0] if t[0] < 1 else t[-1]} outside 1..{f.N}")
-    hit = np.flatnonzero((f.index_array == np.subtract(t, 1)).all(axis=1))
-    return float(f.value_array[hit[0]]) if hit.size else 0.0
-
-
 def squared_norm(f: SymmetricKernel) -> float:
     """||f||_d^2: sum of f^2 over all ordered tuples = d! * sum of canonical f^2."""
     return math.factorial(f.d) * float(np.dot(f.value_array, f.value_array))
@@ -157,14 +140,6 @@ def require_second_moment(f: SymmetricKernel, target: float, exc=NotNormalized) 
     got = second_moment(f)
     if not abs(got - target) <= NORMALIZED_RTOL * target:
         raise exc(f"kernel second moment is {got!r}, expected {target!r}")
-
-
-def evaluate_sum(f: SymmetricKernel, x) -> float:
-    """Q_d(N, f, x) for one input vector of length N."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (f.N,):
-        raise DimensionMismatch(f"input vector has shape {x.shape}, expected ({f.N},)")
-    return float(evaluate_sum_batch(f, x[None, :])[0])
 
 
 def evaluate_sum_batch(f: SymmetricKernel, X: np.ndarray) -> np.ndarray:

@@ -1,11 +1,11 @@
 """Exact and reference moment computations.
 
-Covers probabilists' Hermite polynomials, centered chi-square target
-moments, Gaussian-input moments of the multilinear form (second and cross
-moments in closed form, the fourth moment from symmetrized contraction
-norms), an exact sign-enumeration oracle for Rademacher inputs, the
-hypercontractive moment bound, and the moment-transfer bound between input
-laws with matching second moments.
+Covers Gaussian-input moments of the multilinear form (the second moment in
+closed form, the fourth moment and the chi-square combination
+E Q^4 - 12 E Q^3 from symmetrized contraction norms), the dispatcher that
+picks exact or Monte Carlo moments for an input law, an exact
+sign-enumeration oracle for Rademacher inputs, and the hypercontractive
+moment check.
 """
 
 from __future__ import annotations
@@ -17,61 +17,15 @@ import numpy as np
 
 from . import contractions, kernels, simulate
 from .bounds import EXACT, MONTE_CARLO
-from .errors import (
-    EnumerationTooLarge,
-    InvalidDegrees,
-    ParameterOutOfRange,
-)
+from .errors import EnumerationTooLarge, InvalidDegrees, OddOrder, ParameterOutOfRange
 from .kernels import SymmetricKernel
 
 ENUMERATION_MAX_N = 22
 
 
-def hermite(q: int, x):
-    """Probabilists' Hermite polynomial H_q(x).
-
-    H_0 = 1, H_1 = x, and H_{q+1}(x) = x H_q(x) - q H_{q-1}(x) (the
-    recurrence generated by f -> x f - f').  Accepts scalars or arrays.
-    """
-    if int(q) != q or q < 0:
-        raise ParameterOutOfRange(f"Hermite degree must be a nonnegative integer, got {q}")
-    x = np.asarray(x, dtype=np.float64)
-    prev = np.ones_like(x)
-    if q == 0:
-        return prev if prev.ndim else float(prev)
-    cur = x.copy()
-    for k in range(1, q):
-        prev, cur = cur, x * cur - k * prev
-    return cur if cur.ndim else float(cur)
-
-
-def chi_square_moments(nu: int) -> tuple:
-    """(E Z^2, E Z^3, E Z^4) for the centered chi-square with nu degrees."""
-    if int(nu) != nu or nu < 1:
-        raise InvalidDegrees(f"degrees of freedom must be a positive integer, got {nu}")
-    nu = int(nu)
-    return 2.0 * nu, 8.0 * nu, 12.0 * nu ** 2 + 48.0 * nu
-
-
 def gaussian_second_moment(f: SymmetricKernel) -> float:
     """E[Q_d(G)^2] = d! ||f||_d^2 (holds for any unit-variance inputs)."""
     return kernels.second_moment(f)
-
-
-def gaussian_cross_moment(f: SymmetricKernel, g: SymmetricKernel) -> float:
-    """E[Q(f) Q(g)]: zero across different orders, else d! times the
-    ordered-tuple inner product of the kernels."""
-    if f.d != g.d:
-        return 0.0
-    dfact = math.factorial(f.d)
-    _, fi, gi = np.intersect1d(
-        kernels.row_keys(f.index_array), kernels.row_keys(g.index_array),
-        assume_unique=True, return_indices=True,
-    )
-    order = np.argsort(fi)  # shared tuples in canonical order, summed one by one
-    products = f.value_array[fi[order]] * g.value_array[gi[order]]
-    acc = float(np.cumsum(products)[-1]) if products.size else 0.0
-    return dfact * dfact * acc
 
 
 def gaussian_fourth_moment(
@@ -120,9 +74,8 @@ def gaussian_chi_square_combination(
     norms = contractions.chaos_norms(f, cap)
     d = norms.f.d
     if d % 2 != 0:
-        raise ParameterOutOfRange(f"needs even order, got d={d}")
-    if int(nu) != nu or nu < 1:
-        raise InvalidDegrees(f"degrees of freedom must be a positive integer, got {nu}")
+        raise OddOrder(f"chi-square combination needs even order, got d={d}")
+    InvalidDegrees.check(nu)
     kernels.require_second_moment(norms.f, 2.0 * nu)
     c_d = contractions.chi_square_match_constant(d)
     acc = 24.0 * math.factorial(d) * (norms.defect() / c_d) ** 2
@@ -185,9 +138,6 @@ class ExactDistribution:
     def abs_moment(self, k: float) -> float:
         return float(np.dot(self.probabilities, np.abs(self.values) ** k))
 
-    def cdf(self, x: float) -> float:
-        return float(self.probabilities[self.values <= x].sum())
-
 
 def exact_rademacher_distribution(f: SymmetricKernel) -> ExactDistribution:
     """Exact law of Q_d(N, f, eps) for i.i.d. signs, by 2^N enumeration.
@@ -225,31 +175,3 @@ def hypercontractivity_check(
         raise ParameterOutOfRange(f"hypercontractivity check needs q >= 2, got {q}")
     bound = gamma ** d * (2.0 * math.sqrt(q - 1.0)) ** (q * d) * moment_2 ** (q / 2.0)
     return moment_q <= bound, bound - moment_q
-
-
-def moment_transfer_bound(
-    d: int, l: int, m: int, alpha: float, M: float, max_inf: float
-) -> float:
-    """Bound on |E Q_d(X)^l - E Q_d(Y)^l| for input laws matching moments up
-    to order k = 2, both with m-th absolute moments <= alpha:
-
-        c * M^{l-1} * max(max_inf^{1/2}, max_inf^{l/2-1}),
-        c = 2^{l+1} (d-1)!^{-1} alpha^{dl/m} (2 sqrt(l-1))^{(2d-1) l} d!^{l-1}.
-    """
-    k = 2
-    if m <= k:
-        raise ParameterOutOfRange(f"need m > {k}, got m={m}")
-    if not k + 1 <= l <= m:
-        raise ParameterOutOfRange(f"need {k + 1} <= l <= m, got l={l}")
-    if alpha < 1 or M < 1:
-        raise ParameterOutOfRange(f"need alpha >= 1 and M >= 1, got alpha={alpha}, M={M}")
-    if not 0.0 <= max_inf <= 1.0:
-        raise ParameterOutOfRange(f"need max influence in [0, 1], got {max_inf}")
-    c = (
-        2.0 ** (l + 1)
-        / math.factorial(d - 1)
-        * alpha ** (d * l / m)
-        * (2.0 * math.sqrt(l - 1.0)) ** ((2 * d - 1) * l)
-        * math.factorial(d) ** (l - 1)
-    )
-    return c * M ** (l - k + 1) * max(max_inf ** ((k - 1) / 2.0), max_inf ** (l / 2.0 - 1.0))

@@ -243,8 +243,7 @@ def ks_normal(summary: SampleSummary) -> float:
 def centered_chi2_cdf(x, nu: int):
     """P(Z <= x) for Z = (chi-square with nu degrees) - nu; zero at and
     below -nu; regularized lower incomplete gamma elsewhere."""
-    if int(nu) != nu or nu < 1:
-        raise InvalidDegrees(f"degrees of freedom must be a positive integer, got {nu}")
+    InvalidDegrees.check(nu)
     x = np.asarray(x, dtype=np.float64)
     shifted = np.maximum(x + nu, 0.0)
     out = gammainc(nu / 2.0, shifted / 2.0)
@@ -260,36 +259,6 @@ def dkw_epsilon(n: int, delta: float = 0.01) -> float:
     """Two-sided DKW band half-width: empirical CDF is within this of the
     truth with probability >= 1 - delta."""
     return math.sqrt(math.log(2.0 / delta) / (2.0 * n))
-
-
-def gaussian_vector_sample(V: np.ndarray, config: SampleConfig) -> np.ndarray:
-    """Reference sample of N(0, V) rows under the same per-draw streams."""
-    V = np.asarray(V, dtype=np.float64)
-    m = V.shape[0]
-    eigvals, vecs = np.linalg.eigh(V)
-    A = vecs * np.sqrt(np.maximum(eigvals, 0.0))
-    out = np.empty((config.n, m))
-    for j in range(config.n):
-        out[j] = A @ _draw_generator(config.seed, j).standard_normal(m)
-    return out
-
-
-def ks_joint_two_sample(a: np.ndarray, b: np.ndarray, max_points: int = 256) -> float:
-    """Two-sample joint Kolmogorov statistic sup_z |F_a(z) - F_b(z)| over
-    componentwise-orthant indicators, evaluated on a fixed subset of the
-    pooled sample points (desk-scale surrogate for the full sup)."""
-    a = np.atleast_2d(a)
-    b = np.atleast_2d(b)
-    if a.shape[1] != b.shape[1]:
-        raise DimensionMismatch("samples must share the vector dimension")
-    half = max_points // 2
-    points = np.vstack([a[:half], b[:half]])
-    d = 0.0
-    for z in points:
-        fa = float((a <= z).all(axis=1).mean())
-        fb = float((b <= z).all(axis=1).mean())
-        d = max(d, abs(fa - fb))
-    return d
 
 
 # ---------------------------------------------------------------------------

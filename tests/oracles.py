@@ -8,12 +8,34 @@ code paths, so they can certify library output:
 * constant_kernel_q_cdf: the exact law of the order-2 constant kernel's
   sum under Gaussian inputs, via the spectral decomposition of the
   quadratic form (one positive eigenvalue, N-1 equal negative ones).
+* entries / evaluate: a kernel's canonical entries as a dict, and its
+  value at any ordered tuple by lookup of the sorted tuple, the reference
+  for the library's array paths.
 """
 
 import math
 
 import numpy as np
 from scipy import integrate, special
+
+from homsum.errors import DimensionMismatch, IndexOutOfRange
+
+
+def entries(f) -> dict:
+    """{strictly increasing 1-based tuple: value} over the canonical entries."""
+    rows = (f.index_array + 1).tolist()
+    return {tuple(t): v for t, v in zip(rows, f.value_array.tolist())}
+
+
+def evaluate(f, idx) -> float:
+    """Kernel value at an arbitrary ordered 1-based tuple (0 on diagonals)."""
+    t = sorted(int(i) for i in idx)
+    if len(t) != f.d:
+        raise DimensionMismatch(f"tuple length {len(t)} != order {f.d}")
+    if t[0] < 1 or t[-1] > f.N:
+        raise IndexOutOfRange(f"index {t[0] if t[0] < 1 else t[-1]} outside 1..{f.N}")
+    hit = np.flatnonzero((f.index_array == np.subtract(t, 1)).all(axis=1))
+    return float(f.value_array[hit[0]]) if hit.size else 0.0
 
 
 def product_normal_cdf(z: float) -> float:

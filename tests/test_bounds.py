@@ -5,7 +5,7 @@ import pytest
 
 from homsum import bounds, contractions, kernels, moments
 from homsum.errors import (
-    InvalidCovariance,
+    InvalidDegrees,
     NotNormalized,
     NotNormalizedToTwoNu,
     OddOrder,
@@ -95,6 +95,11 @@ class TestT3T4:
     def test_chi_square_moment_match_kills_t4(self):
         assert bounds.t4(8.0, 60.0, 1, 2) == 0.0
 
+    @pytest.mark.parametrize("nu", [0, -1, 1.5, math.nan, math.inf])
+    def test_degrees_must_be_positive_integers(self, nu):
+        with pytest.raises(InvalidDegrees):
+            bounds.t4(8.0, 60.0, nu, 2)
+
     def test_odd_order_rejected(self):
         f = kernels.normalize_to_variance(kernels.random_sparse_kernel(3, 6, seed=9), 2.0)
         with pytest.raises(OddOrder):
@@ -114,21 +119,6 @@ class TestT3T4:
             v3, _ = bounds.t3(f, nu)
             v4 = math.sqrt((d - 1) / (3 * d) * abs(comb - 12 * nu ** 2 + 48 * nu))
             assert v3 <= v4 * (1 + 1e-10) + 1e-12
-
-
-class TestInvarianceBound:
-    def test_direct_arithmetic(self, c3):
-        got = bounds.invariance_bound(c3, beta3=2.0, b3=1.0)
-        assert got == pytest.approx(3600 * 2 * math.sqrt(1 / 6), rel=1e-12)
-
-    def test_order_one(self):
-        f = kernels.make_kernel(1, 1, {(1,): 1.0})
-        assert bounds.invariance_bound(f, beta3=1.0, b3=1.0) == pytest.approx(30.0, rel=1e-14)
-
-    def test_scales_with_b3(self, c3):
-        assert bounds.invariance_bound(c3, 1.5, 2.0) == pytest.approx(
-            2 * bounds.invariance_bound(c3, 1.5, 1.0), rel=1e-14
-        )
 
 
 class TestNormalSmoothBound:
@@ -265,37 +255,6 @@ class TestMultivariate:
         f = kernels.disjoint_pairs(5, sigma2=2.0)
         with pytest.raises(NotNormalized):
             bounds.multivariate_smooth_bound([f], RADEMACHER, bounds.TestFunctionBudget())
-
-
-class TestConvexSets:
-    def test_identity_covariance(self):
-        f = kernels.disjoint_pairs(50)
-        report = bounds.convex_sets_bound([f, f], RADEMACHER, np.eye(2))
-        b1 = report.components["b1"]
-        d11 = bounds.delta_ij(f, f)
-        assert b1 == pytest.approx(d11 + d11, rel=1e-12)  # (1/2)(d11+d22) + d12
-        assert report.components["b_scale"] == 1.0
-        want = 8 * (b1 + report.components["b2"]) ** 0.25 * 2 ** 0.375
-        assert report.total == pytest.approx(want, rel=1e-12)
-
-    def test_rank_one_scale(self):
-        V = np.ones((2, 2))
-        k, b = bounds.rank_data_from_covariance(V)
-        assert k == 1
-        assert b == pytest.approx(0.5, rel=1e-12)
-
-    def test_zero_components(self):
-        report = bounds.BoundReport(
-            kind="convex_sets", components={"b1": 0.0, "b2": 0.0, "b_scale": 1.0, "m": 2.0}
-        )
-        assert report.recompute_total() == 0.0
-
-    def test_invalid_covariance(self):
-        f = kernels.disjoint_pairs(4)
-        with pytest.raises(InvalidCovariance):
-            bounds.convex_sets_bound([f, f], RADEMACHER, np.array([[1.0, 2.0], [2.0, 1.0]]))
-        with pytest.raises(InvalidCovariance):
-            bounds.convex_sets_bound([f, f], RADEMACHER, np.eye(3))
 
 
 class TestReportInvariants:

@@ -119,6 +119,24 @@ class TestBoundCommands:
         sections = dict(reportio.parse_sections(out.read_text(), reportio.REPORT_MAGIC))
         np.testing.assert_allclose(sections["bound"]["delta.0"], math.sqrt(2) / 10, rtol=1e-12)
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--profile", "nan,nan"),
+        ("--profile", "inf,inf"),
+        ("--budget", "nan,0,1"),
+        ("--budget", "a,0,1"),
+    ], ids=["profile_nan", "profile_inf", "budget_nan", "budget_not_a_number"])
+    def test_non_finite_or_non_numeric_parameters_exit_2(self, tmp_path, flag, value):
+        kern, out = tmp_path / "d.kern", tmp_path / "r.txt"
+        kernels.write_kernel(kernels.disjoint_pairs(20), kern)
+        assert run(["bound", "normal", "--kernel", str(kern), "--law", "rademacher",
+                    "--n", "2000", flag, value, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_directory_as_kernel_exit_2(self, tmp_path):
+        out = tmp_path / "r.txt"
+        assert run(["bound", "normal", "--kernel", str(tmp_path), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_wasserstein_inapplicable_reported(self, tmp_path):
         kern = tmp_path / "p2.kern"
         kernels.write_kernel(kernels.single_pair(), kern)
@@ -286,6 +304,15 @@ class TestDiagnoseCommand:
         self._write_spec(spec, {"kind": "fourth_moment", "family": "disjoint_pairs",
                                 "d": 2, "sweep": [100, 10]})
         assert run(["diagnose", "--spec", str(spec)]) == 2
+
+    @pytest.mark.parametrize("field, value", [("d", "x"), ("sweep", ["a", "b"])],
+                             ids=["d_not_a_number", "sweep_not_numbers"])
+    def test_non_integer_spec_field_exit_2(self, tmp_path, field, value):
+        spec, out = tmp_path / "spec.txt", tmp_path / "r.txt"
+        body = {"kind": "fourth_moment", "family": "disjoint_pairs", "d": 2, "sweep": [10, 20]}
+        self._write_spec(spec, {**body, field: value})
+        assert run(["diagnose", "--spec", str(spec), "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 GOLDEN_INPUTS = {

@@ -122,7 +122,7 @@ class TestChiSquareDiagnostic:
     def test_odd_order_rejected(self):
         spec = diagnose.SequenceSpec(family="walsh", d=3, sweep=(5, 9), target="normal")
         with pytest.raises(OddOrder):
-            diagnose.chi_square_diagnostic(spec, nu=1)
+            diagnose.chi_square_diagnostic(spec)
 
 
 class TestDeJongReport:
@@ -194,39 +194,3 @@ class TestUniversality:
         # the sign-input distance vanishes, the gaussian-input one stalls high
         assert report.points[-1]["ks_rademacher"] < 0.02
         assert report.points[-1]["ks_gaussian"] > 0.05
-
-
-class TestMultivariateDiagnostic:
-    def test_independent_copies_identity_covariance(self):
-        # terminal pairwise statistic sqrt(2/m) must end below the 0.05
-        # verdict threshold, hence the sweep reaches m = 2048
-        pts = []
-        for m in (128, 512, 2048):
-            a = kernels.disjoint_pairs(m)
-            # same structure shifted to fresh indices: disjoint support
-            b = kernels.make_kernel(
-                2, 4 * m, {(2 * m + i, 2 * m + j): v for (i, j), v in a.entries.items()}
-            )
-            pts.append([a, b])
-        report = diagnose.multivariate_diagnostic(
-            pts, np.eye(2), simulate.SampleConfig(n=4000, seed=11, workers=2)
-        )
-        assert report.verdict is True
-        assert max(p["covariance_residual"] for p in report.points) < 1e-10
-
-    def test_identical_copies_all_ones_covariance(self):
-        f = kernels.disjoint_pairs(16)
-        report = diagnose.multivariate_diagnostic(
-            [[f, f]], np.ones((2, 2)), simulate.SampleConfig(n=500, seed=13)
-        )
-        assert report.points[0]["covariance_residual"] < 1e-10
-
-    def test_mismatched_covariance_flagged(self):
-        f = kernels.disjoint_pairs(16)
-        report = diagnose.multivariate_diagnostic(
-            [[f, f], [kernels.disjoint_pairs(32)] * 2],
-            np.eye(2),
-            simulate.SampleConfig(n=500, seed=13),
-        )
-        assert report.verdict is False
-        assert report.points[0]["covariance_residual"] == pytest.approx(1.0, rel=1e-9)
