@@ -11,6 +11,8 @@ code paths, so they can certify library output:
 * entries / evaluate: a kernel's canonical entries as a dict, and its
   value at any ordered tuple by lookup of the sorted tuple, the reference
   for the library's array paths.
+* cross_moment: E[Q(f)(G) Q(g)(G)] from the shared canonical entries, the
+  reference for the joint sampler's empirical covariance.
 """
 
 import math
@@ -36,6 +38,20 @@ def evaluate(f, idx) -> float:
         raise IndexOutOfRange(f"index {t[0] if t[0] < 1 else t[-1]} outside 1..{f.N}")
     hit = np.flatnonzero((f.index_array == np.subtract(t, 1)).all(axis=1))
     return float(f.value_array[hit[0]]) if hit.size else 0.0
+
+
+def cross_moment(a, b) -> float:
+    """E[Q_a(G) Q_b(G)] = (d!)^2 * sum of a_t b_t over the canonical tuples t
+    in both kernels (each canonical tuple stands for d! ordered ones); 0 when
+    the orders differ (distinct Wiener chaoses are orthogonal)."""
+    if a.d != b.d:
+        return 0.0
+    eb = entries(b)
+    acc = 0.0
+    for t, v in entries(a).items():
+        if t in eb:
+            acc += v * eb[t]
+    return math.factorial(a.d) ** 2 * acc
 
 
 def product_normal_cdf(z: float) -> float:

@@ -4,14 +4,71 @@ import math
 import numpy as np
 import pytest
 
-from homsum import kernels, moments
-from homsum.errors import EnumerationTooLarge, NotNormalized, OddOrder, ParameterOutOfRange
+from homsum import kernels, moments, simulate
+from homsum.errors import (
+    EnumerationTooLarge,
+    InvalidDegrees,
+    NotNormalized,
+    OddOrder,
+    ParameterOutOfRange,
+)
 from conftest import random_kernels
+import oracles
+
+
+class TestChiSquareMoments:
+    def test_invalid(self):
+        f = kernels.disjoint_pairs(3, sigma2=2.0)
+        for nu in (0, -1, 1.5):
+            with pytest.raises(InvalidDegrees):
+                moments.gaussian_chi_square_combination(f, nu)
+            with pytest.raises(InvalidDegrees):
+                simulate.centered_chi2_cdf(0.0, nu)
+
+
+def _joint_gaussian(kernel_list, n, seed):
+    return simulate.sample_vector_sums(
+        kernel_list, simulate.get_law("gaussian"), simulate.SampleConfig(n=n, seed=seed)
+    )
+
+
+def _assert_cross_within(joint, want, z=5.0):
+    emp = joint.empirical_covariance()[0, 1]
+    se = (joint.samples[:, 0] * joint.samples[:, 1]).std() / math.sqrt(joint.n)
+    assert abs(emp - want) <= z * se
 
 
 class TestSecondAndCrossMoments:
     def test_p2(self, p2):
         assert moments.gaussian_second_moment(p2) == 1.0
+
+    def test_cross_orders_orthogonal(self):
+        f2 = kernels.random_sparse_kernel(2, 6, seed=1)
+        f3 = kernels.random_sparse_kernel(3, 6, seed=2)
+        assert oracles.cross_moment(f2, f3) == 0.0
+        _assert_cross_within(_joint_gaussian([f2, f3], 100_000, seed=4), 0.0)
+
+    def test_self_cross_equals_second_moment(self):
+        f = kernels.disjoint_pairs(7)
+        assert oracles.cross_moment(f, f) == pytest.approx(
+            moments.gaussian_second_moment(f), rel=1e-14
+        )
+        cov = _joint_gaussian([f, f], 20_000, seed=6).empirical_covariance()
+        assert cov[0, 1] == cov[0, 0] == cov[1, 1]
+
+    def test_different_n_padded(self):
+        a = kernels.make_kernel(2, 3, {(1, 2): 0.5, (1, 3): 0.25})
+        b = kernels.make_kernel(2, 5, {(1, 2): 0.5, (4, 5): 1.0})
+        # only the common tuple contributes: 2!^2 * 0.25
+        want = oracles.cross_moment(a, b)
+        assert want == pytest.approx(1.0, rel=1e-14)
+        # the smaller kernel reads a prefix of the shared input vector
+        _assert_cross_within(_joint_gaussian([a, b], 100_000, seed=7), want)
+
+    def test_cross_moment_matches_monte_carlo(self):
+        a = kernels.random_sparse_kernel(2, 6, seed=31)
+        b = kernels.random_sparse_kernel(2, 6, seed=32)
+        _assert_cross_within(_joint_gaussian([a, b], 150_000, seed=8), oracles.cross_moment(a, b))
 
 
 class TestGaussianFourthMoment:
