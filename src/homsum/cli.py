@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from . import bounds, contractions, diagnose, kernels, moments, reportio, simulate
-from .errors import CapacityError, HomsumError, ValidationError
+from .errors import CapacityError, HomsumError, InvalidDegrees, ValidationError
 
 
 class _UsageError(Exception):
@@ -102,6 +102,13 @@ def _spec_int(value, key: str) -> int:
     except (TypeError, ValueError, OverflowError):
         pass
     raise ValidationError(f"diagnose spec field {key!r} must be an integer, got {value!r}")
+
+
+def _spec_str(value, key: str) -> str:
+    """A text field of a diagnose spec; anything else is a ValidationError."""
+    if not isinstance(value, str):
+        raise ValidationError(f"diagnose spec field {key!r} must be text, got {value!r}")
+    return value
 
 
 def cmd_kernel(args) -> int:
@@ -226,6 +233,8 @@ def cmd_simulate(args) -> int:
     config = simulate.SampleConfig(
         n=args.n, seed=args.seed, workers=args.workers, batch_size=args.batch
     )
+    if args.nu is not None:
+        InvalidDegrees.check(args.nu)
     params = {
         "kernel": list(args.kernel) if len(args.kernel) > 1 else args.kernel[0],
         "law": args.law,
@@ -268,16 +277,16 @@ def cmd_diagnose(args) -> int:
     if "sequence" not in body:
         raise ValidationError("diagnose spec needs a [sequence] section")
     seq = body["sequence"]
-    kind = seq.get("kind", "universality")
+    kind = _spec_str(seq.get("kind", "universality"), "kind")
     laws = seq.get("laws", "gaussian")
-    laws = tuple(laws) if isinstance(laws, list) else (laws,)
+    laws = tuple(_spec_str(law, "laws") for law in (laws if isinstance(laws, list) else [laws]))
     sweep = seq.get("sweep", [])
     sweep = sweep if isinstance(sweep, list) else [sweep]
     spec = diagnose.SequenceSpec(
-        family=seq.get("family", "disjoint_pairs"),
+        family=_spec_str(seq.get("family", "disjoint_pairs"), "family"),
         d=_spec_int(seq.get("d", 2), "d"),
         sweep=tuple(_spec_int(s, "sweep") for s in sweep),
-        target=seq.get("target", "normal"),
+        target=_spec_str(seq.get("target", "normal"), "target"),
         nu=_spec_int(seq.get("nu", 1), "nu"),
         laws=laws,
         n=_spec_int(seq.get("n", 10_000), "n"),

@@ -181,10 +181,14 @@ def dense_tensor(f: SymmetricKernel) -> np.ndarray:
     return F
 
 
-def normalize_to_variance(f: SymmetricKernel, sigma2: float) -> SymmetricKernel:
-    """Scale so that E[Q_d^2] = d! * ||f||_d^2 equals sigma2."""
+def _require_positive_sigma2(sigma2: float) -> None:
     if sigma2 <= 0:
         raise ParameterOutOfRange(f"target second moment must be positive, got {sigma2}")
+
+
+def normalize_to_variance(f: SymmetricKernel, sigma2: float) -> SymmetricKernel:
+    """Scale so that E[Q_d^2] = d! * ||f||_d^2 equals sigma2."""
+    _require_positive_sigma2(sigma2)
     cur = second_moment(f)
     if cur == 0.0:
         raise ZeroKernel("cannot normalize a kernel with zero norm")
@@ -273,6 +277,7 @@ def random_sparse_kernel(
 
 
 def generate_family(spec: KernelFamilySpec) -> SymmetricKernel:
+    _require_positive_sigma2(spec.sigma2)
     if spec.family == "single_pair":
         return single_pair(spec.sigma2)
     if spec.family == "constant":

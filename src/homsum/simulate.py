@@ -1,11 +1,13 @@
 """Seeded Monte Carlo sampling of homogeneous sums and empirical distances.
 
 Reproducibility contract: draw j of a run with master seed s reads from its
-own counter-based stream, Philox keyed by (s, j).  Sample values therefore
-depend only on (seed, draw index), never on batching or worker count;
-blocks are written into a preallocated array at fixed offsets and all
-reductions run over that array in index order, so summaries are bitwise
-reproducible across worker counts.
+own counter-based stream, Philox keyed by (s, j); one Philox per block is
+re-keyed to that stream's start for each draw, which is far cheaper than
+building a generator per draw.  Sample values therefore depend only on
+(seed, draw index), never on batching or worker count; blocks are written
+into a preallocated array at fixed offsets and all reductions run over that
+array in index order, so summaries are bitwise reproducible across worker
+counts.
 """
 
 from __future__ import annotations
@@ -111,10 +113,6 @@ class SampleConfig:
             raise ParameterOutOfRange(f"bad sample config {self}")
 
 
-def _draw_generator(seed: int, draw_index: int) -> Generator:
-    return Generator(Philox(key=((seed & _MASK64) << 64) | (draw_index & _MASK64)))
-
-
 @dataclass
 class SampleSummary:
     """Empirical moments with standard errors plus the retained sample."""
@@ -162,8 +160,15 @@ class VectorSampleSummary:
 
 def _compute_block(kernel_list, dist, seed, lo, hi, n_inputs) -> np.ndarray:
     X = np.empty((hi - lo, n_inputs))
+    bit_gen = Philox(key=(seed & _MASK64) << 64)
+    gen = Generator(bit_gen)
+    # The state Philox(key=(seed << 64) | j) starts in is this one with key
+    # [j, seed]: counter 0, empty buffers.
+    state = bit_gen.state
     for j in range(lo, hi):
-        X[j - lo] = dist.sample(_draw_generator(seed, j), n_inputs)
+        state["state"]["key"][0] = j & _MASK64
+        bit_gen.state = state
+        X[j - lo] = dist.sample(gen, n_inputs)
     block = np.empty((hi - lo, len(kernel_list)))
     for col, f in enumerate(kernel_list):
         block[:, col] = kernels.evaluate_sum_batch(f, X[:, : f.N])

@@ -13,11 +13,14 @@ code paths, so they can certify library output:
   for the library's array paths.
 * cross_moment: E[Q(f)(G) Q(g)(G)] from the shared canonical entries, the
   reference for the joint sampler's empirical covariance.
+* draw_generator: a freshly built Philox generator for one draw, the
+  reference for the sampler's per-draw re-keyed stream.
 """
 
 import math
 
 import numpy as np
+from numpy.random import Generator, Philox
 from scipy import integrate, special
 
 from homsum.errors import DimensionMismatch, IndexOutOfRange
@@ -52,6 +55,14 @@ def cross_moment(a, b) -> float:
         if t in eb:
             acc += v * eb[t]
     return math.factorial(a.d) ** 2 * acc
+
+
+def draw_generator(seed: int, draw_index: int) -> Generator:
+    """The generator draw `draw_index` of a run with master seed `seed`
+    reads from: Philox keyed by the 128-bit integer (seed << 64) | draw,
+    each half taken mod 2^64."""
+    mask = (1 << 64) - 1
+    return Generator(Philox(key=((seed & mask) << 64) | (draw_index & mask)))
 
 
 def product_normal_cdf(z: float) -> float:

@@ -46,6 +46,18 @@ class TestKernelCommands:
                     "--out", str(out)]) == 0
         assert kernels.second_moment(kernels.read_kernel(out)) == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("sigma2", ["-1", "0"])
+    @pytest.mark.parametrize("family, size", [
+        ("constant", ["-N", "5"]), ("single_pair", []),
+        ("disjoint_pairs", ["--m", "3"]), ("walsh", ["--d", "2", "-N", "5"]),
+        ("random_sparse", ["--d", "2", "-N", "5"]),
+    ])
+    def test_generate_non_positive_sigma2_exit_2(self, tmp_path, family, size, sigma2):
+        out = tmp_path / "k.kern"
+        assert run(["kernel", "generate", "--family", family, *size, "--sigma2", sigma2,
+                    "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_usage_error_exit_1(self):
         assert run(["kernel", "generate"]) == 1
         assert run(["bound", "sideways", "--kernel", "x"]) == 1
@@ -235,6 +247,18 @@ class TestSimulateCommand:
         sections = dict(reportio.parse_sections(out.read_text(), reportio.REPORT_MAGIC))
         assert "ks_chi2" in sections["summary"]
 
+    def test_bad_nu_exit_2_before_sampling(self, tmp_path, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled before checking --nu")
+
+        monkeypatch.setattr(simulate, "sample_sums", no_sampling)
+        kern = tmp_path / "d.kern"
+        kernels.write_kernel(kernels.disjoint_pairs(5), kern)
+        out = tmp_path / "r.txt"
+        assert run(["simulate", "--kernel", str(kern), "--law", "rademacher", "--n", "100000",
+                    "--nu", "0", "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_dump_samples(self, tmp_path):
         kern = tmp_path / "d.kern"
         kernels.write_kernel(kernels.disjoint_pairs(5), kern)
@@ -311,6 +335,15 @@ class TestDiagnoseCommand:
         spec, out = tmp_path / "spec.txt", tmp_path / "r.txt"
         body = {"kind": "fourth_moment", "family": "disjoint_pairs", "d": 2, "sweep": [10, 20]}
         self._write_spec(spec, {**body, field: value})
+        assert run(["diagnose", "--spec", str(spec), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["laws", "family", "target", "kind"])
+    def test_non_text_spec_field_exit_2(self, tmp_path, field):
+        spec, out = tmp_path / "spec.txt", tmp_path / "r.txt"
+        body = {"kind": "de_jong", "family": "disjoint_pairs", "d": 2, "sweep": [10, 20],
+                "laws": "rademacher", "n": 200}
+        self._write_spec(spec, {**body, field: 1})
         assert run(["diagnose", "--spec", str(spec), "--out", str(out)]) == 2
         assert not out.exists()
 

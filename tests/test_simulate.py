@@ -6,7 +6,7 @@ import pytest
 
 from homsum import kernels, moments, simulate
 from homsum.errors import DimensionMismatch, InvalidDegrees, ParameterOutOfRange
-from oracles import product_normal_cdf
+from oracles import draw_generator, product_normal_cdf
 
 
 class TestLaws:
@@ -79,6 +79,22 @@ class TestSampling:
         assert pool_sizes == [3]
         serial = simulate.sample_sums(f, law, simulate.SampleConfig(n=640, seed=3, batch_size=10))
         assert np.array_equal(capped.samples, serial.samples)
+
+    @pytest.mark.parametrize("name", [t if t != "two_point" else "two_point:0.3"
+                                      for t in simulate.LAW_TAGS])
+    @pytest.mark.parametrize("n_inputs", [7, 8])
+    @pytest.mark.parametrize("seed, lo, hi", [(5, 0, 6), (2**64 + 3, 2**64 - 3, 2**64 + 2)],
+                             ids=["small", "past_2_64"])
+    def test_block_equals_fresh_generator_per_draw(self, name, n_inputs, seed, lo, hi):
+        # Consecutive draws at an odd and an even width: a 32- or 64-bit value
+        # left buffered by one draw would shift the next.  The second case
+        # wraps the draw index and takes a seed past 2^64, where masking counts.
+        f = kernels.constant_kernel(n_inputs)
+        law = simulate.get_law(name)
+        X = np.vstack([law.sample(draw_generator(seed, j), n_inputs) for j in range(lo, hi)])
+        want = kernels.evaluate_sum_batch(f, X)
+        got = simulate._compute_block([f], law, seed, lo, hi, n_inputs)[:, 0]
+        assert np.array_equal(got, want)
 
     def test_deterministic_given_seed_independent_of_runs(self):
         f = kernels.walsh_kernel(2, 9)
