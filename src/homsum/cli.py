@@ -334,6 +334,10 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"capacity error: out of memory{detail}", file=sys.stderr)
+        return 3
     except (HomsumError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

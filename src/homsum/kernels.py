@@ -164,9 +164,9 @@ def evaluate_sum_batch(f: SymmetricKernel, X: np.ndarray) -> np.ndarray:
     out = np.empty(X.shape[0])
     for lo in range(0, X.shape[0], chunk):
         rows = X[lo : lo + chunk]
-        prod = rows[:, f.index_array[:, 0]].copy()
+        prod = np.take(rows, f.index_array[:, 0], axis=1)
         for k in range(1, f.d):
-            prod *= rows[:, f.index_array[:, k]]
+            prod *= np.take(rows, f.index_array[:, k], axis=1)
         out[lo : lo + chunk] = prod @ f.value_array
     out *= dfact
     return out

@@ -1,13 +1,16 @@
 """Seeded Monte Carlo sampling of homogeneous sums and empirical distances.
 
 Reproducibility contract: draw j of a run with master seed s reads from its
-own counter-based stream, Philox keyed by (s, j); one Philox per block is
-re-keyed to that stream's start for each draw, which is far cheaper than
-building a generator per draw.  Sample values therefore depend only on
-(seed, draw index), never on batching or worker count; blocks are written
-into a preallocated array at fixed offsets and all reductions run over that
-array in index order, so summaries are bitwise reproducible across worker
-counts.
+own counter-based stream, Philox keyed by (s, j).  Each block keeps one
+Philox; per draw it makes one state reset to that stream's start and one
+raw fill into the draw's row of the block (normals, exponentials, uniforms
+on [0, 1) or, for Rademacher, raw 64-bit words).  Each law's transform to
+its values then runs once over the whole block, and gives exactly the
+values the law's direct numpy call would.  Sample values therefore depend
+only on (seed, draw index), never on batching or worker count; blocks are
+written into a preallocated array at fixed offsets and all reductions run
+over that array in index order, so summaries are bitwise reproducible
+across worker counts.
 """
 
 from __future__ import annotations
@@ -31,6 +34,14 @@ LAW_TAGS = ("gaussian", "rademacher", "uniform", "shifted_exponential", "two_poi
 
 _SQRT3 = math.sqrt(3.0)
 _MASK64 = (1 << 64) - 1
+_FINISH_VALUES = 1 << 15
+
+
+def _row_chunks(X: np.ndarray):
+    """Views of X in chunks of whole rows holding about _FINISH_VALUES values,
+    so a finishing step's temporaries stay in cache however large the block."""
+    step = max(1, _FINISH_VALUES // max(1, X.shape[1]))
+    return (X[lo : lo + step] for lo in range(0, X.shape[0], step))
 
 
 @dataclass(frozen=True)
@@ -43,20 +54,56 @@ class DistributionSpec:
     moment4: float
     p: float | None = None  # two_point parameter
 
-    def sample(self, gen: Generator, size: int) -> np.ndarray:
+    def filler(self, gen: Generator):
+        """row -> None, writing one draw's raw values into a float64 row with
+        a single call on `gen`; `finish` turns them into law values."""
         if self.tag == "gaussian":
-            return gen.standard_normal(size)
-        if self.tag == "rademacher":
-            return gen.integers(0, 2, size).astype(np.float64) * 2.0 - 1.0
-        if self.tag == "uniform":
-            return gen.uniform(-_SQRT3, _SQRT3, size)
+            return lambda row: gen.standard_normal(out=row)
         if self.tag == "shifted_exponential":
-            return gen.standard_exponential(size) - 1.0
-        if self.tag == "two_point":
+            return lambda row: gen.standard_exponential(out=row)
+        if self.tag in ("uniform", "two_point"):
+            return lambda row: gen.random(out=row)
+        if self.tag == "rademacher":
+            # ceil(n/2) raw 64-bit words in the row's first slots; `finish`
+            # reads value 2i from bit 31 and value 2i+1 from bit 63 of word i,
+            # the bits integers(0, 2) takes through the low-then-high 32-bit split
+            raw = gen.bit_generator.random_raw
+
+            def fill(row):
+                words = (row.size + 1) // 2
+                row.view(np.uint64)[:words] = raw(words)
+
+            return fill
+        raise ParameterOutOfRange(f"unknown law tag {self.tag!r}")
+
+    def finish(self, X: np.ndarray) -> None:
+        """Turn rows of raw values from `filler` into law values, in place."""
+        if self.tag == "shifted_exponential":
+            X -= 1.0
+        elif self.tag == "uniform":
+            # the low + (high - low) * u of Generator.uniform(-sqrt3, sqrt3)
+            X *= 2.0 * _SQRT3
+            X += -_SQRT3
+        elif self.tag == "two_point":
             hi = math.sqrt((1.0 - self.p) / self.p)
             lo = -math.sqrt(self.p / (1.0 - self.p))
-            return np.where(gen.random(size) < self.p, hi, lo)
-        raise ParameterOutOfRange(f"unknown law tag {self.tag!r}")
+            for rows in _row_chunks(X):
+                rows[...] = np.where(rows < self.p, hi, lo)
+        elif self.tag == "rademacher":
+            for rows in _row_chunks(X):
+                words = rows.view(np.uint64)[:, : (rows.shape[1] + 1) // 2].copy()
+                rows[:, 0::2] = (words >> 31) & 1
+                rows[:, 1::2] = (words >> 63)[:, : rows.shape[1] // 2]
+                rows *= 2.0
+                rows -= 1.0
+
+    def sample(self, gen: Generator, size: int) -> np.ndarray:
+        """`size` values of the law from `gen`, by the same fill and finish
+        the block sampler runs."""
+        X = np.empty((1, size))
+        self.filler(gen)(X[0])
+        self.finish(X)
+        return X[0]
 
     @property
     def name(self) -> str:
@@ -109,8 +156,11 @@ class SampleConfig:
     batch_size: int = 1024
 
     def __post_init__(self):
-        if self.n < 1 or self.seed < 0 or self.workers < 1 or self.batch_size < 1:
-            raise ParameterOutOfRange(f"bad sample config {self}")
+        # n >= 2: the standard errors divide by n - 1
+        if self.n < 2 or self.seed < 0 or self.workers < 1 or self.batch_size < 1:
+            raise ParameterOutOfRange(
+                f"bad sample config {self}: need n >= 2, seed >= 0, workers >= 1, batch_size >= 1"
+            )
 
 
 @dataclass
@@ -161,14 +211,19 @@ class VectorSampleSummary:
 def _compute_block(kernel_list, dist, seed, lo, hi, n_inputs) -> np.ndarray:
     X = np.empty((hi - lo, n_inputs))
     bit_gen = Philox(key=(seed & _MASK64) << 64)
-    gen = Generator(bit_gen)
+    fill = dist.filler(Generator(bit_gen))
     # The state Philox(key=(seed << 64) | j) starts in is this one with key
-    # [j, seed]: counter 0, empty buffers.
+    # [j, seed]: counter 0, empty buffers.  The setter reads list fields far
+    # faster than the array fields the getter returns.
     state = bit_gen.state
-    for j in range(lo, hi):
-        state["state"]["key"][0] = j & _MASK64
+    state["state"] = {name: v.tolist() for name, v in state["state"].items()}
+    state["buffer"] = state["buffer"].tolist()
+    key = state["state"]["key"]
+    for j, row in zip(range(lo, hi), X):
+        key[0] = j & _MASK64
         bit_gen.state = state
-        X[j - lo] = dist.sample(gen, n_inputs)
+        fill(row)
+    dist.finish(X)
     block = np.empty((hi - lo, len(kernel_list)))
     for col, f in enumerate(kernel_list):
         block[:, col] = kernels.evaluate_sum_batch(f, X[:, : f.N])

@@ -15,6 +15,8 @@ code paths, so they can certify library output:
   reference for the joint sampler's empirical covariance.
 * draw_generator: a freshly built Philox generator for one draw, the
   reference for the sampler's per-draw re-keyed stream.
+* law_draw: one draw of a named input law by the direct numpy call for
+  that law, the reference for the sampler's raw fill and per-block finish.
 """
 
 import math
@@ -63,6 +65,26 @@ def draw_generator(seed: int, draw_index: int) -> Generator:
     each half taken mod 2^64."""
     mask = (1 << 64) - 1
     return Generator(Philox(key=((seed & mask) << 64) | (draw_index & mask)))
+
+
+def law_draw(name: str, gen: Generator, size: int) -> np.ndarray:
+    """`size` values of the law `name` (as `simulate.get_law` reads it) from
+    one direct numpy call on `gen`.  The sampler's raw fill per draw and
+    transform per block must match it bit for bit."""
+    if name == "gaussian":
+        return gen.standard_normal(size)
+    if name == "rademacher":
+        return gen.integers(0, 2, size).astype(np.float64) * 2.0 - 1.0
+    if name == "uniform":
+        return gen.uniform(-math.sqrt(3.0), math.sqrt(3.0), size)
+    if name == "shifted_exponential":
+        return gen.standard_exponential(size) - 1.0
+    tag, p = name.split(":")
+    assert tag == "two_point", name
+    p = float(p)
+    hi = math.sqrt((1.0 - p) / p)
+    lo = -math.sqrt(p / (1.0 - p))
+    return np.where(gen.random(size) < p, hi, lo)
 
 
 def product_normal_cdf(z: float) -> float:

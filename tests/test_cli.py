@@ -259,6 +259,31 @@ class TestSimulateCommand:
                     "--nu", "0", "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["simulate"], ["bound", "normal"]])
+    def test_single_draw_exit_2(self, tmp_path, command):
+        # one draw has no standard error; it used to be written as nan
+        kern = tmp_path / "d.kern"
+        kernels.write_kernel(kernels.disjoint_pairs(5), kern)
+        out = tmp_path / "r.txt"
+        assert run(command + ["--kernel", str(kern), "--law", "uniform", "--n", "1",
+                              "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_out_of_memory_exit_3(self, tmp_path, monkeypatch, capsys):
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(simulate, "sample_sums", no_memory)
+        kern = tmp_path / "d.kern"
+        kernels.write_kernel(kernels.disjoint_pairs(5), kern)
+        out = tmp_path / "r.txt"
+        assert run(["simulate", "--kernel", str(kern), "--n", "100000000000",
+                    "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "capacity error: out of memory: Unable to allocate 745. GiB for an array\n"
+        )
+        assert not out.exists()
+
     def test_dump_samples(self, tmp_path):
         kern = tmp_path / "d.kern"
         kernels.write_kernel(kernels.disjoint_pairs(5), kern)

@@ -6,7 +6,9 @@ import pytest
 
 from homsum import kernels, moments, simulate
 from homsum.errors import DimensionMismatch, InvalidDegrees, ParameterOutOfRange
-from oracles import draw_generator, product_normal_cdf
+from oracles import draw_generator, law_draw, product_normal_cdf
+
+LAW_NAMES = [t if t != "two_point" else "two_point:0.3" for t in simulate.LAW_TAGS]
 
 
 class TestLaws:
@@ -31,6 +33,12 @@ class TestLaws:
             round(math.sqrt(3), 10),
             round(-math.sqrt(1 / 3), 10),
         }
+
+    @pytest.mark.parametrize("name", LAW_NAMES)
+    @pytest.mark.parametrize("size", [1, 2, 7])
+    def test_sample_equals_reference_draw(self, name, size):
+        got = simulate.get_law(name).sample(np.random.default_rng(size), size)
+        assert got.tobytes() == law_draw(name, np.random.default_rng(size), size).tobytes()
 
     def test_unknown_law(self):
         with pytest.raises(ParameterOutOfRange):
@@ -80,21 +88,40 @@ class TestSampling:
         serial = simulate.sample_sums(f, law, simulate.SampleConfig(n=640, seed=3, batch_size=10))
         assert np.array_equal(capped.samples, serial.samples)
 
-    @pytest.mark.parametrize("name", [t if t != "two_point" else "two_point:0.3"
-                                      for t in simulate.LAW_TAGS])
-    @pytest.mark.parametrize("n_inputs", [7, 8])
+    @staticmethod
+    def _assert_block_equals_fresh_draws(name, n_inputs, seed, lo, hi):
+        # order-1 coordinate kernels read the block's input rows back exactly
+        coords = [kernels.make_kernel(1, n_inputs, {(i,): 1.0}) for i in range(1, n_inputs + 1)]
+        want = np.vstack([law_draw(name, draw_generator(seed, j), n_inputs) for j in range(lo, hi)])
+        got = simulate._compute_block(coords, simulate.get_law(name), seed, lo, hi, n_inputs)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", LAW_NAMES)
+    @pytest.mark.parametrize("n_inputs", [1, 2, 7, 8])
     @pytest.mark.parametrize("seed, lo, hi", [(5, 0, 6), (2**64 + 3, 2**64 - 3, 2**64 + 2)],
                              ids=["small", "past_2_64"])
     def test_block_equals_fresh_generator_per_draw(self, name, n_inputs, seed, lo, hi):
-        # Consecutive draws at an odd and an even width: a 32- or 64-bit value
-        # left buffered by one draw would shift the next.  The second case
-        # wraps the draw index and takes a seed past 2^64, where masking counts.
-        f = kernels.constant_kernel(n_inputs)
-        law = simulate.get_law(name)
-        X = np.vstack([law.sample(draw_generator(seed, j), n_inputs) for j in range(lo, hi)])
-        want = kernels.evaluate_sum_batch(f, X)
-        got = simulate._compute_block([f], law, seed, lo, hi, n_inputs)[:, 0]
-        assert np.array_equal(got, want)
+        # Consecutive draws at odd and even widths: a 32- or 64-bit value
+        # left buffered by one draw would shift the next, and one raw word
+        # carries two Rademacher values.  The second case wraps the draw
+        # index and takes a seed past 2^64, where masking counts.
+        self._assert_block_equals_fresh_draws(name, n_inputs, seed, lo, hi)
+
+    @pytest.mark.parametrize("name", LAW_NAMES)
+    def test_block_longer_than_one_finishing_chunk(self, name):
+        n_inputs = simulate._FINISH_VALUES // 100 + 1
+        assert 130 > simulate._FINISH_VALUES // n_inputs  # rows per chunk
+        self._assert_block_equals_fresh_draws(name, n_inputs, 9, 0, 130)
+
+    @pytest.mark.parametrize("name", LAW_NAMES)
+    def test_vector_sums_equal_fresh_generator_per_draw(self, name):
+        # the larger N is odd, and the smaller kernel reads a prefix of it
+        kernel_list = [kernels.constant_kernel(4), kernels.walsh_kernel(2, 7)]
+        config = simulate.SampleConfig(n=130, seed=4, batch_size=64)
+        X = np.vstack([law_draw(name, draw_generator(4, j), 7) for j in range(130)])
+        want = np.column_stack([kernels.evaluate_sum_batch(f, X[:, : f.N]) for f in kernel_list])
+        got = simulate.sample_vector_sums(kernel_list, simulate.get_law(name), config).samples
+        assert got.tobytes() == want.tobytes()
 
     def test_deterministic_given_seed_independent_of_runs(self):
         f = kernels.walsh_kernel(2, 9)
