@@ -291,7 +291,8 @@ def cmd_diagnose(args) -> int:
         laws=laws,
         n=_spec_int(seq.get("n", 10_000), "n"),
         seed=_spec_int(seq.get("seed", 0), "seed"),
-        workers=args.workers if args.workers else _spec_int(seq.get("workers", 1), "workers"),
+        workers=(args.workers if args.workers is not None
+                 else _spec_int(seq.get("workers", 1), "workers")),
         batch_size=_spec_int(seq.get("batch", 1024), "batch"),
     )
     if kind == "universality":

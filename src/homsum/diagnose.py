@@ -53,6 +53,10 @@ class SequenceSpec:
             raise ValidationError(f"target must be 'normal' or 'chi2', got {self.target!r}")
         if self.target == "chi2":
             InvalidDegrees.check(self.nu)
+        # the sampling fields are checked for every kind, sampling or not
+        simulate.SampleConfig(
+            n=self.n, seed=self.seed, workers=self.workers, batch_size=self.batch_size
+        )
 
     def kernel_at(self, size: int) -> SymmetricKernel:
         sigma2 = 2.0 * self.nu if self.target == "chi2" else 1.0

@@ -6,6 +6,12 @@ E Q^4 - 12 E Q^3 from symmetrized contraction norms), the dispatcher that
 picks exact or Monte Carlo moments for an input law, an exact
 sign-enumeration oracle for Rademacher inputs, and the hypercontractive
 moment check.
+
+The enumeration splits each sign pattern into its low 12 bits and its high
+bits and fills the 2^N sums in cache-sized chunks of outer products of the
+two halves' signs: low-bit signs from a table with one row per distinct low
+mask, high-bit signs per chunk.  Entries are added in kernel order, so every
+atom is bit for bit the sum one popcount pass per entry would give.
 """
 
 from __future__ import annotations
@@ -21,6 +27,8 @@ from .errors import EnumerationTooLarge, InvalidDegrees, OddOrder, ParameterOutO
 from .kernels import SymmetricKernel
 
 ENUMERATION_MAX_N = 22
+_LOW_BITS = 12  # pattern bits held by the columns of the enumeration
+_CHUNK_VALUES = 1 << 15  # sums filled per chunk of the enumeration
 
 
 def gaussian_second_moment(f: SymmetricKernel) -> float:
@@ -142,24 +150,64 @@ class ExactDistribution:
 def exact_rademacher_distribution(f: SymmetricKernel) -> ExactDistribution:
     """Exact law of Q_d(N, f, eps) for i.i.d. signs, by 2^N enumeration.
 
-    Each entry contributes d! * value * (-1)^{popcount(pattern & mask)};
-    the traversal order is fixed, so equal sign configurations produce
-    bitwise-equal atoms and collapse under exact uniqueness.
+    Each entry contributes c = d! * value times (-1)^{popcount(pattern & mask)}.
+    A pattern p splits into its low L = min(N, 12) bits and its high N - L
+    bits, so that sign is s_hi(p_hi) * s_lo(p_lo).  The sums are held as a
+    (2^(N-L), 2^L) array and filled in chunks of rows holding about 2^15
+    values: for each entry in kernel order, the chunk gets the outer product
+    (c * s_hi[rows]) x s_lo.  Entries go in groups of 8 * 2^(N-L), so a
+    group's s_lo table takes no more bytes than the sums.  Every added term
+    is exactly +c or -c and each pattern receives its terms in kernel order,
+    so equal sign configurations produce bitwise-equal atoms, which collapse
+    under exact uniqueness.
     """
     if f.N > ENUMERATION_MAX_N:
         raise EnumerationTooLarge(
             f"exact enumeration needs N <= {ENUMERATION_MAX_N}, got N={f.N}"
         )
-    n_patterns = 1 << f.N
-    codes = np.arange(n_patterns, dtype=np.uint64)
-    q = np.zeros(n_patterns)
-    dfact = float(math.factorial(f.d))
-    masks = (np.uint64(1) << f.index_array.astype(np.uint64)).sum(axis=1, dtype=np.uint64)
-    for mask, v in zip(masks, f.value_array.tolist()):
-        parity = (np.bitwise_count(codes & mask) & np.uint64(1)).astype(np.float64)
-        q += (dfact * v) * (1.0 - 2.0 * parity)
+    q = _rademacher_sums(f)
     atoms, counts = np.unique(q, return_counts=True)
-    return ExactDistribution(values=atoms, probabilities=counts / n_patterns)
+    return ExactDistribution(values=atoms, probabilities=counts / q.size)
+
+
+def _rademacher_sums(f: SymmetricKernel) -> np.ndarray:
+    """Q at every sign pattern, as a (2^(N-L), 2^L) array; row h, column l
+    holds pattern (h << L) | l."""
+    low = min(f.N, _LOW_BITS)
+    q = np.zeros((1 << (f.N - low), 1 << low))
+    masks = (np.uint64(1) << f.index_array.astype(np.uint64)).sum(axis=1, dtype=np.uint64)
+    coefficients = float(math.factorial(f.d)) * f.value_array
+    group = 8 * q.shape[0]
+    for first in range(0, len(masks), group):
+        _add_entries(q, masks[first:first + group], coefficients[first:first + group], low)
+    return q
+
+
+def _add_entries(q: np.ndarray, masks: np.ndarray, coefficients: np.ndarray, low: int) -> None:
+    """Add coefficients[k] * (-1)^popcount(pattern & masks[k]) to q at every
+    pattern, chunk of rows by chunk, entry by entry in order."""
+    n_hi, n_lo = q.shape
+    lo_masks, lo_ids = np.unique(masks & np.uint64(n_lo - 1), return_inverse=True)
+    lo_codes = np.arange(n_lo, dtype=np.uint64)
+    lo_signs = np.empty((lo_masks.size, n_lo), dtype=np.int8)  # one row per distinct low mask
+    for row, mask in zip(lo_signs, lo_masks):
+        row[:] = _signs(lo_codes, mask)
+    lo_rows = [lo_signs[i] for i in lo_ids]
+    hi_masks = (masks >> np.uint64(low))[:, None]
+    rows = min(n_hi, _CHUNK_VALUES >> low)
+    term = np.empty((rows, n_lo))
+    for start in range(0, n_hi, rows):
+        hi_codes = np.arange(start, start + rows, dtype=np.uint64)
+        scaled = (coefficients[:, None] * _signs(hi_codes, hi_masks))[:, :, None]
+        chunk = q[start:start + rows]
+        for column, lo_row in zip(scaled, lo_rows):
+            np.multiply(column, lo_row, out=term)
+            chunk += term
+
+
+def _signs(codes: np.ndarray, masks) -> np.ndarray:
+    """(-1)^popcount(codes & masks) as float64, broadcasting codes against masks."""
+    return 1.0 - 2.0 * (np.bitwise_count(codes & masks) & np.uint8(1))
 
 
 def hypercontractivity_check(

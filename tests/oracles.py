@@ -17,6 +17,9 @@ code paths, so they can certify library output:
   reference for the sampler's per-draw re-keyed stream.
 * law_draw: one draw of a named input law by the direct numpy call for
   that law, the reference for the sampler's raw fill and per-block finish.
+* rademacher_atoms_by_entry: the exact law of Q under i.i.d. signs by one
+  popcount pass per entry over all 2^N patterns, the reference for the
+  library's chunked enumeration.
 """
 
 import math
@@ -85,6 +88,23 @@ def law_draw(name: str, gen: Generator, size: int) -> np.ndarray:
     hi = math.sqrt((1.0 - p) / p)
     lo = -math.sqrt(p / (1.0 - p))
     return np.where(gen.random(size) < p, hi, lo)
+
+
+def rademacher_atoms_by_entry(f) -> tuple:
+    """(atoms, probabilities) of Q_d(N, f, eps) for i.i.d. signs: each entry,
+    in kernel order, adds d! * value * (-1)^popcount(pattern & mask) to the
+    sums at all 2^N patterns in one pass.  The library's enumeration must
+    give the same atoms and probabilities bit for bit."""
+    n_patterns = 1 << f.N
+    codes = np.arange(n_patterns, dtype=np.uint64)
+    q = np.zeros(n_patterns)
+    dfact = float(math.factorial(f.d))
+    masks = (np.uint64(1) << f.index_array.astype(np.uint64)).sum(axis=1, dtype=np.uint64)
+    for mask, v in zip(masks, f.value_array.tolist()):
+        parity = (np.bitwise_count(codes & mask) & np.uint64(1)).astype(np.float64)
+        q += (dfact * v) * (1.0 - 2.0 * parity)
+    atoms, counts = np.unique(q, return_counts=True)
+    return atoms, counts / n_patterns
 
 
 def product_normal_cdf(z: float) -> float:

@@ -1,10 +1,15 @@
 import collections
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import homsum
 from homsum import cli, contractions, kernels, reportio, simulate
 
 
@@ -372,6 +377,24 @@ class TestDiagnoseCommand:
         assert run(["diagnose", "--spec", str(spec), "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["fourth_moment", "chi_square"])
+    @pytest.mark.parametrize("workers", ["-3", "0"])
+    def test_bad_workers_flag_exit_2_without_sampling(self, tmp_path, kind, workers):
+        spec, out = tmp_path / "spec.txt", tmp_path / "r.txt"
+        self._write_spec(spec, {"kind": kind, "family": "constant", "d": 2, "sweep": [10, 20]})
+        argv = ["diagnose", "--spec", str(spec), "--workers", workers, "--out", str(out)]
+        assert run(argv) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [("n", 0), ("n", 1), ("batch", -1), ("seed", -5),
+                                              ("workers", 0)])
+    def test_bad_sampling_field_exit_2_without_sampling(self, tmp_path, field, value):
+        spec, out = tmp_path / "spec.txt", tmp_path / "r.txt"
+        body = {"kind": "fourth_moment", "family": "constant", "d": 2, "sweep": [10, 20]}
+        self._write_spec(spec, {**body, field: value})
+        assert run(["diagnose", "--spec", str(spec), "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 GOLDEN_INPUTS = {
     "single_pair.kern": ["--family", "single_pair"],
@@ -479,3 +502,38 @@ def test_output_bytes_pinned(tmp_path, monkeypatch):
         for name in [*GOLDEN_INPUTS, *GOLDEN_COMMANDS]
     }
     assert got == GOLDEN_SHA256
+
+
+# The two 2^N enumeration commands of the exact_chaos benchmark workload, at
+# its sizes.  Above N = 16 the np.dot over the atoms in ExactDistribution.moment
+# gives thread-dependent bits, so these run in a subprocess with one OpenBLAS
+# thread.  Hashes taken before the enumeration was chunked into outer
+# products of low-bit and high-bit signs; that change may not move a byte.
+ENUMERATION_COMMANDS = {
+    "rs20.kern": ["kernel", "generate", "--family", "random_sparse", "--d", "2", "-N", "20",
+                  "--seed", "7"],
+    "c18.kern": ["kernel", "generate", "--family", "constant", "-N", "18"],
+    "normal_rs20.rep": ["bound", "normal", "--kernel", "rs20.kern", "--law", "rademacher"],
+    "chi2_c18.rep": ["bound", "chi2", "--kernel", "c18.kern", "--law", "rademacher"],
+}
+
+ENUMERATION_SHA256 = {
+    "rs20.kern": "7e3398cfd850ab5afcfa7157235beb31bea84a0baa824cbacdd22d1f5a6c98fa",
+    "c18.kern": "9aa66f121787674ee99667086e51192178ae0ea1c08f71d02a51c2bc7a7469dc",
+    "normal_rs20.rep": "4ab5773ef9c318d268987bd79f366f2ef7a450b929e2626446f3e683a18c7244",
+    "chi2_c18.rep": "6f76efe54fbdb477b374a4bbf089f7be2b8429d645bd65ac21a6d6a375031f16",
+}
+
+
+def test_enumeration_report_bytes_pinned_at_one_blas_thread(tmp_path):
+    src = str(Path(homsum.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for name, argv in ENUMERATION_COMMANDS.items():
+        subprocess.run([sys.executable, "-m", "homsum.cli", *argv, "--out", name],
+                       cwd=tmp_path, env=env, check=True, timeout=120)
+    got = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ENUMERATION_COMMANDS
+    }
+    assert got == ENUMERATION_SHA256

@@ -168,6 +168,48 @@ class TestExactRademacher:
         assert dist.moment(4) == pytest.approx(np.mean(np.array(vals) ** 4), rel=1e-12)
 
 
+def _on_inputs(d, N, inputs, seed):
+    """A random order-d kernel on N inputs whose entries use only `inputs`
+    (0-based)."""
+    g = kernels.random_sparse_kernel(d, len(inputs), seed=seed)
+    return kernels.kernel_from_arrays(d, N, np.asarray(inputs)[g.index_array] + 1, g.value_array)
+
+
+def _assert_atoms_equal_by_entry_oracle(f):
+    dist = moments.exact_rademacher_distribution(f)
+    atoms, probabilities = oracles.rademacher_atoms_by_entry(f)
+    assert dist.values.tobytes() == atoms.tobytes()
+    assert dist.probabilities.tobytes() == probabilities.tobytes()
+
+
+class TestRademacherEnumerationBitwise:
+    """The chunked low/high enumeration gives the per-entry pass's atoms
+    and probabilities bit for bit."""
+
+    @pytest.mark.parametrize(
+        "d, N", [(d, N) for N in (1, 5, 11, 12, 13, 20) for d in (1, 2, 3, 4) if d <= N]
+    )
+    def test_random_sparse(self, d, N):
+        _assert_atoms_equal_by_entry_oracle(kernels.random_sparse_kernel(d, N, seed=10 * N + d))
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            _on_inputs(3, 20, range(12), seed=1),  # low bits only
+            _on_inputs(3, 20, range(12, 20), seed=2),  # high bits only
+            kernels.make_kernel(2, 13, {}),  # zero kernel
+            kernels.constant_kernel(18),
+            kernels.random_sparse_kernel(2, 20, seed=7),
+            kernels.random_sparse_kernel(4, 16, seed=3, entry_count=300),  # 2 chunks of 2^15
+            kernels.random_sparse_kernel(3, 13, seed=4, entry_count=100),  # 7 groups of entries
+        ],
+        ids=["low_only", "high_only", "zero", "constant18", "random_sparse_2_20", "two_chunks",
+             "entry_groups"],
+    )
+    def test_kernel(self, f):
+        _assert_atoms_equal_by_entry_oracle(f)
+
+
 class TestHypercontractivity:
     def test_p2_rademacher_q3(self, p2):
         dist = moments.exact_rademacher_distribution(p2)
