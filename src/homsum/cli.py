@@ -321,14 +321,17 @@ def cmd_diagnose(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "kernel":
-            return cmd_kernel(args)
-        if args.command == "bound":
-            return cmd_bound(args)
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        return cmd_diagnose(args)
+        # every sampling call of the command shares one worker pool, shut
+        # down before main returns on every path
+        with simulate.worker_pool():
+            args = parser.parse_args(argv)
+            if args.command == "kernel":
+                return cmd_kernel(args)
+            if args.command == "bound":
+                return cmd_bound(args)
+            if args.command == "simulate":
+                return cmd_simulate(args)
+            return cmd_diagnose(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -212,10 +212,13 @@ def universality_experiment(spec: SequenceSpec) -> VerdictReport:
     """Empirical universality check: for every listed law, the Kolmogorov
     distance to the target must decrease along the sweep, and the terminal
     distances must agree across laws within 3x the DKW band.  Needs at
-    least two laws to compare."""
+    least two distinct laws to compare."""
     if len(spec.laws) < 2:
         raise ValidationError("universality experiment needs at least two laws")
     laws = [simulate.get_law(name) for name in spec.laws]
+    if len({law.name for law in laws}) < len(laws):
+        # a repeated law's cells would overwrite each other: it would be compared with itself
+        raise ValidationError(f"universality experiment lists a law twice: {', '.join(spec.laws)}")
     points = []
     for pi, size in enumerate(spec.sweep):
         f = spec.kernel_at(size)

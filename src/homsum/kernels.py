@@ -146,8 +146,10 @@ def evaluate_sum_batch(f: SymmetricKernel, X: np.ndarray) -> np.ndarray:
     """Q_d over a batch of input rows, shape (n, N) -> (n,).
 
     For order 2 with many entries a dense quadratic-form (GEMM) path is
-    used; otherwise products are gathered sparsely entry by entry.  Both
-    paths reduce in a fixed order, so results do not depend on batching.
+    used; otherwise products are gathered sparsely entry by entry.  A row's
+    sum can differ in its last bits with the number of rows in the batch:
+    BLAS handles rows in small groups and rounds a leftover group
+    differently.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != f.N:
@@ -158,8 +160,8 @@ def evaluate_sum_batch(f: SymmetricKernel, X: np.ndarray) -> np.ndarray:
     if f.d == 2 and f.entry_count > f.N and f.N <= 1024:
         F = dense_tensor(f)
         return ((X @ F) * X).sum(axis=1)  # = sum_{i,j} f(i,j) x_i x_j, includes d!
-    # row chunking keeps the gathered product in cache; the chunk size is a
-    # function of the kernel alone, so results are independent of batching
+    # row chunking bounds the gathered product to about 4e6 values (32 MB);
+    # the chunk size is a function of the kernel alone
     chunk = min(4096, max(16, 4_000_000 // (f.entry_count * f.d)))
     out = np.empty(X.shape[0])
     for lo in range(0, X.shape[0], chunk):

@@ -165,9 +165,14 @@ def exact_rademacher_distribution(f: SymmetricKernel) -> ExactDistribution:
         raise EnumerationTooLarge(
             f"exact enumeration needs N <= {ENUMERATION_MAX_N}, got N={f.N}"
         )
-    q = _rademacher_sums(f)
-    atoms, counts = np.unique(q, return_counts=True)
-    return ExactDistribution(values=atoms, probabilities=counts / q.size)
+    q = _rademacher_sums(f).reshape(-1)
+    q.sort()  # q is private to this call: sort in place, no flattened copy
+    starts = np.empty(q.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(q[1:], q[:-1], out=starts[1:])
+    starts = np.flatnonzero(starts)
+    counts = np.diff(starts, append=q.size)
+    return ExactDistribution(values=q[starts], probabilities=counts / q.size)
 
 
 def _rademacher_sums(f: SymmetricKernel) -> np.ndarray:

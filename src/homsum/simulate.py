@@ -7,15 +7,25 @@ raw fill into the draw's row of the block (normals, exponentials, uniforms
 on [0, 1) or, for Rademacher, raw 64-bit words).  Each law's transform to
 its values then runs once over the whole block, and gives exactly the
 values the law's direct numpy call would.  Sample values therefore depend
-only on (seed, draw index), never on batching or worker count; blocks are
-written into a preallocated array at fixed offsets and all reductions run
-over that array in index order, so summaries are bitwise reproducible
-across worker counts.
+only on (seed, draw index), never on batching or worker count.  Sums are
+evaluated per block, and BLAS rounds a block's leftover rows differently,
+so their last bits can depend on the batch size.  They never depend on the
+worker count: blocks are the same for any worker count, are written into a
+preallocated array at fixed offsets, and all reductions run over that
+array in index order.
+
+Worker processes come from one pool per `worker_pool()` scope, which the
+CLI opens around each command: the pool starts on the first call that
+needs more than one worker, grows only when a later call needs more
+processes, and is shut down when the scope closes.  A call outside any
+scope opens and closes a pool of its own.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
+import contextvars
 import math
 import multiprocessing
 import os
@@ -234,11 +244,57 @@ def _compute_block_span(kernel_list, dist, seed, span, n_inputs):
     return [(lo, _compute_block(kernel_list, dist, seed, lo, hi, n_inputs)) for lo, hi in span]
 
 
+class _PoolScope:
+    """The worker pool shared by the sampling calls of one `worker_pool()`
+    scope: started on first use, restarted only to grow."""
+
+    def __init__(self):
+        self._pool = None
+        self._size = 0
+
+    def pool(self, workers: int) -> concurrent.futures.Executor:
+        if workers > self._size:
+            self.close()
+            method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+            self._pool = concurrent.futures.ProcessPoolExecutor(
+                max_workers=workers, mp_context=multiprocessing.get_context(method)
+            )
+            self._size = workers
+        return self._pool
+
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
+            self._pool, self._size = None, 0
+
+
+_SCOPE: contextvars.ContextVar = contextvars.ContextVar("homsum_worker_pool", default=None)
+
+
+@contextlib.contextmanager
+def worker_pool():
+    """Scope within which every sampling call shares one worker pool; its
+    workers are shut down before the scope exits, however it exits."""
+    scope = _PoolScope()
+    token = _SCOPE.set(scope)
+    try:
+        yield scope
+    finally:
+        _SCOPE.reset(token)
+        scope.close()
+
+
+def _enclosing_scope():
+    """The enclosing worker_pool() scope, or a new one for a single call."""
+    scope = _SCOPE.get()
+    return worker_pool() if scope is None else contextlib.nullcontext(scope)
+
+
 def _sample_matrix(kernel_list, dist: DistributionSpec, config: SampleConfig) -> np.ndarray:
     """(n, m) matrix of sums.  Every block is computed identically whatever
     the worker count (per-draw streams, per-block evaluation), and blocks
     land at fixed offsets, so the result is bitwise worker-independent.  At
-    most one process per CPU and per block is started."""
+    most one process per CPU and per block is busy."""
     n_inputs = max(f.N for f in kernel_list)
     out = np.empty((config.n, len(kernel_list)))
     blocks = [
@@ -251,11 +307,8 @@ def _sample_matrix(kernel_list, dist: DistributionSpec, config: SampleConfig) ->
             out[lo:hi] = _compute_block(kernel_list, dist, config.seed, lo, hi, n_inputs)
         return out
     spans = [blocks[w::workers] for w in range(workers)]
-    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-    ctx = multiprocessing.get_context(method)
-    with concurrent.futures.ProcessPoolExecutor(
-        max_workers=len(spans), mp_context=ctx
-    ) as pool:
+    with _enclosing_scope() as scope:
+        pool = scope.pool(workers)
         futures = [
             pool.submit(_compute_block_span, kernel_list, dist, config.seed, span, n_inputs)
             for span in spans

@@ -1,8 +1,45 @@
+import concurrent.futures
 import math
+import multiprocessing
 
 import pytest
 
-from homsum import kernels
+from homsum import kernels, simulate
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_workers():
+    """Fail a test after which a worker process is still running; a leaked
+    pool would otherwise show only when a later command is measured."""
+    yield
+    leaked = multiprocessing.active_children()
+    for proc in leaked:
+        proc.terminate()
+        proc.join(timeout=10)
+    if leaked:
+        pytest.fail(f"worker processes left running: {leaked}")
+
+
+@pytest.fixture
+def inline_pools(monkeypatch):
+    """Replace the sampling process pool by one that runs each submitted
+    span in this process; returns the max_workers of every pool built."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers, mp_context=None):
+            sizes.append(max_workers)
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(simulate.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return sizes
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 import collections
 import hashlib
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -394,6 +395,94 @@ class TestDiagnoseCommand:
         self._write_spec(spec, {**body, field: value})
         assert run(["diagnose", "--spec", str(spec), "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("laws", [["gaussian", "gaussian"],
+                                      ["two_point:0.3", "two_point:0.30"]],
+                             ids=["same_name", "same_law"])
+    def test_repeated_law_exit_2(self, tmp_path, laws):
+        # the second law's cells used to overwrite the first's: a law was
+        # compared with itself and the verdict came out true
+        spec, out = tmp_path / "spec.txt", tmp_path / "r.txt"
+        self._write_spec(spec, {"kind": "universality", "family": "disjoint_pairs", "d": 2,
+                                "sweep": [4, 16], "laws": laws, "n": 200})
+        assert run(["diagnose", "--spec", str(spec), "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+class TestWorkerPool:
+    """One worker pool per command, shared by its sampling calls and shut
+    down before the command returns."""
+
+    @staticmethod
+    def _universality(tmp_path, sweep=(4, 16), laws=("gaussian", "uniform"), n=600, batch=50):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(reportio.format_sections(reportio.DIAGNOSE_MAGIC, [("sequence", {
+            "kind": "universality", "family": "disjoint_pairs", "d": 2, "sweep": list(sweep),
+            "laws": list(laws), "n": n, "seed": 4, "batch": batch,
+        })]))
+        return ["diagnose", "--spec", str(spec)]
+
+    def test_one_pool_for_every_universality_cell(self, tmp_path, monkeypatch, inline_pools):
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+        argv = self._universality(tmp_path) + ["--workers", "2", "--out", str(tmp_path / "r")]
+        assert run(argv) == 0
+        assert inline_pools == [2]  # 2 sizes x 2 laws: four pools, one per cell, before
+
+    def test_workers_live_through_the_command_only(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+        real = simulate._sample_matrix
+        alive = []
+
+        def sample_and_count(*args):
+            out = real(*args)
+            alive.append(len(multiprocessing.active_children()))
+            return out
+
+        monkeypatch.setattr(simulate, "_sample_matrix", sample_and_count)
+        argv = self._universality(tmp_path) + ["--workers", "2", "--out", str(tmp_path / "r")]
+        assert run(argv) == 0
+        assert alive == [2, 2, 2, 2]
+        assert multiprocessing.active_children() == []
+
+    def test_workers_shut_down_when_a_later_call_runs_out_of_memory(self, tmp_path, monkeypatch,
+                                                                   capsys):
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+        real = simulate._sample_matrix
+        calls = []
+
+        def second_call_fails(*args):
+            calls.append(len(multiprocessing.active_children()))
+            if len(calls) == 2:
+                raise MemoryError("Unable to allocate 745. GiB for an array")
+            return real(*args)
+
+        monkeypatch.setattr(simulate, "_sample_matrix", second_call_fails)
+        out = tmp_path / "r"
+        assert run(self._universality(tmp_path) + ["--workers", "2", "--out", str(out)]) == 3
+        assert calls == [0, 2]  # the first call's pool was running when the second failed
+        assert multiprocessing.active_children() == []
+        assert capsys.readouterr().err.startswith("capacity error: out of memory")
+        assert not out.exists()
+
+    def test_reports_byte_identical_across_workers_with_leftover_rows(self, tmp_path,
+                                                                     monkeypatch):
+        # --batch 7 leaves a short last block and rows past BLAS's groups
+        # of 4; the universality pool serves four cells in turn
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)
+        kern = tmp_path / "d.kern"
+        kernels.write_kernel(kernels.disjoint_pairs(30), kern)
+        commands = {
+            "bound": ["bound", "normal", "--kernel", str(kern), "--law", "uniform",
+                      "--n", "1501", "--seed", "5", "--batch", "7"],
+            "diagnose": self._universality(tmp_path, n=1501, batch=7),
+        }
+        for name, argv in commands.items():
+            reports = []
+            for workers in ("1", "2", "4"):
+                out = tmp_path / f"{name}{workers}.rep"
+                assert run(argv + ["--workers", workers, "--out", str(out)]) == 0
+                reports.append(out.read_bytes())
+            assert reports[0] == reports[1] == reports[2], name
 
 
 GOLDEN_INPUTS = {

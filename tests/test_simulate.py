@@ -1,4 +1,3 @@
-import concurrent.futures
 import math
 
 import numpy as np
@@ -58,28 +57,9 @@ class TestSampling:
         assert np.array_equal(runs[0].samples, runs[1].samples)
         assert np.array_equal(runs[0].samples, runs[2].samples)
 
-    def test_workers_capped_at_cpu_count(self, monkeypatch):
-        pool_sizes = []
-
-        class InlinePool:
-            """Runs each submitted span in this process; starts no worker."""
-
-            def __init__(self, max_workers, mp_context=None):
-                pool_sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args))
-                return future
-
+    def test_workers_capped_at_cpu_count(self, monkeypatch, inline_pools):
+        pool_sizes = inline_pools
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
-        monkeypatch.setattr(simulate.concurrent.futures, "ProcessPoolExecutor", InlinePool)
         f = kernels.disjoint_pairs(5)
         law = simulate.get_law("uniform")
         wide = simulate.SampleConfig(n=640, seed=3, workers=64, batch_size=10)
@@ -87,6 +67,23 @@ class TestSampling:
         assert pool_sizes == [3]
         serial = simulate.sample_sums(f, law, simulate.SampleConfig(n=640, seed=3, batch_size=10))
         assert np.array_equal(capped.samples, serial.samples)
+
+    def test_one_pool_per_scope_grown_on_demand(self, monkeypatch, inline_pools):
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 8)
+        f = kernels.disjoint_pairs(5)
+        law = simulate.get_law("uniform")
+
+        def sample(workers):
+            config = simulate.SampleConfig(n=100, seed=1, workers=workers, batch_size=10)
+            return simulate.sample_sums(f, law, config).samples
+
+        sample(2)
+        sample(2)
+        assert inline_pools == [2, 2]  # outside any scope, each call has its own pool
+        with simulate.worker_pool():
+            runs = [sample(w) for w in (2, 1, 2, 4, 3)]
+        assert inline_pools == [2, 2, 2, 4]  # restarted only to grow
+        assert all(np.array_equal(runs[0], r) for r in runs)
 
     @staticmethod
     def _assert_block_equals_fresh_draws(name, n_inputs, seed, lo, hi):
