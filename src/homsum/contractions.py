@@ -17,7 +17,13 @@ Norms come in two flavors:
   quadratic in the number of distinct r-subsets carrying support.
 * the symmetrized norm ||sym(f *_r f)|| needs the dense tensor (there is no
   Gram shortcut after averaging over coordinate permutations), except for
-  output arity 2 where the contraction is already symmetric.
+  output arity 2 where the contraction is already symmetric.  `symmetrize`
+  adds, at every entry, all (2d-2r)! transposed values in permutation order.
+  f *_r f is often bitwise symmetric within each half of its axes and under
+  swapping the halves, so most transposes repeat: each distinct one (10 of
+  the 720 at arity 6 when all these symmetries hold) is copied once per
+  cache-sized slab and added wherever its permutations fall in that order.
+  The sum keeps every bit of the plain loop over strided transposes.
 """
 
 from __future__ import annotations
@@ -127,13 +133,98 @@ def contraction_norm(f: SymmetricKernel, r: int) -> float:
     return math.factorial(r) * math.factorial(f.d - r) * math.sqrt(gram_sq)
 
 
+# symmetrize works through its output in slabs of about this many values, so
+# that the slab and the transposes it holds stay in cache while every
+# permutation is added in turn
+_SLAB_VALUES = 1 << 14
+# at most this many distinct transposes are held per slab (4 MB at most);
+# a class met while the limit is reached is added from its strided view
+_MAX_HELD = 32
+
+
+def _symmetry_generators(arity: int) -> list:
+    """Generators of the symmetries f *_r f can have: the adjacent swaps
+    within each half of the axes and, at even arity, the swap of the halves."""
+    half = arity // 2
+    gens = []
+    for i in (*range(half - 1), *range(half, arity - 1)):
+        g = list(range(arity))
+        g[i], g[i + 1] = g[i + 1], g[i]
+        gens.append(tuple(g))
+    if arity % 2 == 0:
+        gens.append(tuple(range(half, arity)) + tuple(range(half)))
+    return gens
+
+
+def _transpose_classes(values: np.ndarray) -> tuple:
+    """(the axis permutations in itertools order as rows, for each the
+    position of the first permutation whose transpose of values is bitwise
+    the same).
+
+    Only generators under which values is unchanged are used, so transposes
+    merge where equality holds bitwise and nowhere else.  array_equal takes
+    -0.0 == 0.0; that is harmless here, since a sum started at +0.0 never
+    holds -0.0 and adding a zero of either sign to it gives the same bits.
+    """
+    arity = values.ndim
+    perms = np.array(list(itertools.permutations(range(arity))), dtype=np.int64)
+    digits = arity ** np.arange(arity - 1, -1, -1)
+    codes = perms @ digits  # ascending: itertools lists permutations in lexicographic order
+    # transpose(values, p) equals transpose(transpose(values, g), p), which is
+    # transpose(values, g[p]); each move maps the position of p to that of g[p]
+    moves = [np.searchsorted(codes, np.array(g)[perms] @ digits)
+             for g in _symmetry_generators(arity)
+             if np.array_equal(np.transpose(values, g), values)]
+    first = np.arange(len(perms))
+    while True:  # each generator is an involution: spread the least position over its orbit
+        spread = first
+        for move in moves:
+            spread = np.minimum(spread, spread[move])
+        if np.array_equal(spread, first):
+            return perms, first.tolist()
+        first = spread
+
+
+def _slabs(shape: tuple):
+    """Index tuples that cut a C-ordered array of this shape into contiguous
+    runs of whole trailing rows, about _SLAB_VALUES values each."""
+    axis, inner = len(shape) - 1, 1
+    while axis > 0 and inner * shape[axis] <= _SLAB_VALUES:
+        inner *= shape[axis]
+        axis -= 1
+    step = max(1, _SLAB_VALUES // inner)
+    for lead in itertools.product(*map(range, shape[:axis])):
+        for lo in range(0, shape[axis], step):
+            yield lead + (slice(lo, lo + step),)
+
+
 def symmetrize(T: ContractionTensor) -> ContractionTensor:
-    """Average over all coordinate permutations of the tensor."""
+    """Average over all coordinate permutations of the tensor.
+
+    Every entry adds its (arity)! transposed values one by one, starting at
+    0.0 and in itertools.permutations order, then divides by (arity)!.
+    Transposes that are bitwise equal (found from the symmetries T's values
+    have) are copied once per slab and the copy is added for each of them,
+    so the result is bitwise that of adding every strided transpose in turn.
+    """
     if T.arity <= 1:
         return T
+    perms, first = _transpose_classes(T.values)
+    last = {c: i for i, c in enumerate(first)}
+    views = {c: np.transpose(T.values, perms[c]) for c in last}
     acc = np.zeros_like(T.values)
-    for p in itertools.permutations(range(T.arity)):
-        acc += np.transpose(T.values, p)
+    for slab in _slabs(T.values.shape):
+        out, held = acc[slab], {}
+        for i, c in enumerate(first):
+            part = held.get(c)
+            if part is None:
+                part = views[c][slab]
+                # a strided slab that is added again later is copied once
+                if last[c] > i and not part.flags.c_contiguous and len(held) < _MAX_HELD:
+                    part = held[c] = part.copy()
+            out += part
+            if last[c] == i:
+                held.pop(c, None)
     acc /= math.factorial(T.arity)
     return ContractionTensor(T.arity, T.N, acc)
 

@@ -336,8 +336,8 @@ def parse_kernel(text: str) -> SymmetricKernel:
         bad = next((ln for ln in records if len(ln.split()) != d + 1), "")
         raise ParameterOutOfRange(f"malformed kernel record {bad.strip()!r}")
     try:
-        values = np.fromiter(map(float, tokens[d::width]), np.float64)
-        columns = [np.fromiter(map(int, tokens[k::width]), np.int64) for k in range(d)]
+        values = np.array(tokens[d::width], dtype=np.float64)
+        columns = [np.array(tokens[k::width], dtype=np.int64) for k in range(d)]
     except (ValueError, OverflowError) as exc:
         raise ParameterOutOfRange(f"malformed kernel record: {exc}") from None
     return kernel_from_arrays(d, N, np.array(columns, dtype=np.int64).T, values)

@@ -20,8 +20,12 @@ code paths, so they can certify library output:
 * rademacher_atoms_by_entry: the exact law of Q under i.i.d. signs by one
   popcount pass per entry over all 2^N patterns, the reference for the
   library's chunked enumeration.
+* symmetrize_all_permutations: the average of a tensor over every axis
+  permutation, one strided transpose added after another, the reference
+  for the library's symmetrize.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -105,6 +109,17 @@ def rademacher_atoms_by_entry(f) -> tuple:
         q += (dfact * v) * (1.0 - 2.0 * parity)
     atoms, counts = np.unique(q, return_counts=True)
     return atoms, counts / n_patterns
+
+
+def symmetrize_all_permutations(values: np.ndarray) -> np.ndarray:
+    """Sum of np.transpose(values, p) over the permutations p of the axes, in
+    itertools.permutations order and starting from 0.0, divided by
+    (arity)!.  The library's symmetrize must give the same bits."""
+    acc = np.zeros_like(values)
+    for p in itertools.permutations(range(values.ndim)):
+        acc += np.transpose(values, p)
+    acc /= math.factorial(values.ndim)
+    return acc
 
 
 def product_normal_cdf(z: float) -> float:

@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,7 @@ import scipy.sparse
 from homsum import contractions, kernels
 from homsum.errors import MaterializationTooLarge, OddOrder, RankOutOfRange
 from conftest import random_kernels
-from oracles import entries, evaluate
+from oracles import entries, evaluate, symmetrize_all_permutations
 
 
 def brute_force_contraction(f, r):
@@ -150,6 +154,87 @@ class TestSymmetrize:
         assert contractions.ChaosNorms(f).exact_symmetrized(1) == pytest.approx(
             float(np.sqrt((want ** 2).sum())), rel=1e-13
         )
+
+
+def symmetrize_bit_identity_cases():
+    """(name, tensor) pairs on which symmetrize must match the all-permutations
+    oracle bit for bit; between them they cover full, partial and no bitwise
+    symmetry, and more distinct transposes than one slab holds copies of."""
+    walsh_48 = kernels.walsh_kernel(4, 8)
+    cases = [
+        ("walsh(4,8) r=1", contractions.contract(walsh_48, 1)),
+        ("walsh(4,8) r=2", contractions.contract(walsh_48, 2)),
+        ("random_sparse(3,40,seed=8) r=1",
+         contractions.contract(kernels.random_sparse_kernel(3, 40, seed=8), 1)),
+        # under some OpenBLAS kernels (AVX-512) only the half swap holds bitwise
+        ("random_sparse(3,14,seed=5,entry_count=300) r=1",
+         contractions.contract(kernels.random_sparse_kernel(3, 14, seed=5, entry_count=300), 1)),
+    ]
+    nudged = contractions.contract(kernels.walsh_kernel(4, 6), 1).values.copy()
+    nudged[0, 1, 2, 3, 4, 5] = np.nextafter(nudged[0, 1, 2, 3, 4, 5], np.inf)
+    cases.append(("walsh(4,6) r=1, one entry moved by one ulp", contractions.ContractionTensor(6, 6, nudged)))
+    rng = np.random.default_rng(113)
+    a = rng.standard_normal((4,) * 5)
+    cases.append(("random arity 5, symmetric in its first two axes",
+                  contractions.ContractionTensor(5, 4, a + np.transpose(a, (1, 0, 2, 3, 4)))))
+    a = rng.standard_normal((64, 64))
+    cases.append(("random arity 6 with only the half swap (360 distinct transposes)",
+                  contractions.ContractionTensor(6, 4, (a + a.T).reshape((4,) * 6))))
+    return cases
+
+
+def assert_symmetrize_matches_oracle_bitwise():
+    for name, T in symmetrize_bit_identity_cases():
+        got, want = contractions.symmetrize(T), symmetrize_all_permutations(T.values)
+        assert (got.arity, got.N) == (T.arity, T.N), name
+        # tobytes also tells the signs of zeros apart
+        assert np.array_equal(got.values, want) and got.values.tobytes() == want.tobytes(), name
+
+
+class TestSymmetrizeBitIdentity:
+    def test_matches_all_permutations_oracle(self):
+        assert_symmetrize_matches_oracle_bitwise()
+
+    def test_orbits_follow_the_bitwise_symmetries(self):
+        # integer-valued: every within-half swap and the half swap hold, so the
+        # 720 transposes of an arity-6 tensor fall into C(6,3)/2 = 10 classes
+        idx = np.indices((3,) * 6)
+        full = contractions._transpose_classes((idx.sum(axis=0) + idx.prod(axis=0)).astype(float))[1]
+        assert len(set(full)) == 10
+        assert all(full[c] == c <= i for i, c in enumerate(full))  # first member of the class
+        a = np.random.default_rng(5).standard_normal((27, 27))
+        assert len(set(contractions._transpose_classes((a + a.T).reshape((3,) * 6))[1])) == 360
+        assert len(set(contractions._transpose_classes(a.reshape((3,) * 6))[1])) == 720
+
+    @pytest.mark.parametrize("arity", [0, 1])
+    def test_low_arity_passes_through(self, arity):
+        T = contractions.ContractionTensor(arity, 3, np.arange(3.0 ** arity).reshape((3,) * arity))
+        assert contractions.symmetrize(T) is T
+
+    def test_chi_square_defect_bitwise_against_oracle(self):
+        for f in (kernels.walsh_kernel(4, 7), kernels.random_sparse_kernel(4, 10, seed=2)):
+            sym = symmetrize_all_permutations(contractions.contract(f, 2).values)
+            diff = sym - contractions.chi_square_match_constant(4) * kernels.dense_tensor(f)
+            want = float(np.sqrt((diff ** 2).sum()))
+            assert contractions.chi_square_defect(f).hex() == want.hex()
+
+    # Which symmetries of f *_r f hold bitwise depends on the BLAS kernel that
+    # computed it; the orbits must stay exact under each.  OPENBLAS_* is read
+    # when numpy loads, hence one subprocess per setting.
+    @pytest.mark.parametrize("setting", [
+        {"OPENBLAS_CORETYPE": "Haswell"},
+        {"OPENBLAS_CORETYPE": "Prescott"},
+        {"OPENBLAS_NUM_THREADS": "2"},
+    ], ids=lambda s: "=".join(*s.items()))
+    def test_matches_oracle_under_other_blas_kernels(self, setting):
+        here = Path(__file__).resolve().parent
+        src = str(Path(contractions.__file__).resolve().parents[1])
+        path = [src, str(here), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, **setting, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        code = "import test_contractions as t; t.assert_symmetrize_matches_oracle_bitwise()"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestInfluence:
