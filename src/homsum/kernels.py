@@ -142,14 +142,30 @@ def require_second_moment(f: SymmetricKernel, target: float, exc=NotNormalized) 
         raise exc(f"kernel second moment is {got!r}, expected {target!r}")
 
 
+# values the sparse path gathers at once (32 MB), which sets its row chunk
+GATHER_VALUES = 4_000_000
+
+
+def evaluation_chunk(f: SymmetricKernel) -> int | None:
+    """Rows `evaluate_sum_batch` sums as one unit: None when the whole batch
+    is one dense quadratic form (order 2, more entries than inputs, N <=
+    1024), otherwise a chunk bounding the gathered product to about
+    GATHER_VALUES values.  It depends on the kernel alone."""
+    if f.d == 2 and f.entry_count > f.N and f.N <= 1024:
+        return None
+    return min(4096, max(16, GATHER_VALUES // max(1, f.entry_count * f.d)))
+
+
 def evaluate_sum_batch(f: SymmetricKernel, X: np.ndarray) -> np.ndarray:
     """Q_d over a batch of input rows, shape (n, N) -> (n,).
 
-    For order 2 with many entries a dense quadratic-form (GEMM) path is
-    used; otherwise products are gathered sparsely entry by entry.  A row's
-    sum can differ in its last bits with the number of rows in the batch:
-    BLAS handles rows in small groups and rounds a leftover group
-    differently.
+    Rows are summed in units of `evaluation_chunk(f)` rows from the start
+    of the batch: a GEMM quadratic form over the whole batch on the dense
+    path, else products gathered entry by entry and reduced by one GEMV per
+    chunk.  BLAS handles rows in small groups and rounds a leftover group
+    differently, so a row's last bits depend on the unit it falls in: split
+    a batch only at multiples of the chunk (never on the dense path) to get
+    the same sums.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != f.N:
@@ -157,12 +173,10 @@ def evaluate_sum_batch(f: SymmetricKernel, X: np.ndarray) -> np.ndarray:
     if f.entry_count == 0:
         return np.zeros(X.shape[0])
     dfact = float(math.factorial(f.d))
-    if f.d == 2 and f.entry_count > f.N and f.N <= 1024:
+    chunk = evaluation_chunk(f)
+    if chunk is None:
         F = dense_tensor(f)
         return ((X @ F) * X).sum(axis=1)  # = sum_{i,j} f(i,j) x_i x_j, includes d!
-    # row chunking bounds the gathered product to about 4e6 values (32 MB);
-    # the chunk size is a function of the kernel alone
-    chunk = min(4096, max(16, 4_000_000 // (f.entry_count * f.d)))
     out = np.empty(X.shape[0])
     for lo in range(0, X.shape[0], chunk):
         rows = X[lo : lo + chunk]
@@ -317,18 +331,15 @@ def format_kernel(f: SymmetricKernel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_kernel(text: str) -> SymmetricKernel:
-    lines = [ln for ln in text.splitlines() if ln and not ln.isspace()]
-    if not lines or lines[0].strip() != KERNEL_MAGIC:
-        raise ParameterOutOfRange(f"not a kernel file (expected header {KERNEL_MAGIC!r})")
-    try:
-        d = int(lines[1].split()[1])
-        N = int(lines[2].split()[1])
-    except (IndexError, ValueError) as exc:
-        raise ParameterOutOfRange(f"malformed kernel header: {exc}") from None
+# records parsed at once, so the string tokens of a large file never all
+# exist together
+PARSE_SLICE = 1 << 14
+
+
+def _parse_records(records: list, d: int):
+    """(index, values) arrays of a list of `i1 ... id value` records."""
     # one split over all records, with a "|" token between them: every record
     # has d + 1 fields exactly when each separator sits at its expected slot
-    records = lines[3:]
     tokens = " | ".join(records).split()
     width = d + 2
     gaps = len(records) - 1
@@ -340,7 +351,27 @@ def parse_kernel(text: str) -> SymmetricKernel:
         columns = [np.array(tokens[k::width], dtype=np.int64) for k in range(d)]
     except (ValueError, OverflowError) as exc:
         raise ParameterOutOfRange(f"malformed kernel record: {exc}") from None
-    return kernel_from_arrays(d, N, np.array(columns, dtype=np.int64).T, values)
+    return np.array(columns, dtype=np.int64).T, values
+
+
+def parse_kernel(text: str) -> SymmetricKernel:
+    lines = [ln for ln in text.splitlines() if ln and not ln.isspace()]
+    if not lines or lines[0].strip() != KERNEL_MAGIC:
+        raise ParameterOutOfRange(f"not a kernel file (expected header {KERNEL_MAGIC!r})")
+    try:
+        d = int(lines[1].split()[1])
+        N = int(lines[2].split()[1])
+    except (IndexError, ValueError) as exc:
+        raise ParameterOutOfRange(f"malformed kernel header: {exc}") from None
+    records = lines[3:]
+    # a file without records is one empty slice, which the field count rejects
+    parts = [
+        _parse_records(records[lo : lo + PARSE_SLICE], d)
+        for lo in range(0, max(1, len(records)), PARSE_SLICE)
+    ]
+    index = np.concatenate([p[0] for p in parts])
+    values = np.concatenate([p[1] for p in parts])
+    return kernel_from_arrays(d, N, index, values)
 
 
 def write_kernel(f: SymmetricKernel, path) -> None:

@@ -2,17 +2,25 @@
 
 Reproducibility contract: draw j of a run with master seed s reads from its
 own counter-based stream, Philox keyed by (s, j).  Each block keeps one
-Philox; per draw it makes one state reset to that stream's start and one
-raw fill into the draw's row of the block (normals, exponentials, uniforms
-on [0, 1) or, for Rademacher, raw 64-bit words).  Each law's transform to
-its values then runs once over the whole block, and gives exactly the
-values the law's direct numpy call would.  Sample values therefore depend
-only on (seed, draw index), never on batching or worker count.  Sums are
-evaluated per block, and BLAS rounds a block's leftover rows differently,
-so their last bits can depend on the batch size.  They never depend on the
-worker count: blocks are the same for any worker count, are written into a
-preallocated array at fixed offsets, and all reductions run over that
-array in index order.
+Philox and works through its rows in spans that reuse one buffer: per draw
+one state reset to that stream's start and one raw fill into the draw's row
+of the span (normals, exponentials, uniforms on [0, 1) or, for Rademacher,
+raw 64-bit words); then each law's transform runs once over the span and
+gives exactly the values the law's direct numpy call would; then every
+kernel is evaluated on the span.  Sample values therefore depend only on
+(seed, draw index), never on batching, spans or worker count.
+
+A sum's last bits depend on which rows BLAS reduces with it, that is on the
+evaluation chunk it falls in (`kernels.evaluation_chunk`), counted from the
+start of its block.  A span is the least common multiple of the kernels'
+chunks, or the whole block when that is shorter or when a kernel sums the
+block as one dense form, so sums depend on the chunk alignment, not on the
+spans: a block gives the same bits as when it was filled and evaluated
+whole, while a span's buffer no longer grows with the batch size times N.
+Sums can depend on the batch size, which sets the blocks.  They never
+depend on the worker count: blocks are the same for any worker count, are
+written into a preallocated array at fixed offsets, and all reductions run
+over that array in index order.
 
 Worker processes come from one pool per `worker_pool()` scope, which the
 CLI opens around each command: the pool starts on the first call that
@@ -218,8 +226,20 @@ class VectorSampleSummary:
         return SampleSummary(n=self.n, law=self.law, seed=self.seed, samples=self.samples[:, j])
 
 
+def _span_rows(kernel_list, rows: int) -> int:
+    """Rows of a block filled, finished and evaluated together: the whole
+    block when a kernel sums it as one dense form, else a common multiple of
+    every kernel's evaluation chunk, so each chunk holds exactly the rows it
+    holds over the whole block and every sum keeps its bits."""
+    chunks = [kernels.evaluation_chunk(f) for f in kernel_list]
+    if None in chunks:
+        return rows
+    return min(rows, math.lcm(*chunks))
+
+
 def _compute_block(kernel_list, dist, seed, lo, hi, n_inputs) -> np.ndarray:
-    X = np.empty((hi - lo, n_inputs))
+    span = _span_rows(kernel_list, hi - lo)
+    X = np.empty((span, n_inputs))
     bit_gen = Philox(key=(seed & _MASK64) << 64)
     fill = dist.filler(Generator(bit_gen))
     # The state Philox(key=(seed << 64) | j) starts in is this one with key
@@ -229,19 +249,22 @@ def _compute_block(kernel_list, dist, seed, lo, hi, n_inputs) -> np.ndarray:
     state["state"] = {name: v.tolist() for name, v in state["state"].items()}
     state["buffer"] = state["buffer"].tolist()
     key = state["state"]["key"]
-    for j, row in zip(range(lo, hi), X):
-        key[0] = j & _MASK64
-        bit_gen.state = state
-        fill(row)
-    dist.finish(X)
     block = np.empty((hi - lo, len(kernel_list)))
-    for col, f in enumerate(kernel_list):
-        block[:, col] = kernels.evaluate_sum_batch(f, X[:, : f.N])
+    for start in range(lo, hi, span):
+        stop = min(start + span, hi)
+        rows = X[: stop - start]
+        for j, row in zip(range(start, stop), rows):
+            key[0] = j & _MASK64
+            bit_gen.state = state
+            fill(row)
+        dist.finish(rows)
+        for col, f in enumerate(kernel_list):
+            block[start - lo : stop - lo, col] = kernels.evaluate_sum_batch(f, rows[:, : f.N])
     return block
 
 
-def _compute_block_span(kernel_list, dist, seed, span, n_inputs):
-    return [(lo, _compute_block(kernel_list, dist, seed, lo, hi, n_inputs)) for lo, hi in span]
+def _compute_blocks(kernel_list, dist, seed, blocks, n_inputs):
+    return [(lo, _compute_block(kernel_list, dist, seed, lo, hi, n_inputs)) for lo, hi in blocks]
 
 
 class _PoolScope:
@@ -306,12 +329,12 @@ def _sample_matrix(kernel_list, dist: DistributionSpec, config: SampleConfig) ->
         for lo, hi in blocks:
             out[lo:hi] = _compute_block(kernel_list, dist, config.seed, lo, hi, n_inputs)
         return out
-    spans = [blocks[w::workers] for w in range(workers)]
+    shares = [blocks[w::workers] for w in range(workers)]
     with _enclosing_scope() as scope:
         pool = scope.pool(workers)
         futures = [
-            pool.submit(_compute_block_span, kernel_list, dist, config.seed, span, n_inputs)
-            for span in spans
+            pool.submit(_compute_blocks, kernel_list, dist, config.seed, share, n_inputs)
+            for share in shares
         ]
         for fut in futures:
             for lo, block in fut.result():

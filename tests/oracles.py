@@ -17,6 +17,9 @@ code paths, so they can certify library output:
   reference for the sampler's per-draw re-keyed stream.
 * law_draw: one draw of a named input law by the direct numpy call for
   that law, the reference for the sampler's raw fill and per-block finish.
+* whole_block_sums: one block of the sampler filled and finished as a
+  whole and each kernel evaluated over all of its rows, the reference for
+  the sampler's span-by-span block.
 * rademacher_atoms_by_entry: the exact law of Q under i.i.d. signs by one
   popcount pass per entry over all 2^N patterns, the reference for the
   library's chunked enumeration.
@@ -32,6 +35,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy import integrate, special
 
+from homsum import kernels
 from homsum.errors import DimensionMismatch, IndexOutOfRange
 
 
@@ -92,6 +96,27 @@ def law_draw(name: str, gen: Generator, size: int) -> np.ndarray:
     hi = math.sqrt((1.0 - p) / p)
     lo = -math.sqrt(p / (1.0 - p))
     return np.where(gen.random(size) < p, hi, lo)
+
+
+def whole_block_sums(kernel_list, dist, seed, lo, hi, n_inputs) -> np.ndarray:
+    """(hi - lo, len(kernel_list)) sums of draws lo..hi-1: every draw's raw
+    fill into one (hi - lo, n_inputs) block, one finish over the block, then
+    `evaluate_sum_batch` of each kernel over all of its rows.  The sampler,
+    which fills and evaluates a block in spans, must give the same bits."""
+    mask = (1 << 64) - 1
+    X = np.empty((hi - lo, n_inputs))
+    bit_gen = Philox(key=(seed & mask) << 64)
+    fill = dist.filler(Generator(bit_gen))
+    state = bit_gen.state
+    for j, row in zip(range(lo, hi), X):
+        state["state"]["key"][0] = j & mask
+        bit_gen.state = state
+        fill(row)
+    dist.finish(X)
+    block = np.empty((hi - lo, len(kernel_list)))
+    for col, f in enumerate(kernel_list):
+        block[:, col] = kernels.evaluate_sum_batch(f, X[:, : f.N])
+    return block
 
 
 def rademacher_atoms_by_entry(f) -> tuple:

@@ -598,12 +598,18 @@ def test_output_bytes_pinned(tmp_path, monkeypatch):
 # gives thread-dependent bits, so these run in a subprocess with one OpenBLAS
 # thread.  Hashes taken before the enumeration was chunked into outer
 # products of low-bit and high-bit signs; that change may not move a byte.
+# The last two commands sample a kernel whose evaluation chunk (1000 rows) is
+# shorter than the 1024-row block, so each block is filled and evaluated in
+# two spans; their hashes were taken while a block was still filled whole.
 ENUMERATION_COMMANDS = {
     "rs20.kern": ["kernel", "generate", "--family", "random_sparse", "--d", "2", "-N", "20",
                   "--seed", "7"],
     "c18.kern": ["kernel", "generate", "--family", "constant", "-N", "18"],
     "normal_rs20.rep": ["bound", "normal", "--kernel", "rs20.kern", "--law", "rademacher"],
     "chi2_c18.rep": ["bound", "chi2", "--kernel", "c18.kern", "--law", "rademacher"],
+    "dp2000.kern": ["kernel", "generate", "--family", "disjoint_pairs", "--m", "2000"],
+    "sim_dp2000.rep": ["simulate", "--kernel", "dp2000.kern", "--law", "uniform",
+                       "--n", "2500", "--seed", "9"],
 }
 
 ENUMERATION_SHA256 = {
@@ -611,6 +617,8 @@ ENUMERATION_SHA256 = {
     "c18.kern": "9aa66f121787674ee99667086e51192178ae0ea1c08f71d02a51c2bc7a7469dc",
     "normal_rs20.rep": "4ab5773ef9c318d268987bd79f366f2ef7a450b929e2626446f3e683a18c7244",
     "chi2_c18.rep": "6f76efe54fbdb477b374a4bbf089f7be2b8429d645bd65ac21a6d6a375031f16",
+    "dp2000.kern": "5442a4116539aaec2f177ad086d944998b43e3efab7dedd830db9ae2d0a13ebd",
+    "sim_dp2000.rep": "cf5d0e188785c9b1a5e0f18898a5f717d45b6e0cf5f974db73ecfa6128800b28",
 }
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from homsum import kernels
+from homsum import cli, kernels
 from homsum.errors import (
     DimensionMismatch,
     DuplicateTuple,
@@ -309,6 +309,27 @@ class TestKernelFile:
     def test_parse_rejects_bad_records(self, records, error):
         with pytest.raises(error):
             kernels.parse_kernel("artifact-kernel v1\nd 2\nN 4\n" + records)
+
+    def test_parse_in_slices(self, tmp_path):
+        f = kernels.constant_kernel(200)
+        assert kernels.PARSE_SLICE < f.entry_count <= 2 * kernels.PARSE_SLICE
+        path = tmp_path / "c200.kern"
+        kernels.write_kernel(f, path)
+        assert kernels.read_kernel(path) == f
+
+    @pytest.mark.parametrize("suffix", [" 7", "x"], ids=["extra_field", "non_number"])
+    def test_bad_record_in_second_slice(self, tmp_path, suffix):
+        lines = kernels.format_kernel(kernels.constant_kernel(200)).splitlines()
+        lines[3 + kernels.PARSE_SLICE + 5] += suffix
+        path = tmp_path / "bad.kern"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParameterOutOfRange):
+            kernels.read_kernel(path)
+        assert cli.main(["kernel", "inspect", "--kernel", str(path)]) == 2
+
+    def test_header_only_file_rejected(self):
+        with pytest.raises(ParameterOutOfRange):
+            kernels.parse_kernel("artifact-kernel v1\nd 2\nN 4\n")
 
     def test_reject_garbage(self, tmp_path):
         path = tmp_path / "junk"

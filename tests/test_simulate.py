@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from homsum import kernels, moments, simulate
 from homsum.errors import DimensionMismatch, InvalidDegrees, ParameterOutOfRange
-from oracles import draw_generator, law_draw, product_normal_cdf
+from oracles import draw_generator, law_draw, product_normal_cdf, whole_block_sums
 
 LAW_NAMES = [t if t != "two_point" else "two_point:0.3" for t in simulate.LAW_TAGS]
 
@@ -168,6 +169,63 @@ class TestSampling:
                                  simulate.SampleConfig(n=100_000, seed=17, workers=2))
         joint_se = math.hypot(g.standard_error(2), r.standard_error(2))
         assert abs(g.moment(2) - r.moment(2)) <= 5 * joint_se
+
+
+# Kernel lists for the span tests, under a gather budget of 64,000 values:
+# disjoint_pairs(2000) sums 16 rows at a time and walsh(2, 1300) 24.
+SPAN_CASES = {
+    "chunk_16": lambda: [kernels.disjoint_pairs(2000)],
+    "lcm_48": lambda: [kernels.disjoint_pairs(2000), kernels.walsh_kernel(2, 1300)],
+    "dense_with_sparse": lambda: [kernels.constant_kernel(40), kernels.disjoint_pairs(2000)],
+    "empty": lambda: [kernels.make_kernel(2, 50, {})],
+}
+
+
+class TestBlockSpans:
+    """A block is filled, finished and evaluated span by span; each span must
+    start at a multiple of every kernel's evaluation chunk, so that every
+    sum keeps the bits of evaluating the whole block at once."""
+
+    @pytest.fixture(autouse=True)
+    def small_gather(self, monkeypatch):
+        monkeypatch.setattr(kernels, "GATHER_VALUES", 64_000)
+
+    @pytest.mark.parametrize("name", LAW_NAMES)
+    @pytest.mark.parametrize("case, lo, hi, span", [
+        ("chunk_16", 500, 600, 16),  # ends in a 4-row span
+        ("chunk_16", 0, 1024, 16),
+        ("lcm_48", 500, 600, 48),
+        ("dense_with_sparse", 500, 600, 100),  # the GEMM needs the whole block
+        ("empty", 500, 600, 100),
+    ])
+    def test_spans_keep_whole_block_bits(self, name, case, lo, hi, span):
+        kernel_list = SPAN_CASES[case]()
+        n_inputs = max(f.N for f in kernel_list)
+        assert simulate._span_rows(kernel_list, hi - lo) == span
+        dist = simulate.get_law(name)
+        want = whole_block_sums(kernel_list, dist, 3, lo, hi, n_inputs)
+        got = simulate._compute_block(kernel_list, dist, 3, lo, hi, n_inputs)
+        assert got.tobytes() == want.tobytes()
+
+    def test_chunk_rule(self):
+        assert kernels.evaluation_chunk(kernels.disjoint_pairs(2000)) == 16
+        assert kernels.evaluation_chunk(kernels.walsh_kernel(2, 1300)) == 24
+        assert kernels.evaluation_chunk(kernels.constant_kernel(40)) is None
+        assert kernels.evaluation_chunk(kernels.make_kernel(2, 50, {})) == 4096
+
+
+def test_block_memory_bounded_by_span():
+    # one 1024-row block of a 20,000-input kernel: the whole-block input
+    # alone would take 164 MB
+    f = kernels.disjoint_pairs(10_000)
+    whole_input = 1024 * f.N * 8
+    tracemalloc.start()
+    try:
+        simulate._compute_block([f], simulate.get_law("rademacher"), 7, 0, 1024, f.N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < whole_input / 2
 
 
 class TestVectorSampling:
