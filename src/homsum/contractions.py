@@ -95,10 +95,16 @@ def contract(f: SymmetricKernel, r: int, cap: int = DEFAULT_MATERIALIZATION_CAP)
 
 def _first_seen_ids(rows: np.ndarray) -> tuple:
     """(id of each row, distinct count), rows numbered by first occurrence."""
-    _, first, inverse = np.unique(kernels.row_keys(rows), return_index=True, return_inverse=True)
+    order = np.lexsort(rows.T[::-1])  # stable: a group's first position leads it
+    ordered = rows[order]
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    first = order[starts]
     rank = np.empty(len(first), dtype=np.int64)
     rank[np.argsort(first)] = np.arange(len(first))
-    return rank[inverse], len(first)
+    ids = np.empty(len(rows), dtype=np.int64)
+    ids[order] = rank[np.cumsum(starts) - 1]
+    return ids, len(first)
 
 
 def _slice_matrix(f: SymmetricKernel, r: int):

@@ -84,7 +84,8 @@ def kernel_from_arrays(d: int, N: int, index, values) -> SymmetricKernel:
         raise ParameterOutOfRange(f"dimension N must satisfy N >= d, got N={N}, d={d}")
     d, N = int(d), int(N)
     try:
-        index = np.array(index, dtype=np.int64, ndmin=2)
+        # the index is only read, so an int64 array is taken as it is
+        index = np.array(index, dtype=np.int64, ndmin=2, copy=None)
         values = np.array(values, dtype=np.float64, ndmin=1)
     except (ValueError, OverflowError):
         raise DimensionMismatch(f"entries must be integer {d}-tuples with real values") from None
@@ -92,8 +93,9 @@ def kernel_from_arrays(d: int, N: int, index, values) -> SymmetricKernel:
         index = index.reshape(0, d)
     if index.ndim != 2 or index.shape[1] != d or values.shape != (len(index),):
         raise DimensionMismatch(f"entry tuples have shape {index.shape}, need ({values.size}, {d})")
-    order = np.lexsort(index.T[::-1])
-    index, values = index[order], values[order]
+    if not _rows_sorted(index):  # files and families give sorted rows
+        order = np.lexsort(index.T[::-1])
+        index, values = index[order], values[order]
     distinct = np.ones(len(index), dtype=bool)
     distinct[1:] = (index[1:] != index[:-1]).any(axis=1)
     for ok, exc, what in (
@@ -105,9 +107,22 @@ def kernel_from_arrays(d: int, N: int, index, values) -> SymmetricKernel:
         if not ok.all():
             raise exc(f"entry tuple {tuple(index[np.argmin(ok)].tolist())} {what}")
     keep = values != 0.0
-    index, values = index[keep] - 1, values[keep]
+    if not keep.all():
+        index, values = index[keep], values[keep]
+    index = index - 1
     index.flags.writeable = values.flags.writeable = False
     return SymmetricKernel(d=d, N=N, index_array=index, value_array=values)
+
+
+def _rows_sorted(index: np.ndarray) -> bool:
+    """Whether the rows are in lexicographic order (repeats allowed), which
+    is when a stable lexsort would leave them where they are."""
+    undecided = np.ones(len(index[1:]), dtype=bool)
+    for a, b in zip(index[:-1].T, index[1:].T):
+        if (undecided & (a > b)).any():
+            return False
+        undecided &= a == b
+    return True
 
 
 def make_kernel(d: int, N: int, canonical_entries) -> SymmetricKernel:
@@ -116,13 +131,6 @@ def make_kernel(d: int, N: int, canonical_entries) -> SymmetricKernel:
     mapping = isinstance(canonical_entries, Mapping)
     items = list(canonical_entries.items() if mapping else canonical_entries)
     return kernel_from_arrays(d, N, [t for t, _ in items], [v for _, v in items])
-
-
-def row_keys(index: np.ndarray) -> np.ndarray:
-    """Each row of an integer index array as one opaque key, for set
-    operations on tuples (the key order is not lexicographic)."""
-    index = np.ascontiguousarray(index)
-    return index.view(np.dtype((np.void, index.itemsize * index.shape[1]))).ravel()
 
 
 def squared_norm(f: SymmetricKernel) -> float:
@@ -160,32 +168,59 @@ def evaluate_sum_batch(f: SymmetricKernel, X: np.ndarray) -> np.ndarray:
     """Q_d over a batch of input rows, shape (n, N) -> (n,).
 
     Rows are summed in units of `evaluation_chunk(f)` rows from the start
-    of the batch: a GEMM quadratic form over the whole batch on the dense
-    path, else products gathered entry by entry and reduced by one GEMV per
-    chunk.  BLAS handles rows in small groups and rounds a leftover group
-    differently, so a row's last bits depend on the unit it falls in: split
-    a batch only at multiples of the chunk (never on the dense path) to get
-    the same sums.
+    of the batch: `dense_sums` over the whole batch on the dense path, else
+    `sum_rows_in_chunks`, one GEMV per chunk.  BLAS handles rows in small
+    groups and rounds a leftover group differently, so a row's last bits
+    depend on the unit it falls in.  The block sampler hands
+    `sum_rows_in_chunks` one fill slice at a time, and gets these sums bit
+    for bit.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != f.N:
         raise DimensionMismatch(f"batch has shape {X.shape}, expected (n, {f.N})")
     if f.entry_count == 0:
         return np.zeros(X.shape[0])
-    dfact = float(math.factorial(f.d))
     chunk = evaluation_chunk(f)
     if chunk is None:
-        F = dense_tensor(f)
-        return ((X @ F) * X).sum(axis=1)  # = sum_{i,j} f(i,j) x_i x_j, includes d!
+        return dense_sums(dense_tensor(f), X)
     out = np.empty(X.shape[0])
-    for lo in range(0, X.shape[0], chunk):
-        rows = X[lo : lo + chunk]
-        prod = np.take(rows, f.index_array[:, 0], axis=1)
-        for k in range(1, f.d):
-            prod *= np.take(rows, f.index_array[:, k], axis=1)
-        out[lo : lo + chunk] = prod @ f.value_array
-    out *= dfact
+    sum_rows_in_chunks(f, X, 0, np.empty((min(chunk, X.shape[0]), f.entry_count)), out)
     return out
+
+
+def sum_rows_in_chunks(f: SymmetricKernel, rows: np.ndarray, start: int, prod: np.ndarray,
+                       sums: np.ndarray) -> None:
+    """Sparse-path sums of batch rows start, start + 1, ... (the rows of
+    `rows`, which may be wider than N) into `sums`, which spans the batch.
+
+    Each row's products x_{i1} ... x_{id}, one gather per coordinate
+    multiplied in coordinate order, go into `prod`, a buffer of
+    min(chunk, len(sums)) rows, at the row's offset within its evaluation
+    chunk; a chunk is reduced, one GEMV times d!, once its last row is in.
+    Products are exact elementwise, so rows may come in pieces of any
+    length and each chunk's GEMV still sees exactly its rows.
+    """
+    chunk = evaluation_chunk(f)
+    stop = start + len(rows)
+    for lo in range(start - start % chunk, stop, chunk):
+        hi = min(lo + chunk, len(sums))
+        a, b = max(lo, start), min(hi, stop)
+        part, out = rows[a - start : b - start], prod[a - lo : b - lo]
+        # indices are validated to lie in 0..N-1, so clipping never moves
+        # one; unlike the default mode it writes into `out` without a buffer
+        np.take(part, f.index_array[:, 0], axis=1, out=out, mode="clip")
+        for k in range(1, f.d):
+            out *= np.take(part, f.index_array[:, k], axis=1, mode="clip")
+        if b == hi:
+            reduced = prod[: hi - lo] @ f.value_array
+            reduced *= float(math.factorial(f.d))
+            sums[lo:hi] = reduced
+
+
+def dense_sums(F: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Q_2 of each row of X from the dense tensor F of an order-2 kernel: one
+    GEMM quadratic form, sum_{i,j} F[i,j] x_i x_j, which includes the 2!."""
+    return ((X @ F) * X).sum(axis=1)
 
 
 def dense_tensor(f: SymmetricKernel) -> np.ndarray:
@@ -334,6 +369,9 @@ def format_kernel(f: SymmetricKernel) -> str:
 # records parsed at once, so the string tokens of a large file never all
 # exist together
 PARSE_SLICE = 1 << 14
+# characters read or split into lines at once, so no whole text and no list
+# of all its lines is held
+READ_PIECE = 1 << 20
 
 
 def _parse_records(records: list, d: int):
@@ -354,24 +392,43 @@ def _parse_records(records: list, d: int):
     return np.array(columns, dtype=np.int64).T, values
 
 
-def parse_kernel(text: str) -> SymmetricKernel:
-    lines = [ln for ln in text.splitlines() if ln and not ln.isspace()]
-    if not lines or lines[0].strip() != KERNEL_MAGIC:
+def _lines(pieces):
+    """The lines `str.splitlines` gives on the concatenated pieces of a text.
+    A "\n" ends a line whatever follows it, so each piece is cut after its
+    last "\n" and split; the rest waits for the next "\n" or the end."""
+    held = []
+    for piece in pieces:
+        cut = piece.rfind("\n") + 1
+        if cut:
+            held.append(piece[:cut])
+            yield from "".join(held).splitlines()
+            held = [piece[cut:]]
+        else:
+            held.append(piece)
+    yield from "".join(held).splitlines()
+
+
+def _parse_pieces(pieces) -> SymmetricKernel:
+    """The kernel in a text given as consecutive pieces, parsed as they come."""
+    lines = (ln for ln in _lines(pieces) if ln and not ln.isspace())
+    header = list(itertools.islice(lines, 3))
+    if not header or header[0].strip() != KERNEL_MAGIC:
         raise ParameterOutOfRange(f"not a kernel file (expected header {KERNEL_MAGIC!r})")
     try:
-        d = int(lines[1].split()[1])
-        N = int(lines[2].split()[1])
+        d = int(header[1].split()[1])
+        N = int(header[2].split()[1])
     except (IndexError, ValueError) as exc:
         raise ParameterOutOfRange(f"malformed kernel header: {exc}") from None
-    records = lines[3:]
+    slices = iter(lambda: list(itertools.islice(lines, PARSE_SLICE)), [])
     # a file without records is one empty slice, which the field count rejects
-    parts = [
-        _parse_records(records[lo : lo + PARSE_SLICE], d)
-        for lo in range(0, max(1, len(records)), PARSE_SLICE)
-    ]
-    index = np.concatenate([p[0] for p in parts])
-    values = np.concatenate([p[1] for p in parts])
+    parts = [_parse_records(records, d) for records in slices] or [_parse_records([], d)]
+    index, values = (np.concatenate(arrays) for arrays in zip(*parts))
+    del parts
     return kernel_from_arrays(d, N, index, values)
+
+
+def parse_kernel(text: str) -> SymmetricKernel:
+    return _parse_pieces(text[lo : lo + READ_PIECE] for lo in range(0, len(text), READ_PIECE))
 
 
 def write_kernel(f: SymmetricKernel, path) -> None:
@@ -381,4 +438,4 @@ def write_kernel(f: SymmetricKernel, path) -> None:
 
 def read_kernel(path) -> SymmetricKernel:
     with open(path) as fh:
-        return parse_kernel(fh.read())
+        return _parse_pieces(iter(lambda: fh.read(READ_PIECE), ""))

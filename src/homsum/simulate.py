@@ -2,25 +2,28 @@
 
 Reproducibility contract: draw j of a run with master seed s reads from its
 own counter-based stream, Philox keyed by (s, j).  Each block keeps one
-Philox and works through its rows in spans that reuse one buffer: per draw
-one state reset to that stream's start and one raw fill into the draw's row
-of the span (normals, exponentials, uniforms on [0, 1) or, for Rademacher,
-raw 64-bit words); then each law's transform runs once over the span and
-gives exactly the values the law's direct numpy call would; then every
-kernel is evaluated on the span.  Sample values therefore depend only on
-(seed, draw index), never on batching, spans or worker count.
+Philox and fills its rows in slices of about _FILL_VALUES values that reuse
+one buffer: per draw one state reset to that stream's start and one raw
+fill into the draw's row of the slice (normals, exponentials, uniforms on
+[0, 1) or, for Rademacher, raw 64-bit words); then each law's transform
+runs once over the slice and gives exactly the values the law's direct
+numpy call would.  Sample values therefore depend only on (seed, draw
+index), never on batching, slices or worker count.
 
 A sum's last bits depend on which rows BLAS reduces with it, that is on the
 evaluation chunk it falls in (`kernels.evaluation_chunk`), counted from the
-start of its block.  A span is the least common multiple of the kernels'
-chunks, or the whole block when that is shorter or when a kernel sums the
-block as one dense form, so sums depend on the chunk alignment, not on the
-spans: a block gives the same bits as when it was filled and evaluated
-whole, while a span's buffer no longer grows with the batch size times N.
-Sums can depend on the batch size, which sets the blocks.  They never
-depend on the worker count: blocks are the same for any worker count, are
-written into a preallocated array at fixed offsets, and all reductions run
-over that array in index order.
+start of its block.  Each kernel keeps one chunk product buffer per block:
+a slice's products (exact elementwise) go into it at their rows' offsets, a
+slice may end inside a chunk, and a chunk is reduced once its last row is
+in (`kernels.sum_rows_in_chunks`).  So every GEMV sees
+exactly the rows it sees when the block is filled and evaluated whole,
+while the memory a block needs is one slice and one chunk per kernel,
+whatever the batch size and N.  A block that a kernel sums as one dense
+form is filled as one slice, and a worker builds that dense form once for
+its share of blocks.  Sums can depend on the batch size, which sets the
+blocks.  They never depend on the worker count: blocks are the same for
+any worker count, are written into a preallocated array at fixed offsets,
+and all reductions run over that array in index order.
 
 Worker processes come from one pool per `worker_pool()` scope, which the
 CLI opens around each command: the pool starts on the first call that
@@ -53,6 +56,9 @@ LAW_TAGS = ("gaussian", "rademacher", "uniform", "shifted_exponential", "two_poi
 _SQRT3 = math.sqrt(3.0)
 _MASK64 = (1 << 64) - 1
 _FINISH_VALUES = 1 << 15
+# values filled and finished at once (2 MB): a wide block is filled in slices
+# of whole rows this size
+_FILL_VALUES = 1 << 18
 
 
 def _row_chunks(X: np.ndarray):
@@ -226,20 +232,30 @@ class VectorSampleSummary:
         return SampleSummary(n=self.n, law=self.law, seed=self.seed, samples=self.samples[:, j])
 
 
-def _span_rows(kernel_list, rows: int) -> int:
-    """Rows of a block filled, finished and evaluated together: the whole
-    block when a kernel sums it as one dense form, else a common multiple of
-    every kernel's evaluation chunk, so each chunk holds exactly the rows it
-    holds over the whole block and every sum keeps its bits."""
-    chunks = [kernels.evaluation_chunk(f) for f in kernel_list]
-    if None in chunks:
+def _slice_rows(kernel_list, rows: int, n_inputs: int) -> int:
+    """Rows of a block filled and finished at once: the whole block when a
+    kernel sums it as one dense form, else whole rows of about _FILL_VALUES
+    values (a block of N <= 256 inputs and 1024 rows is still one slice)."""
+    if any(kernels.evaluation_chunk(f) is None for f in kernel_list):
         return rows
-    return min(rows, math.lcm(*chunks))
+    return min(rows, max(1, _FILL_VALUES // n_inputs))
 
 
-def _compute_block(kernel_list, dist, seed, lo, hi, n_inputs) -> np.ndarray:
-    span = _span_rows(kernel_list, hi - lo)
-    X = np.empty((span, n_inputs))
+def _dense_forms(kernel_list) -> list:
+    """The dense tensor of each kernel that sums a block as one dense form,
+    None for the others."""
+    return [kernels.dense_tensor(f) if kernels.evaluation_chunk(f) is None else None
+            for f in kernel_list]
+
+
+def _compute_block(kernel_list, dist, seed, lo, hi, n_inputs, dense=None) -> np.ndarray:
+    """(hi - lo, len(kernel_list)) sums of draws lo..hi-1.  `dense` is
+    `_dense_forms(kernel_list)`, built here when not given."""
+    if dense is None:
+        dense = _dense_forms(kernel_list)
+    rows = hi - lo
+    step = _slice_rows(kernel_list, rows, n_inputs)
+    X = np.empty((step, n_inputs))
     bit_gen = Philox(key=(seed & _MASK64) << 64)
     fill = dist.filler(Generator(bit_gen))
     # The state Philox(key=(seed << 64) | j) starts in is this one with key
@@ -249,22 +265,30 @@ def _compute_block(kernel_list, dist, seed, lo, hi, n_inputs) -> np.ndarray:
     state["state"] = {name: v.tolist() for name, v in state["state"].items()}
     state["buffer"] = state["buffer"].tolist()
     key = state["state"]["key"]
-    block = np.empty((hi - lo, len(kernel_list)))
-    for start in range(lo, hi, span):
-        stop = min(start + span, hi)
-        rows = X[: stop - start]
-        for j, row in zip(range(start, stop), rows):
+    block = np.empty((rows, len(kernel_list)))
+    prods = [None if F is not None else np.empty((min(kernels.evaluation_chunk(f), rows), f.entry_count))
+             for f, F in zip(kernel_list, dense)]
+    for start in range(0, rows, step):
+        part = X[: min(step, rows - start)]
+        for j, row in zip(range(lo + start, hi), part):
             key[0] = j & _MASK64
             bit_gen.state = state
             fill(row)
-        dist.finish(rows)
-        for col, f in enumerate(kernel_list):
-            block[start - lo : stop - lo, col] = kernels.evaluate_sum_batch(f, rows[:, : f.N])
+        dist.finish(part)
+        for col, (f, F, prod) in enumerate(zip(kernel_list, dense, prods)):
+            if F is None:
+                kernels.sum_rows_in_chunks(f, part, start, prod, block[:, col])
+            else:  # the slice is the whole block
+                block[:, col] = kernels.dense_sums(F, part[:, : f.N])
     return block
 
 
 def _compute_blocks(kernel_list, dist, seed, blocks, n_inputs):
-    return [(lo, _compute_block(kernel_list, dist, seed, lo, hi, n_inputs)) for lo, hi in blocks]
+    """(lo, sums) of each block of one worker's share, with each dense form
+    built once for the share."""
+    dense = _dense_forms(kernel_list)
+    return [(lo, _compute_block(kernel_list, dist, seed, lo, hi, n_inputs, dense))
+            for lo, hi in blocks]
 
 
 class _PoolScope:
@@ -326,19 +350,18 @@ def _sample_matrix(kernel_list, dist: DistributionSpec, config: SampleConfig) ->
     ]
     workers = min(config.workers, os.cpu_count() or 1, len(blocks))
     if workers == 1:
-        for lo, hi in blocks:
-            out[lo:hi] = _compute_block(kernel_list, dist, config.seed, lo, hi, n_inputs)
-        return out
-    shares = [blocks[w::workers] for w in range(workers)]
-    with _enclosing_scope() as scope:
-        pool = scope.pool(workers)
-        futures = [
-            pool.submit(_compute_blocks, kernel_list, dist, config.seed, share, n_inputs)
-            for share in shares
-        ]
-        for fut in futures:
-            for lo, block in fut.result():
-                out[lo : lo + block.shape[0]] = block
+        results = [_compute_blocks(kernel_list, dist, config.seed, blocks, n_inputs)]
+    else:
+        with _enclosing_scope() as scope:
+            pool = scope.pool(workers)
+            futures = [
+                pool.submit(_compute_blocks, kernel_list, dist, config.seed, blocks[w::workers], n_inputs)
+                for w in range(workers)
+            ]
+            results = [fut.result() for fut in futures]
+    for share in results:
+        for lo, block in share:
+            out[lo : lo + block.shape[0]] = block
     return out
 
 

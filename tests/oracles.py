@@ -19,10 +19,15 @@ code paths, so they can certify library output:
   that law, the reference for the sampler's raw fill and per-block finish.
 * whole_block_sums: one block of the sampler filled and finished as a
   whole and each kernel evaluated over all of its rows, the reference for
-  the sampler's span-by-span block.
+  the sampler's slice-by-slice block.
 * rademacher_atoms_by_entry: the exact law of Q under i.i.d. signs by one
   popcount pass per entry over all 2^N patterns, the reference for the
   library's chunked enumeration.
+* first_seen_ids_by_unique: rows numbered by first occurrence through
+  np.unique over one opaque key per row, the reference for the library's
+  lexsort numbering.
+* parse_kernel_whole_text: a kernel file's text split into lines all at
+  once, the reference for the library's streamed reading.
 * symmetrize_all_permutations: the average of a tensor over every axis
   permutation, one strided transpose added after another, the reference
   for the library's symmetrize.
@@ -36,7 +41,7 @@ from numpy.random import Generator, Philox
 from scipy import integrate, special
 
 from homsum import kernels
-from homsum.errors import DimensionMismatch, IndexOutOfRange
+from homsum.errors import DimensionMismatch, IndexOutOfRange, ParameterOutOfRange
 
 
 def entries(f) -> dict:
@@ -102,7 +107,8 @@ def whole_block_sums(kernel_list, dist, seed, lo, hi, n_inputs) -> np.ndarray:
     """(hi - lo, len(kernel_list)) sums of draws lo..hi-1: every draw's raw
     fill into one (hi - lo, n_inputs) block, one finish over the block, then
     `evaluate_sum_batch` of each kernel over all of its rows.  The sampler,
-    which fills and evaluates a block in spans, must give the same bits."""
+    which fills a block in slices and gathers their products chunk by
+    chunk, must give the same bits."""
     mask = (1 << 64) - 1
     X = np.empty((hi - lo, n_inputs))
     bit_gen = Philox(key=(seed & mask) << 64)
@@ -134,6 +140,41 @@ def rademacher_atoms_by_entry(f) -> tuple:
         q += (dfact * v) * (1.0 - 2.0 * parity)
     atoms, counts = np.unique(q, return_counts=True)
     return atoms, counts / n_patterns
+
+
+def first_seen_ids_by_unique(rows: np.ndarray) -> tuple:
+    """(id of each row, distinct count), rows numbered by first occurrence:
+    np.unique over one void key per row, each group ranked by its first
+    position."""
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse], len(first)
+
+
+def parse_kernel_whole_text(text: str):
+    """The kernel in a kernel file's text: every line split off at once, the
+    blank ones dropped, the records parsed in slices of PARSE_SLICE.  The
+    library, which reads and splits the text piece by piece, must give the
+    same kernel or raise the same exception type."""
+    lines = [ln for ln in text.splitlines() if ln and not ln.isspace()]
+    if not lines or lines[0].strip() != kernels.KERNEL_MAGIC:
+        raise ParameterOutOfRange("not a kernel file")
+    try:
+        d = int(lines[1].split()[1])
+        N = int(lines[2].split()[1])
+    except (IndexError, ValueError) as exc:
+        raise ParameterOutOfRange(f"malformed kernel header: {exc}") from None
+    records = lines[3:]
+    parts = [
+        kernels._parse_records(records[lo : lo + kernels.PARSE_SLICE], d)
+        for lo in range(0, max(1, len(records)), kernels.PARSE_SLICE)
+    ]
+    index = np.concatenate([p[0] for p in parts])
+    values = np.concatenate([p[1] for p in parts])
+    return kernels.kernel_from_arrays(d, N, index, values)
 
 
 def symmetrize_all_permutations(values: np.ndarray) -> np.ndarray:

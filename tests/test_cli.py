@@ -599,8 +599,9 @@ def test_output_bytes_pinned(tmp_path, monkeypatch):
 # thread.  Hashes taken before the enumeration was chunked into outer
 # products of low-bit and high-bit signs; that change may not move a byte.
 # The last two commands sample a kernel whose evaluation chunk (1000 rows) is
-# shorter than the 1024-row block, so each block is filled and evaluated in
-# two spans; their hashes were taken while a block was still filled whole.
+# shorter than the 1024-row block; each block is filled in slices of 65 rows,
+# one of which straddles the chunk bound.  Their hashes were taken while a
+# block was still filled whole.
 ENUMERATION_COMMANDS = {
     "rs20.kern": ["kernel", "generate", "--family", "random_sparse", "--d", "2", "-N", "20",
                   "--seed", "7"],

@@ -12,7 +12,7 @@ import scipy.sparse
 from homsum import contractions, kernels
 from homsum.errors import MaterializationTooLarge, OddOrder, RankOutOfRange
 from conftest import random_kernels
-from oracles import entries, evaluate, symmetrize_all_permutations
+from oracles import entries, evaluate, first_seen_ids_by_unique, symmetrize_all_permutations
 
 
 def brute_force_contraction(f, r):
@@ -93,6 +93,29 @@ class TestContractionNorm:
                 gram = contractions.contraction_norm(f, r)
                 mat = contractions.contract(f, r).frobenius_norm()
                 assert gram == pytest.approx(mat, rel=1e-12, abs=1e-300)
+
+
+FIRST_SEEN_KERNELS = {
+    "constant_500": lambda: kernels.constant_kernel(500),
+    "random_sparse_3_40": lambda: kernels.random_sparse_kernel(3, 40),
+    "random_sparse_4_60": lambda: kernels.random_sparse_kernel(4, 60, entry_count=3000),
+    "walsh_4_8": lambda: kernels.walsh_kernel(4, 8),
+}
+
+
+@pytest.mark.parametrize("name", FIRST_SEEN_KERNELS)
+def test_first_seen_ids_equal_unique_numbering(name):
+    # the row and column numberings of the slice matrix at every rank
+    f = FIRST_SEEN_KERNELS[name]()
+    for r in range(1, f.d):
+        subsets = list(itertools.combinations(range(f.d), r))
+        rest = [[k for k in range(f.d) if k not in s] for s in subsets]
+        for rows in (f.index_array[:, rest].reshape(-1, f.d - r),
+                     f.index_array[:, subsets].reshape(-1, r)):
+            ids, count = contractions._first_seen_ids(rows)
+            want_ids, want_count = first_seen_ids_by_unique(rows)
+            assert count == want_count
+            assert ids.dtype == want_ids.dtype and ids.tobytes() == want_ids.tobytes()
 
 
 class TestChaosNorms:

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from homsum.errors import (
     ZeroKernel,
 )
 from conftest import random_kernels
-from oracles import entries, evaluate
+from oracles import entries, evaluate, parse_kernel_whole_text
 
 
 class TestMakeKernel:
@@ -336,3 +338,113 @@ class TestKernelFile:
         path.write_text("not a kernel\n")
         with pytest.raises(ParameterOutOfRange):
             kernels.read_kernel(path)
+
+
+def _kernel_text(records):
+    return "artifact-kernel v1\nd 2\nN 30\n" + "".join(r + "\n" for r in records)
+
+
+_C30 = kernels.format_kernel(kernels.constant_kernel(30))
+_C30_RECORDS = _C30.splitlines()[3:]
+STREAM_TEXTS = {
+    "lf": _C30,
+    "crlf": _C30.replace("\n", "\r\n"),
+    "cr_only": _C30.replace("\n", "\r"),
+    "no_final_newline": _C30.rstrip("\n"),
+    "form_feed_in_record": _kernel_text(_C30_RECORDS[:50] + ["1 2\x0c0.5"] + _C30_RECORDS[51:]),
+    "file_separator_in_record": _kernel_text(["1 2\x1c0.5"] + _C30_RECORDS[1:]),
+    "line_separator_in_record": _kernel_text(_C30_RECORDS[:-1] + ["29 30\u20280.5"]),
+    "form_feed_between_records": _C30.replace("\n", "\x0c", 20),
+    "blank_lines": "\n\n" + _C30.replace("\n", "\n\n  \n\t\n", 40),
+    "whitespace_only_lines": " \n" + _C30.replace("\n", "\n \x0b \n\u3000\n", 40),
+    "header_only": "artifact-kernel v1\nd 2\nN 30\n",
+    "header_cut_short": "artifact-kernel v1\nd 2\n",
+    "empty": "",
+    "bad_last_record": _C30 + "1 3 0.5 7\n",
+    "duplicate_last_record": _C30 + _C30_RECORDS[0] + "\n",
+}
+
+
+def _outcome(read, arg):
+    """The kernel read, or the type of the exception raised."""
+    try:
+        return read(arg)
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc)
+
+
+class TestStreamedReading:
+    """read_kernel and parse_kernel read the text piece by piece; each must
+    give the kernel, or raise the exception type, that splitting the whole
+    text at once gives."""
+
+    @pytest.mark.parametrize("piece", [1, 3, 7, 1 << 20], ids=lambda n: f"piece_{n}")
+    @pytest.mark.parametrize("name", STREAM_TEXTS)
+    def test_same_kernel_as_whole_text(self, name, piece, monkeypatch, tmp_path):
+        monkeypatch.setattr(kernels, "READ_PIECE", piece)
+        text = STREAM_TEXTS[name]
+        want = _outcome(parse_kernel_whole_text, text)
+        assert _outcome(kernels.parse_kernel, text) == want
+        path = tmp_path / "k.kern"
+        path.write_bytes(text.encode())
+        # reading a file translates "\r\n" and "\r" into "\n", as read_text does
+        assert _outcome(kernels.read_kernel, path) == _outcome(parse_kernel_whole_text, path.read_text())
+
+    def test_cases_cover_both_outcomes(self):
+        outcomes = {name: _outcome(parse_kernel_whole_text, text) for name, text in STREAM_TEXTS.items()}
+        for name in ("lf", "crlf", "cr_only", "no_final_newline", "blank_lines", "whitespace_only_lines"):
+            assert outcomes[name] == kernels.constant_kernel(30), name
+        assert outcomes["form_feed_in_record"] is ParameterOutOfRange
+        assert outcomes["header_only"] is ParameterOutOfRange
+        assert outcomes["duplicate_last_record"] is DuplicateTuple
+
+    def test_cr_only_text_parsed_in_linear_time(self, monkeypatch):
+        # a text without "\n" is held piece by piece until its end: joining
+        # the held pieces anew for every piece would take seconds here
+        monkeypatch.setattr(kernels, "READ_PIECE", 8)
+        f = kernels.constant_kernel(300)
+        text = kernels.format_kernel(f)
+        seconds = {}
+        for sep in ("\n", "\r"):
+            start = time.perf_counter()
+            assert kernels.parse_kernel(text.replace("\n", sep)) == f
+            seconds[sep] = time.perf_counter() - start
+        assert seconds["\r"] < 3 * seconds["\n"] + 0.5
+
+    def test_bad_record_in_later_piece(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(kernels, "READ_PIECE", 4096)
+        lines = kernels.format_kernel(kernels.constant_kernel(200)).splitlines()
+        lines[-7] += " 7"
+        path = tmp_path / "bad.kern"
+        path.write_text("\n".join(lines) + "\n")
+        assert path.stat().st_size > 100 * kernels.READ_PIECE
+        with pytest.raises(ParameterOutOfRange):
+            kernels.read_kernel(path)
+        assert cli.main(["kernel", "inspect", "--kernel", str(path)]) == 2
+
+    def test_read_memory_bounded(self, tmp_path):
+        # whole-text reading peaked at 53.7 MiB on this 244,650-record file
+        path = tmp_path / "c700.kern"
+        kernels.write_kernel(kernels.constant_kernel(700), path)
+        tracemalloc.start()
+        try:
+            f = kernels.read_kernel(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f.entry_count == 244_650
+        assert peak < 53.7 * 2**20 / 2
+
+
+def test_sorted_rows_skip_the_sort():
+    # rows already in order are kept as given; others are sorted as before
+    rows = np.array([[1, 2], [1, 3], [2, 3]])
+    f = kernels.kernel_from_arrays(2, 3, rows, [1.0, 2.0, 3.0])
+    g = kernels.kernel_from_arrays(2, 3, rows[::-1], [3.0, 2.0, 1.0])
+    assert f == g and entries(f) == {(1, 2): 1.0, (1, 3): 2.0, (2, 3): 3.0}
+    assert kernels._rows_sorted(rows) and not kernels._rows_sorted(rows[::-1])
+    assert kernels._rows_sorted(np.array([[1, 2], [1, 2]]))  # repeats are in order
+    assert kernels._rows_sorted(np.empty((0, 2), dtype=np.int64))
+    assert not kernels._rows_sorted(np.array([[1, 3], [2, 1], [2, 0]]))
+    with pytest.raises(DuplicateTuple):
+        kernels.kernel_from_arrays(2, 3, [[1, 2], [1, 2]], [1.0, 2.0])

@@ -171,8 +171,9 @@ class TestSampling:
         assert abs(g.moment(2) - r.moment(2)) <= 5 * joint_se
 
 
-# Kernel lists for the span tests, under a gather budget of 64,000 values:
-# disjoint_pairs(2000) sums 16 rows at a time and walsh(2, 1300) 24.
+# Kernel lists for the fill-slice tests, under a gather budget of 64,000
+# values: disjoint_pairs(2000) (4000 inputs) sums 16 rows at a time and
+# walsh(2, 1300) 24.
 SPAN_CASES = {
     "chunk_16": lambda: [kernels.disjoint_pairs(2000)],
     "lcm_48": lambda: [kernels.disjoint_pairs(2000), kernels.walsh_kernel(2, 1300)],
@@ -182,30 +183,68 @@ SPAN_CASES = {
 
 
 class TestBlockSpans:
-    """A block is filled, finished and evaluated span by span; each span must
-    start at a multiple of every kernel's evaluation chunk, so that every
-    sum keeps the bits of evaluating the whole block at once."""
+    """A block is filled and finished in slices of rows; each slice's
+    products go into every kernel's chunk product buffer at their row
+    offsets, and a chunk is reduced once it is complete, so every sum keeps
+    the bits of evaluating the whole block at once, wherever the slices
+    fall against the chunks."""
 
     @pytest.fixture(autouse=True)
     def small_gather(self, monkeypatch):
         monkeypatch.setattr(kernels, "GATHER_VALUES", 64_000)
 
+    @staticmethod
+    def _assert_whole_block_bits(name, kernel_list, lo, hi):
+        n_inputs = max(f.N for f in kernel_list)
+        dist = simulate.get_law(name)
+        want = whole_block_sums(kernel_list, dist, 3, lo, hi, n_inputs)
+        got = simulate._compute_block(kernel_list, dist, 3, lo, hi, n_inputs)
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("name", LAW_NAMES)
     @pytest.mark.parametrize("case, lo, hi, span", [
-        ("chunk_16", 500, 600, 16),  # ends in a 4-row span
+        ("chunk_16", 500, 600, 16),  # slices on the chunk bounds, the last one 4 rows
         ("chunk_16", 0, 1024, 16),
         ("lcm_48", 500, 600, 48),
         ("dense_with_sparse", 500, 600, 100),  # the GEMM needs the whole block
         ("empty", 500, 600, 100),
     ])
-    def test_spans_keep_whole_block_bits(self, name, case, lo, hi, span):
+    def test_spans_keep_whole_block_bits(self, name, case, lo, hi, span, monkeypatch):
+        # a fill budget of `span` rows of inputs
         kernel_list = SPAN_CASES[case]()
         n_inputs = max(f.N for f in kernel_list)
-        assert simulate._span_rows(kernel_list, hi - lo) == span
-        dist = simulate.get_law(name)
-        want = whole_block_sums(kernel_list, dist, 3, lo, hi, n_inputs)
-        got = simulate._compute_block(kernel_list, dist, 3, lo, hi, n_inputs)
-        assert got.tobytes() == want.tobytes()
+        monkeypatch.setattr(simulate, "_FILL_VALUES", span * n_inputs)
+        assert simulate._slice_rows(kernel_list, hi - lo, n_inputs) == span
+        self._assert_whole_block_bits(name, kernel_list, lo, hi)
+
+    @pytest.mark.parametrize("name", LAW_NAMES)
+    @pytest.mark.parametrize("case, lo, hi, fill_values, slice_rows", [
+        ("chunk_16", 500, 600, None, 65),  # the default budget
+        ("chunk_16", 0, 1024, None, 65),
+        ("chunk_16", 500, 600, 7 * 4000, 7),  # several slices per chunk
+        ("chunk_16", 500, 600, 3999, 1),  # less than one row: one row per slice
+        ("lcm_48", 500, 600, None, 65),
+        ("lcm_48", 500, 600, 40 * 4000 + 3999, 40),  # a multiple of neither 16 nor 24
+        ("lcm_48", 0, 1024, 11 * 4000, 11),
+    ])
+    def test_slices_straddling_chunks_keep_whole_block_bits(
+        self, name, case, lo, hi, fill_values, slice_rows, monkeypatch
+    ):
+        kernel_list = SPAN_CASES[case]()
+        if fill_values is not None:
+            monkeypatch.setattr(simulate, "_FILL_VALUES", fill_values)
+        assert simulate._slice_rows(kernel_list, hi - lo, 4000) == slice_rows
+        self._assert_whole_block_bits(name, kernel_list, lo, hi)
+
+    def test_slice_rule(self):
+        assert simulate._FILL_VALUES == 1 << 18
+        wide = [kernels.disjoint_pairs(2000)]
+        assert simulate._slice_rows(wide, 1024, 4000) == (1 << 18) // 4000
+        assert simulate._slice_rows(wide, 30, 4000) == 30
+        # narrow blocks still fill in one slice, and so does any block that a
+        # kernel sums as one dense form
+        assert simulate._slice_rows([kernels.disjoint_pairs(128)], 1024, 256) == 1024
+        assert simulate._slice_rows(SPAN_CASES["dense_with_sparse"](), 1024, 4000) == 1024
 
     def test_chunk_rule(self):
         assert kernels.evaluation_chunk(kernels.disjoint_pairs(2000)) == 16
@@ -214,18 +253,33 @@ class TestBlockSpans:
         assert kernels.evaluation_chunk(kernels.make_kernel(2, 50, {})) == 4096
 
 
+def test_dense_form_built_once_per_share(monkeypatch):
+    # five 100-row blocks of a dense-path kernel in one worker's share
+    f = kernels.constant_kernel(40)
+    law = simulate.get_law("gaussian")
+    want = np.concatenate([whole_block_sums([f], law, 2, lo, lo + 100, f.N)[:, 0]
+                           for lo in range(0, 500, 100)])
+    builds = []
+    dense_tensor = kernels.dense_tensor
+    monkeypatch.setattr(kernels, "dense_tensor", lambda g: builds.append(g) or dense_tensor(g))
+    config = simulate.SampleConfig(n=500, seed=2, batch_size=100)
+    got = simulate.sample_sums(f, law, config).samples
+    assert len(builds) == 1
+    assert got.tobytes() == want.tobytes()
+
+
 def test_block_memory_bounded_by_span():
-    # one 1024-row block of a 20,000-input kernel: the whole-block input
-    # alone would take 164 MB
+    # One 1024-row block of a 20,000-input kernel: the whole-block input
+    # alone would take 164 MB.  What stays is one 200-row chunk product
+    # buffer (16 MB), one fill slice (2 MB) and one slice's gather (1 MB).
     f = kernels.disjoint_pairs(10_000)
-    whole_input = 1024 * f.N * 8
     tracemalloc.start()
     try:
         simulate._compute_block([f], simulate.get_law("rademacher"), 7, 0, 1024, f.N)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < whole_input / 2
+    assert peak < 24 * 2**20
 
 
 class TestVectorSampling:
