@@ -33,17 +33,10 @@ from .errors import (
 )
 from .kernels import SymmetricKernel
 
-MAX_ORDER = 12  # factorial/binomial arithmetic kept in exact-integer range
-
 EXACT = "exact"
 UPPER_BOUND = "upper-bound"
 MONTE_CARLO = "monte-carlo"
 UNAVAILABLE = "unavailable:capacity"  # a statistic that needs a contraction past the cap
-
-
-def _check_order(d: int) -> None:
-    if d > MAX_ORDER:
-        raise ParameterOutOfRange(f"bounds support order d <= {MAX_ORDER}, got d={d}")
 
 
 @dataclass(frozen=True)
@@ -125,9 +118,8 @@ def c_star(budget: TestFunctionBudget, d: int) -> float:
         4 sqrt(2) (1 + 5^{3d/2})
           * max(1.5 b + (b3/3)(2 sqrt(2)/sqrt(pi)), 2 a + b3/3).
     """
-    if d < 1:
-        raise ParameterOutOfRange(f"c_star needs d >= 1, got {d}")
-    _check_order(d)
+    if not 1 <= d <= kernels.MAX_ORDER:
+        raise ParameterOutOfRange(f"c_star needs 1 <= d <= {kernels.MAX_ORDER}, got {d}")
     inner = max(
         1.5 * budget.b + (budget.b3 / 3.0) * (2.0 * math.sqrt(2.0) / math.sqrt(math.pi)),
         2.0 * budget.a + budget.b3 / 3.0,
@@ -167,7 +159,6 @@ def t1(f, cap: int = DEFAULT_MATERIALIZATION_CAP) -> tuple:
     f = norms.f
     if f.d < 2:
         raise ParameterOutOfRange(f"t1 needs d >= 2, got d={f.d}")
-    _check_order(f.d)
     kernels.require_second_moment(f, 1.0)
     value, exactness = _contraction_sum(norms, range(1, f.d))
     return math.sqrt(value), exactness
@@ -217,7 +208,6 @@ def normal_smooth_bound(
     enumeration, the Gaussian contraction identity, or Monte Carlo with a
     standard error).
     """
-    _check_order(f.d)
     kernels.require_second_moment(f, 1.0)
     max_inf = contractions.max_influence(f)
     inv = _invariance_term(f.d, profile.beta4, budget.b3, max_inf)
@@ -253,7 +243,6 @@ def wasserstein_bound(
     """Wasserstein distance to the standard normal: 4 (B1 + B2)^{1/3},
     valid only when B1 + B2 <= 3/(4 sqrt(2)); otherwise the report is
     marked inapplicable and carries no number."""
-    _check_order(f.d)
     kernels.require_second_moment(f, 1.0)
     max_inf = contractions.max_influence(f)
     b1 = _invariance_term(f.d, profile.beta4, 2.0, max_inf)
@@ -302,7 +291,6 @@ def t3(f, nu: int, cap: int = DEFAULT_MATERIALIZATION_CAP) -> tuple:
     """
     norms = contractions.chaos_norms(f, cap)
     f = norms.f
-    _check_order(f.d)
     _check_chi2_preconditions(f, nu)
     c_d = contractions.chi_square_match_constant(f.d)
     first = 4.0 * math.factorial(f.d) * (norms.defect() / c_d) ** 2
@@ -342,7 +330,6 @@ def chi_square_smooth_bound(
         + max(sqrt(2 pi/nu), 1/nu + 2/nu^2) * sqrt((d-1)/(3d))
           * (moment_term + influence_term).
     """
-    _check_order(f.d)
     _check_chi2_preconditions(f, nu)
     max_inf = contractions.max_influence(f)
     inv = _invariance_term(f.d, profile.beta4, budget.b3, max_inf)
@@ -399,7 +386,6 @@ def delta_ij(f_i, f_j) -> float:
     di, dj = n_i.f.d, n_j.f.d
     if di > dj:
         raise OrderMismatch(f"need d_i <= d_j, got d_i={di}, d_j={dj}")
-    _check_order(dj)
     kernels.require_second_moment(n_i.f, 1.0)
     kernels.require_second_moment(n_j.f, 1.0)
     acc = 0.0

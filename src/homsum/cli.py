@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from . import bounds, contractions, diagnose, kernels, moments, reportio, simulate
-from .errors import CapacityError, HomsumError, InvalidDegrees, ValidationError
+from .errors import CapacityError, HomsumError, InvalidDegrees, UndecodableFile, ValidationError
 
 
 class _UsageError(Exception):
@@ -271,7 +271,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    with open(args.spec) as fh:
+    with UndecodableFile.reading(args.spec), open(args.spec, encoding="utf-8") as fh:
         sections = reportio.parse_sections(fh.read(), reportio.DIAGNOSE_MAGIC)
     body = dict(sections)
     if "sequence" not in body:

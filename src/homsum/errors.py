@@ -5,6 +5,8 @@ and CapacityError (a requested computation exceeds a hard size cap,
 CLI exit 3).
 """
 
+import contextlib
+
 
 class HomsumError(Exception):
     pass
@@ -75,6 +77,20 @@ class NotNormalizedToTwoNu(NotNormalized):
 
 class ParameterOutOfRange(ValidationError):
     """Numeric parameter outside the admissible range."""
+
+
+class UndecodableFile(ValidationError):
+    """A text input file is not valid UTF-8."""
+
+    @classmethod
+    @contextlib.contextmanager
+    def reading(cls, path):
+        """Turn a UTF-8 decode failure within the block into this error,
+        naming `path`."""
+        try:
+            yield
+        except UnicodeDecodeError as exc:
+            raise cls(f"{path} is not UTF-8 text: {exc.reason}") from None
 
 
 class OrderMismatch(ValidationError):

@@ -32,12 +32,14 @@ from .errors import (
     NonFiniteValue,
     NotNormalized,
     ParameterOutOfRange,
+    UndecodableFile,
     UnsupportedFamilyParameters,
     ZeroKernel,
 )
 
 FAMILY_TAGS = ("single_pair", "constant", "disjoint_pairs", "walsh", "random_sparse")
 NORMALIZED_RTOL = 1e-9
+MAX_ORDER = 12  # factorial/binomial arithmetic kept in exact-integer range
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,8 +80,8 @@ def kernel_from_arrays(d: int, N: int, index, values) -> SymmetricKernel:
     zero-valued repeat included); then drops exact zeros.  Rows are kept in
     lexicographic order.
     """
-    if int(d) != d or d < 1:
-        raise ParameterOutOfRange(f"order d must be a positive integer, got {d}")
+    if int(d) != d or not 1 <= d <= MAX_ORDER:
+        raise ParameterOutOfRange(f"order d must be an integer in 1..{MAX_ORDER}, got {d}")
     if int(N) != N or N < d:
         raise ParameterOutOfRange(f"dimension N must satisfy N >= d, got N={N}, d={d}")
     d, N = int(d), int(N)
@@ -155,72 +157,80 @@ GATHER_VALUES = 4_000_000
 
 
 def evaluation_chunk(f: SymmetricKernel) -> int | None:
-    """Rows `evaluate_sum_batch` sums as one unit: None when the whole batch
-    is one dense quadratic form (order 2, more entries than inputs, N <=
-    1024), otherwise a chunk bounding the gathered product to about
-    GATHER_VALUES values.  It depends on the kernel alone."""
+    """Rows `RowSums` reduces as one unit: None when the whole batch is one
+    dense quadratic form (order 2, more entries than inputs, N <= 1024),
+    otherwise a chunk bounding the gathered product to about GATHER_VALUES
+    values.  It depends on the kernel alone."""
     if f.d == 2 and f.entry_count > f.N and f.N <= 1024:
         return None
     return min(4096, max(16, GATHER_VALUES // max(1, f.entry_count * f.d)))
 
 
 def evaluate_sum_batch(f: SymmetricKernel, X: np.ndarray) -> np.ndarray:
-    """Q_d over a batch of input rows, shape (n, N) -> (n,).
-
-    Rows are summed in units of `evaluation_chunk(f)` rows from the start
-    of the batch: `dense_sums` over the whole batch on the dense path, else
-    `sum_rows_in_chunks`, one GEMV per chunk.  BLAS handles rows in small
-    groups and rounds a leftover group differently, so a row's last bits
-    depend on the unit it falls in.  The block sampler hands
-    `sum_rows_in_chunks` one fill slice at a time, and gets these sums bit
-    for bit.
-    """
+    """Q_d over a batch of input rows, shape (n, N) -> (n,): one `RowSums`
+    over the whole batch, fed all of its rows at once."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != f.N:
         raise DimensionMismatch(f"batch has shape {X.shape}, expected (n, {f.N})")
-    if f.entry_count == 0:
-        return np.zeros(X.shape[0])
-    chunk = evaluation_chunk(f)
-    if chunk is None:
-        return dense_sums(dense_tensor(f), X)
     out = np.empty(X.shape[0])
-    sum_rows_in_chunks(f, X, 0, np.empty((min(chunk, X.shape[0]), f.entry_count)), out)
+    RowSums(f, X.shape[0]).add(X, 0, out)
     return out
 
 
-def sum_rows_in_chunks(f: SymmetricKernel, rows: np.ndarray, start: int, prod: np.ndarray,
-                       sums: np.ndarray) -> None:
-    """Sparse-path sums of batch rows start, start + 1, ... (the rows of
-    `rows`, which may be wider than N) into `sums`, which spans the batch.
+class RowSums:
+    """Q_d of the rows of batches of at most `batch` rows, each batch fed in
+    pieces of any length through `add`.
 
-    Each row's products x_{i1} ... x_{id}, one gather per coordinate
-    multiplied in coordinate order, go into `prod`, a buffer of
-    min(chunk, len(sums)) rows, at the row's offset within its evaluation
-    chunk; a chunk is reduced, one GEMV times d!, once its last row is in.
-    Products are exact elementwise, so rows may come in pieces of any
-    length and each chunk's GEMV still sees exactly its rows.
+    Rows are reduced in units counted from the start of their batch: on the
+    dense path (`evaluation_chunk` is None) the whole batch, one GEMM
+    quadratic form sum_{i,j} F[i,j] x_i x_j over its first N columns;
+    otherwise `evaluation_chunk(f)` rows, one GEMV times d! over each row's
+    products x_{i1} ... x_{id} (one gather per coordinate, multiplied in
+    coordinate order).  BLAS handles rows in small groups and rounds a
+    leftover group differently, so a row's last bits depend on the unit it
+    falls in.  A piece's columns or products, both exact copies, go into one
+    unit buffer at the rows' offsets, and a unit is reduced once its last
+    row is in: so every sum has the bits of one `add` of the whole batch,
+    however the rows are split.  The dense tensor is built once, here.
     """
-    chunk = evaluation_chunk(f)
-    stop = start + len(rows)
-    for lo in range(start - start % chunk, stop, chunk):
-        hi = min(lo + chunk, len(sums))
-        a, b = max(lo, start), min(hi, stop)
-        part, out = rows[a - start : b - start], prod[a - lo : b - lo]
-        # indices are validated to lie in 0..N-1, so clipping never moves
-        # one; unlike the default mode it writes into `out` without a buffer
-        np.take(part, f.index_array[:, 0], axis=1, out=out, mode="clip")
-        for k in range(1, f.d):
-            out *= np.take(part, f.index_array[:, k], axis=1, mode="clip")
-        if b == hi:
-            reduced = prod[: hi - lo] @ f.value_array
-            reduced *= float(math.factorial(f.d))
-            sums[lo:hi] = reduced
 
+    def __init__(self, f: SymmetricKernel, batch: int):
+        self.f = f
+        chunk = evaluation_chunk(f)
+        self.dense = dense_tensor(f) if chunk is None else None
+        self.unit = max(1, batch) if chunk is None else chunk
+        self.buffer = np.empty((min(self.unit, batch), f.N if chunk is None else f.entry_count))
 
-def dense_sums(F: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Q_2 of each row of X from the dense tensor F of an order-2 kernel: one
-    GEMM quadratic form, sum_{i,j} F[i,j] x_i x_j, which includes the 2!."""
-    return ((X @ F) * X).sum(axis=1)
+    def add(self, rows: np.ndarray, start: int, sums: np.ndarray) -> None:
+        """Take batch rows start, start + 1, ... (the rows of `rows`, which
+        may be wider than N) and write the sums of each unit they complete
+        into `sums`, which spans the batch."""
+        f, unit = self.f, self.unit
+        stop = start + len(rows)
+        for lo in range(start - start % unit, stop, unit):
+            hi = min(lo + unit, len(sums))
+            a, b = max(lo, start), min(hi, stop)
+            part, out = rows[a - start : b - start], self.buffer[a - lo : b - lo]
+            if self.dense is not None:
+                out[...] = part[:, : f.N]
+            else:
+                # indices are validated to lie in 0..N-1, so clipping never
+                # moves one; unlike the default mode it writes into `out`
+                # without a buffer
+                np.take(part, f.index_array[:, 0], axis=1, out=out, mode="clip")
+                for k in range(1, f.d):
+                    out *= np.take(part, f.index_array[:, k], axis=1, mode="clip")
+            if b == hi:
+                sums[lo:hi] = self._reduce(self.buffer[: hi - lo])
+
+    def _reduce(self, unit: np.ndarray) -> np.ndarray:
+        if self.dense is not None:
+            reduced = unit @ self.dense
+            reduced *= unit
+            return reduced.sum(axis=1)
+        reduced = unit @ self.f.value_array
+        reduced *= float(math.factorial(self.f.d))
+        return reduced
 
 
 def dense_tensor(f: SymmetricKernel) -> np.ndarray:
@@ -437,5 +447,5 @@ def write_kernel(f: SymmetricKernel, path) -> None:
 
 
 def read_kernel(path) -> SymmetricKernel:
-    with open(path) as fh:
+    with UndecodableFile.reading(path), open(path, encoding="utf-8") as fh:
         return _parse_pieces(iter(lambda: fh.read(READ_PIECE), ""))

@@ -10,20 +10,19 @@ runs once over the slice and gives exactly the values the law's direct
 numpy call would.  Sample values therefore depend only on (seed, draw
 index), never on batching, slices or worker count.
 
-A sum's last bits depend on which rows BLAS reduces with it, that is on the
-evaluation chunk it falls in (`kernels.evaluation_chunk`), counted from the
-start of its block.  Each kernel keeps one chunk product buffer per block:
-a slice's products (exact elementwise) go into it at their rows' offsets, a
-slice may end inside a chunk, and a chunk is reduced once its last row is
-in (`kernels.sum_rows_in_chunks`).  So every GEMV sees
-exactly the rows it sees when the block is filled and evaluated whole,
-while the memory a block needs is one slice and one chunk per kernel,
-whatever the batch size and N.  A block that a kernel sums as one dense
-form is filled as one slice, and a worker builds that dense form once for
-its share of blocks.  Sums can depend on the batch size, which sets the
-blocks.  They never depend on the worker count: blocks are the same for
-any worker count, are written into a preallocated array at fixed offsets,
-and all reductions run over that array in index order.
+A sum's last bits depend on which rows BLAS reduces with it, that is on
+the evaluation unit it falls in, counted from the start of its block.
+Each kernel's `kernels.RowSums` owns that rule: the sampler hands it every
+slice of a block, it copies the slice's columns or products (exact
+elementwise) into its unit buffer at their rows' offsets, and it reduces a
+unit once the unit's last row is in.  So every BLAS call sees exactly the
+rows it sees when the block is evaluated whole (`evaluate_sum_batch`),
+while a block needs one slice and one unit buffer per kernel; a worker
+builds each evaluator, dense form included, once for its share of blocks.
+Sums can depend on the batch size, which sets the blocks.  They never
+depend on the worker count: blocks are the same for any worker count, are
+written into a preallocated array at fixed offsets, and all reductions run
+over that array in index order.
 
 Worker processes come from one pool per `worker_pool()` scope, which the
 CLI opens around each command: the pool starts on the first call that
@@ -232,29 +231,12 @@ class VectorSampleSummary:
         return SampleSummary(n=self.n, law=self.law, seed=self.seed, samples=self.samples[:, j])
 
 
-def _slice_rows(kernel_list, rows: int, n_inputs: int) -> int:
-    """Rows of a block filled and finished at once: the whole block when a
-    kernel sums it as one dense form, else whole rows of about _FILL_VALUES
-    values (a block of N <= 256 inputs and 1024 rows is still one slice)."""
-    if any(kernels.evaluation_chunk(f) is None for f in kernel_list):
-        return rows
-    return min(rows, max(1, _FILL_VALUES // n_inputs))
-
-
-def _dense_forms(kernel_list) -> list:
-    """The dense tensor of each kernel that sums a block as one dense form,
-    None for the others."""
-    return [kernels.dense_tensor(f) if kernels.evaluation_chunk(f) is None else None
-            for f in kernel_list]
-
-
-def _compute_block(kernel_list, dist, seed, lo, hi, n_inputs, dense=None) -> np.ndarray:
-    """(hi - lo, len(kernel_list)) sums of draws lo..hi-1.  `dense` is
-    `_dense_forms(kernel_list)`, built here when not given."""
-    if dense is None:
-        dense = _dense_forms(kernel_list)
+def _compute_block(evaluators, dist, seed, lo, hi, n_inputs) -> np.ndarray:
+    """(hi - lo, len(evaluators)) sums of draws lo..hi-1, one column per
+    kernel's `kernels.RowSums`, filled in slices of whole rows holding about
+    _FILL_VALUES values."""
     rows = hi - lo
-    step = _slice_rows(kernel_list, rows, n_inputs)
+    step = min(rows, max(1, _FILL_VALUES // n_inputs))
     X = np.empty((step, n_inputs))
     bit_gen = Philox(key=(seed & _MASK64) << 64)
     fill = dist.filler(Generator(bit_gen))
@@ -265,9 +247,7 @@ def _compute_block(kernel_list, dist, seed, lo, hi, n_inputs, dense=None) -> np.
     state["state"] = {name: v.tolist() for name, v in state["state"].items()}
     state["buffer"] = state["buffer"].tolist()
     key = state["state"]["key"]
-    block = np.empty((rows, len(kernel_list)))
-    prods = [None if F is not None else np.empty((min(kernels.evaluation_chunk(f), rows), f.entry_count))
-             for f, F in zip(kernel_list, dense)]
+    block = np.empty((rows, len(evaluators)))
     for start in range(0, rows, step):
         part = X[: min(step, rows - start)]
         for j, row in zip(range(lo + start, hi), part):
@@ -275,20 +255,17 @@ def _compute_block(kernel_list, dist, seed, lo, hi, n_inputs, dense=None) -> np.
             bit_gen.state = state
             fill(row)
         dist.finish(part)
-        for col, (f, F, prod) in enumerate(zip(kernel_list, dense, prods)):
-            if F is None:
-                kernels.sum_rows_in_chunks(f, part, start, prod, block[:, col])
-            else:  # the slice is the whole block
-                block[:, col] = kernels.dense_sums(F, part[:, : f.N])
+        for col, sums in enumerate(evaluators):
+            sums.add(part, start, block[:, col])
     return block
 
 
 def _compute_blocks(kernel_list, dist, seed, blocks, n_inputs):
-    """(lo, sums) of each block of one worker's share, with each dense form
-    built once for the share."""
-    dense = _dense_forms(kernel_list)
-    return [(lo, _compute_block(kernel_list, dist, seed, lo, hi, n_inputs, dense))
-            for lo, hi in blocks]
+    """(lo, sums) of each block of one worker's share, with each kernel's
+    evaluator, dense form included, built once for the share."""
+    batch = max(hi - lo for lo, hi in blocks)
+    evaluators = [kernels.RowSums(f, batch) for f in kernel_list]
+    return [(lo, _compute_block(evaluators, dist, seed, lo, hi, n_inputs)) for lo, hi in blocks]
 
 
 class _PoolScope:
@@ -437,10 +414,12 @@ def write_samples(path, samples: np.ndarray) -> None:
 
 def read_samples(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != SAMPLE_MAGIC:
-            raise ValidationError(f"not a raw sample file (magic {magic!r})")
-        (count,) = struct.unpack("<Q", fh.read(8))
+        head = fh.read(16)
+        if head[:8] != SAMPLE_MAGIC:
+            raise ValidationError(f"not a raw sample file (magic {head[:8]!r})")
+        if len(head) < 16:
+            raise ValidationError(f"truncated sample file: header of {len(head)} bytes, need 16")
+        (count,) = struct.unpack("<Q", head[8:])
         data = np.frombuffer(fh.read(count * 8), dtype="<f8")
     if data.size != count:
         raise ValidationError(f"truncated sample file: header {count}, got {data.size}")

@@ -17,9 +17,13 @@ code paths, so they can certify library output:
   reference for the sampler's per-draw re-keyed stream.
 * law_draw: one draw of a named input law by the direct numpy call for
   that law, the reference for the sampler's raw fill and per-block finish.
+* unit_sums: a kernel's sums over a whole batch by the evaluation rule
+  written out on the batch at once (one GEMM over every row on the dense
+  path, else one gather and GEMV per chunk of rows), the reference for
+  the library's piecewise `RowSums`.
 * whole_block_sums: one block of the sampler filled and finished as a
-  whole and each kernel evaluated over all of its rows, the reference for
-  the sampler's slice-by-slice block.
+  whole and each kernel evaluated by unit_sums, the reference for the
+  sampler's slice-by-slice block.
 * rademacher_atoms_by_entry: the exact law of Q under i.i.d. signs by one
   popcount pass per entry over all 2^N patterns, the reference for the
   library's chunked enumeration.
@@ -103,12 +107,32 @@ def law_draw(name: str, gen: Generator, size: int) -> np.ndarray:
     return np.where(gen.random(size) < p, hi, lo)
 
 
+def unit_sums(f, X) -> np.ndarray:
+    """Q_d of each row of X, shape (n, N), reduced in the units of
+    `kernels.evaluation_chunk(f)` counted from the first row: on the dense
+    path one GEMM quadratic form over all rows, else, per chunk, the rows'
+    products x_{i1} ... x_{id} (multiplied in coordinate order) times the
+    values by one GEMV, times d!."""
+    chunk = kernels.evaluation_chunk(f)
+    if chunk is None:
+        return ((X @ kernels.dense_tensor(f)) * X).sum(axis=1)
+    out = np.empty(len(X))
+    for lo in range(0, len(X), chunk):
+        rows = X[lo : lo + chunk]
+        # row-major products: GEMV rounds a column-major array differently
+        prod = np.take(rows, f.index_array[:, 0], axis=1)
+        for k in range(1, f.d):
+            prod = prod * np.take(rows, f.index_array[:, k], axis=1)
+        out[lo : lo + chunk] = (prod @ f.value_array) * float(math.factorial(f.d))
+    return out
+
+
 def whole_block_sums(kernel_list, dist, seed, lo, hi, n_inputs) -> np.ndarray:
     """(hi - lo, len(kernel_list)) sums of draws lo..hi-1: every draw's raw
     fill into one (hi - lo, n_inputs) block, one finish over the block, then
-    `evaluate_sum_batch` of each kernel over all of its rows.  The sampler,
-    which fills a block in slices and gathers their products chunk by
-    chunk, must give the same bits."""
+    `unit_sums` of each kernel over all of its rows.  The sampler, which
+    fills a block in slices and hands each slice to every kernel's
+    `kernels.RowSums`, must give the same bits."""
     mask = (1 << 64) - 1
     X = np.empty((hi - lo, n_inputs))
     bit_gen = Philox(key=(seed & mask) << 64)
@@ -121,7 +145,7 @@ def whole_block_sums(kernel_list, dist, seed, lo, hi, n_inputs) -> np.ndarray:
     dist.finish(X)
     block = np.empty((hi - lo, len(kernel_list)))
     for col, f in enumerate(kernel_list):
-        block[:, col] = kernels.evaluate_sum_batch(f, X[:, : f.N])
+        block[:, col] = unit_sums(f, X[:, : f.N])
     return block
 
 

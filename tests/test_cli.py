@@ -80,6 +80,42 @@ class TestKernelCommands:
         assert run(["kernel", "inspect", "--kernel", str(kern)]) == 2
 
 
+class TestInputFileLimits:
+    """Files that are not UTF-8, or kernels past the order limit, exit 2."""
+
+    @pytest.mark.parametrize("command", ["inspect", "bound", "diagnose"])
+    def test_non_utf8_file_exit_2(self, tmp_path, capsys, command):
+        path = tmp_path / "latin.txt"
+        if command == "diagnose":
+            path.write_bytes(f"{reportio.DIAGNOSE_MAGIC}\n[sequence]\n".encode() + b"kind = \xff\n")
+            args = ["diagnose", "--spec", str(path)]
+        else:
+            path.write_bytes(b"artifact-kernel v1\nd 2\nN 4\n1 2 0.5\xff\n")
+            args = (["kernel", "inspect"] if command == "inspect"
+                    else ["bound", "normal", "--law", "rademacher"]) + ["--kernel", str(path)]
+        assert run(args + ["--out", str(tmp_path / "r.txt")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path} is not UTF-8 text")
+        assert not (tmp_path / "r.txt").exists()
+
+    @pytest.mark.parametrize("d", [100, 171])  # d = 171: d! overflows a float
+    @pytest.mark.parametrize("command", [["kernel", "inspect"], ["kernel", "normalize"],
+                                         ["simulate", "--n", "10"]])
+    def test_order_past_limit_exit_2(self, tmp_path, capsys, command, d):
+        kern = tmp_path / "high.kern"
+        kern.write_text(f"artifact-kernel v1\nd {d}\nN {d}\n"
+                        + " ".join(map(str, range(1, d + 1))) + " 0.5\n")
+        out = tmp_path / "out.txt"
+        assert run(command + ["--kernel", str(kern), "--out", str(out)]) == 2
+        assert f"order d must be an integer in 1..12, got {d}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_generate_order_past_limit_exit_2(self, tmp_path):
+        out = tmp_path / "w.kern"
+        assert run(["kernel", "generate", "--family", "walsh", "--d", "13", "-N", "20",
+                    "--out", str(out)]) == 2
+        assert not out.exists()
+
+
 class TestBoundCommands:
     def test_normal_bound_on_disjoint_pairs(self, tmp_path):
         kern = tmp_path / "d.kern"

@@ -20,7 +20,7 @@ from homsum.errors import (
     ZeroKernel,
 )
 from conftest import random_kernels
-from oracles import entries, evaluate, parse_kernel_whole_text
+from oracles import entries, evaluate, parse_kernel_whole_text, unit_sums
 
 
 class TestMakeKernel:
@@ -53,6 +53,12 @@ class TestMakeKernel:
             kernels.make_kernel(3, 2, {})
         with pytest.raises(DimensionMismatch):
             kernels.make_kernel(2, 4, {(1, 2, 3): 1.0})
+
+    def test_order_limit(self):
+        top = tuple(range(1, kernels.MAX_ORDER + 1))
+        assert kernels.make_kernel(kernels.MAX_ORDER, kernels.MAX_ORDER, {top: 1.0}).d == 12
+        with pytest.raises(ParameterOutOfRange, match="1..12"):
+            kernels.make_kernel(13, 13, {top + (13,): 1.0})
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
@@ -159,6 +165,12 @@ class TestEvaluateSum:
         with pytest.raises(DimensionMismatch):
             kernels.evaluate_sum_batch(p2, np.array([[1.0, 2.0, 3.0]]))
 
+    @pytest.mark.parametrize("f", [kernels.constant_kernel(40), kernels.disjoint_pairs(5)],
+                             ids=["dense", "sparse"])
+    def test_empty_batch(self, f):
+        got = kernels.evaluate_sum_batch(f, np.empty((0, f.N)))
+        assert got.shape == (0,)
+
     def test_matches_bruteforce_ordered_sum(self):
         rng = np.random.default_rng(23)
         for f in random_kernels(rng, 10, d_range=(1, 3), n_max=6):
@@ -208,6 +220,40 @@ class TestEvaluateSum:
             for r in range(16)
         ]
         np.testing.assert_allclose(dense, sparse, rtol=1e-12)
+
+
+class TestRowSums:
+    """Rows fed to one evaluator in pieces of any length get the bits of the
+    evaluation rule applied to the whole batch at once, batch after batch."""
+
+    @pytest.fixture(autouse=True)
+    def small_gather(self, monkeypatch):
+        # disjoint_pairs(2000) then sums 16 rows at a time
+        monkeypatch.setattr(kernels, "GATHER_VALUES", 64_000)
+
+    @pytest.mark.parametrize("piece", [1, 7, 333])
+    @pytest.mark.parametrize("make", [lambda: kernels.constant_kernel(40),
+                                      lambda: kernels.constant_kernel(100),
+                                      lambda: kernels.disjoint_pairs(2000)],
+                             ids=["dense", "dense_100", "sparse"])
+    def test_pieces_keep_whole_batch_bits(self, make, piece):
+        # at N = 100 a GEMM over 7 or 100 of the 1000 rows already rounds
+        # some rows differently from one over all of them
+        f = make()
+        assert (kernels.evaluation_chunk(f) is None) == (f.N <= 100)
+        rng = np.random.default_rng(piece)
+        sums = kernels.RowSums(f, 1000)
+        # a full batch, then a block shorter than the batch; rows wider than N
+        for rows in (1000, 600):
+            X = rng.standard_normal((rows, f.N + 3))
+            want = unit_sums(f, X[:, : f.N])
+            whole = np.empty(rows)
+            kernels.RowSums(f, rows).add(X, 0, whole)
+            got = np.full(rows, np.nan)
+            for start in range(0, rows, piece):
+                sums.add(X[start : start + piece], start, got)
+            assert got.tobytes() == whole.tobytes() == want.tobytes()
+            assert kernels.evaluate_sum_batch(f, X[:, : f.N]).tobytes() == want.tobytes()
 
 
 class TestNormalize:

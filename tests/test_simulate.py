@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from homsum import kernels, moments, simulate
-from homsum.errors import DimensionMismatch, InvalidDegrees, ParameterOutOfRange
-from oracles import draw_generator, law_draw, product_normal_cdf, whole_block_sums
+from homsum.errors import DimensionMismatch, InvalidDegrees, ParameterOutOfRange, ValidationError
+from oracles import draw_generator, law_draw, product_normal_cdf, unit_sums, whole_block_sums
 
 LAW_NAMES = [t if t != "two_point" else "two_point:0.3" for t in simulate.LAW_TAGS]
 
@@ -91,8 +91,8 @@ class TestSampling:
         # order-1 coordinate kernels read the block's input rows back exactly
         coords = [kernels.make_kernel(1, n_inputs, {(i,): 1.0}) for i in range(1, n_inputs + 1)]
         want = np.vstack([law_draw(name, draw_generator(seed, j), n_inputs) for j in range(lo, hi)])
-        got = simulate._compute_block(coords, simulate.get_law(name), seed, lo, hi, n_inputs)
-        assert got.tobytes() == want.tobytes()
+        got = simulate._compute_blocks(coords, simulate.get_law(name), seed, [(lo, hi)], n_inputs)
+        assert got[0][1].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("name", LAW_NAMES)
     @pytest.mark.parametrize("n_inputs", [1, 2, 7, 8])
@@ -117,7 +117,7 @@ class TestSampling:
         kernel_list = [kernels.constant_kernel(4), kernels.walsh_kernel(2, 7)]
         config = simulate.SampleConfig(n=130, seed=4, batch_size=64)
         X = np.vstack([law_draw(name, draw_generator(4, j), 7) for j in range(130)])
-        want = np.column_stack([kernels.evaluate_sum_batch(f, X[:, : f.N]) for f in kernel_list])
+        want = np.column_stack([unit_sums(f, X[:, : f.N]) for f in kernel_list])
         got = simulate.sample_vector_sums(kernel_list, simulate.get_law(name), config).samples
         assert got.tobytes() == want.tobytes()
 
@@ -173,49 +173,75 @@ class TestSampling:
 
 # Kernel lists for the fill-slice tests, under a gather budget of 64,000
 # values: disjoint_pairs(2000) (4000 inputs) sums 16 rows at a time and
-# walsh(2, 1300) 24.
+# walsh(2, 1300) 24; constant(40) and constant(100) sum a block as one GEMM,
+# whose bits at N = 100 already depend on which rows it covers.
 SPAN_CASES = {
     "chunk_16": lambda: [kernels.disjoint_pairs(2000)],
     "lcm_48": lambda: [kernels.disjoint_pairs(2000), kernels.walsh_kernel(2, 1300)],
     "dense_with_sparse": lambda: [kernels.constant_kernel(40), kernels.disjoint_pairs(2000)],
+    "dense_100": lambda: [kernels.constant_kernel(100)],
     "empty": lambda: [kernels.make_kernel(2, 50, {})],
 }
 
 
+def _tiling(rows, step):
+    """The (start, rows) slices of a block of `rows` rows filled `step` at a time."""
+    return [(start, min(step, rows - start)) for start in range(0, rows, step)]
+
+
+@pytest.fixture
+def fill_slices(monkeypatch):
+    """The (start, rows) of every piece handed to a `kernels.RowSums`."""
+    seen = []
+    add = kernels.RowSums.add
+
+    def spy(self, rows, start, sums):
+        seen.append((start, len(rows)))
+        add(self, rows, start, sums)
+
+    monkeypatch.setattr(kernels.RowSums, "add", spy)
+    return seen
+
+
 class TestBlockSpans:
-    """A block is filled and finished in slices of rows; each slice's
-    products go into every kernel's chunk product buffer at their row
-    offsets, and a chunk is reduced once it is complete, so every sum keeps
-    the bits of evaluating the whole block at once, wherever the slices
-    fall against the chunks."""
+    """A block is filled and finished in slices of rows; each slice goes to
+    every kernel's `kernels.RowSums`, which copies its columns or products
+    into a unit buffer at their row offsets and reduces a unit once it is
+    complete, so every sum keeps the bits of evaluating the whole block at
+    once, wherever the slices fall against the units."""
 
     @pytest.fixture(autouse=True)
     def small_gather(self, monkeypatch):
         monkeypatch.setattr(kernels, "GATHER_VALUES", 64_000)
 
     @staticmethod
-    def _assert_whole_block_bits(name, kernel_list, lo, hi):
+    def _assert_whole_block_bits(name, kernel_list, lo, hi, fill_slices) -> list:
+        """The block's sums equal the whole-block oracle's bit for bit; returns
+        the slices the block was filled in."""
         n_inputs = max(f.N for f in kernel_list)
         dist = simulate.get_law(name)
         want = whole_block_sums(kernel_list, dist, 3, lo, hi, n_inputs)
-        got = simulate._compute_block(kernel_list, dist, 3, lo, hi, n_inputs)
+        fill_slices.clear()
+        got = simulate._compute_blocks(kernel_list, dist, 3, [(lo, hi)], n_inputs)[0][1]
         assert got.tobytes() == want.tobytes()
+        return sorted(set(fill_slices))
 
     @pytest.mark.parametrize("name", LAW_NAMES)
     @pytest.mark.parametrize("case, lo, hi, span", [
         ("chunk_16", 500, 600, 16),  # slices on the chunk bounds, the last one 4 rows
         ("chunk_16", 0, 1024, 16),
         ("lcm_48", 500, 600, 48),
-        ("dense_with_sparse", 500, 600, 100),  # the GEMM needs the whole block
+        ("dense_with_sparse", 500, 600, 100),  # one slice
+        ("dense_with_sparse", 500, 600, 7),  # the GEMM unit split over 15 slices
         ("empty", 500, 600, 100),
     ])
-    def test_spans_keep_whole_block_bits(self, name, case, lo, hi, span, monkeypatch):
+    def test_spans_keep_whole_block_bits(self, name, case, lo, hi, span, monkeypatch, fill_slices):
         # a fill budget of `span` rows of inputs
         kernel_list = SPAN_CASES[case]()
         n_inputs = max(f.N for f in kernel_list)
         monkeypatch.setattr(simulate, "_FILL_VALUES", span * n_inputs)
-        assert simulate._slice_rows(kernel_list, hi - lo, n_inputs) == span
-        self._assert_whole_block_bits(name, kernel_list, lo, hi)
+        slices = self._assert_whole_block_bits(name, kernel_list, lo, hi, fill_slices)
+        assert slices == _tiling(hi - lo, span)
 
     @pytest.mark.parametrize("name", LAW_NAMES)
     @pytest.mark.parametrize("case, lo, hi, fill_values, slice_rows", [
@@ -226,25 +252,35 @@ class TestBlockSpans:
         ("lcm_48", 500, 600, None, 65),
         ("lcm_48", 500, 600, 40 * 4000 + 3999, 40),  # a multiple of neither 16 nor 24
         ("lcm_48", 0, 1024, 11 * 4000, 11),
+        ("dense_with_sparse", 0, 1024, None, 65),  # the GEMM unit spans 16 slices
+        ("dense_100", 0, 1024, 7 * 100, 7),
     ])
     def test_slices_straddling_chunks_keep_whole_block_bits(
-        self, name, case, lo, hi, fill_values, slice_rows, monkeypatch
+        self, name, case, lo, hi, fill_values, slice_rows, monkeypatch, fill_slices
     ):
         kernel_list = SPAN_CASES[case]()
         if fill_values is not None:
             monkeypatch.setattr(simulate, "_FILL_VALUES", fill_values)
-        assert simulate._slice_rows(kernel_list, hi - lo, 4000) == slice_rows
-        self._assert_whole_block_bits(name, kernel_list, lo, hi)
+        slices = self._assert_whole_block_bits(name, kernel_list, lo, hi, fill_slices)
+        assert slices == _tiling(hi - lo, slice_rows)
 
-    def test_slice_rule(self):
+    def test_slice_rule(self, fill_slices):
         assert simulate._FILL_VALUES == 1 << 18
+
+        def slices(kernel_list, rows):
+            fill_slices.clear()
+            n_inputs = max(f.N for f in kernel_list)
+            simulate._compute_blocks(kernel_list, simulate.get_law("rademacher"), 1, [(0, rows)],
+                                     n_inputs)
+            return sorted(set(fill_slices))
+
         wide = [kernels.disjoint_pairs(2000)]
-        assert simulate._slice_rows(wide, 1024, 4000) == (1 << 18) // 4000
-        assert simulate._slice_rows(wide, 30, 4000) == 30
-        # narrow blocks still fill in one slice, and so does any block that a
-        # kernel sums as one dense form
-        assert simulate._slice_rows([kernels.disjoint_pairs(128)], 1024, 256) == 1024
-        assert simulate._slice_rows(SPAN_CASES["dense_with_sparse"](), 1024, 4000) == 1024
+        assert slices(wide, 1024) == _tiling(1024, (1 << 18) // 4000)
+        assert slices(wide, 30) == [(0, 30)]
+        # narrow blocks still fill in one slice; a block that a kernel sums as
+        # one dense form is sliced like any other
+        assert slices([kernels.disjoint_pairs(128)], 1024) == [(0, 1024)]
+        assert slices(SPAN_CASES["dense_with_sparse"](), 1024) == _tiling(1024, (1 << 18) // 4000)
 
     def test_chunk_rule(self):
         assert kernels.evaluation_chunk(kernels.disjoint_pairs(2000)) == 16
@@ -268,18 +304,31 @@ def test_dense_form_built_once_per_share(monkeypatch):
     assert got.tobytes() == want.tobytes()
 
 
+def _block_peak(kernel_list) -> int:
+    """tracemalloc peak of one 1024-row Rademacher block, evaluators included."""
+    n_inputs = max(f.N for f in kernel_list)
+    tracemalloc.start()
+    try:
+        simulate._compute_blocks(kernel_list, simulate.get_law("rademacher"), 7, [(0, 1024)],
+                                 n_inputs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_block_memory_bounded_by_span():
     # One 1024-row block of a 20,000-input kernel: the whole-block input
     # alone would take 164 MB.  What stays is one 200-row chunk product
     # buffer (16 MB), one fill slice (2 MB) and one slice's gather (1 MB).
-    f = kernels.disjoint_pairs(10_000)
-    tracemalloc.start()
-    try:
-        simulate._compute_block([f], simulate.get_law("rademacher"), 7, 0, 1024, f.N)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 24 * 2**20
+    assert _block_peak([kernels.disjoint_pairs(10_000)]) < 24 * 2**20
+
+
+def test_dense_block_memory_bounded_by_slice():
+    # A dense-path kernel beside a 20,000-input one no longer makes the
+    # block fill whole (164 MB of inputs): on top of the sparse case above
+    # stay constant(700)'s dense tensor (3.9 MB), its 1024 x 700 unit
+    # buffer (5.7 MB) and the GEMM's product of the same size.
+    assert _block_peak([kernels.constant_kernel(700), kernels.disjoint_pairs(10_000)]) < 48 * 2**20
 
 
 class TestVectorSampling:
@@ -422,4 +471,10 @@ class TestRawDump:
         path = tmp_path / "bad.raw"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 8)
         with pytest.raises(Exception):
+            simulate.read_samples(path)
+
+    def test_header_shorter_than_16_bytes(self, tmp_path):
+        path = tmp_path / "short.raw"
+        path.write_bytes(b"HSUMRAW1")
+        with pytest.raises(ValidationError, match="truncated sample file"):
             simulate.read_samples(path)
