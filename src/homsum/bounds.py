@@ -23,14 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import contractions, kernels
-from .contractions import DEFAULT_MATERIALIZATION_CAP
-from .errors import (
-    InvalidDegrees,
-    NotNormalizedToTwoNu,
-    OddOrder,
-    OrderMismatch,
-    ParameterOutOfRange,
-)
+from .errors import OrderMismatch, ParameterOutOfRange
 from .kernels import SymmetricKernel
 
 EXACT = "exact"
@@ -132,18 +125,13 @@ def _contraction_sum(norms, ranks) -> tuple:
     exactness); past the cap the Gram norm, an upper bound, stands in for
     the symmetrized norm and the sum is flagged "upper-bound"."""
     d = norms.f.d
-    pairs = [norms.symmetrized(r) for r in ranks]
-    acc = sum(
-        math.factorial(r - 1) ** 2
-        * math.comb(d - 1, r - 1) ** 4
-        * math.factorial(2 * d - 2 * r)
-        * value ** 2
-        for r, (value, _) in zip(ranks, pairs)
-    )
-    return d ** 2 * acc, EXACT if all(exact for _, exact in pairs) else UPPER_BOUND
+    acc, exact = norms.rank_sum(ranks, lambda r: (
+        math.factorial(r - 1) ** 2 * math.comb(d - 1, r - 1) ** 4 * math.factorial(2 * d - 2 * r)
+    ))
+    return d ** 2 * acc, EXACT if exact else UPPER_BOUND
 
 
-def t1(f, cap: int = DEFAULT_MATERIALIZATION_CAP) -> tuple:
+def t1(f) -> tuple:
     """Contraction statistic for the normal approximation of a unit-variance
     kernel:
 
@@ -155,7 +143,7 @@ def t1(f, cap: int = DEFAULT_MATERIALIZATION_CAP) -> tuple:
     result is flagged "upper-bound" (still a valid bound).  f is a kernel
     or its contractions.ChaosNorms record.
     """
-    norms = contractions.chaos_norms(f, cap)
+    norms = contractions.chaos_norms(f)
     f = norms.f
     if f.d < 2:
         raise ParameterOutOfRange(f"t1 needs d >= 2, got d={f.d}")
@@ -271,14 +259,7 @@ def wasserstein_bound(
 # Chi-square approximation
 # ---------------------------------------------------------------------------
 
-def _check_chi2_preconditions(f: SymmetricKernel, nu: int) -> None:
-    InvalidDegrees.check(nu)
-    if f.d % 2 != 0:
-        raise OddOrder(f"chi-square approximation needs even order, got d={f.d}")
-    kernels.require_second_moment(f, 2.0 * nu, NotNormalizedToTwoNu)
-
-
-def t3(f, nu: int, cap: int = DEFAULT_MATERIALIZATION_CAP) -> tuple:
+def t3(f, nu: int) -> tuple:
     """Chi-square contraction statistic for a kernel with E[Q^2] = 2 nu:
 
         [ 4 d! || f - (1/c_d) sym(f *_{d/2} f) ||_d^2
@@ -289,9 +270,9 @@ def t3(f, nu: int, cap: int = DEFAULT_MATERIALIZATION_CAP) -> tuple:
     critical d/2 term always requires materialization.  f is a kernel or
     its contractions.ChaosNorms record.
     """
-    norms = contractions.chaos_norms(f, cap)
+    norms = contractions.chaos_norms(f)
     f = norms.f
-    _check_chi2_preconditions(f, nu)
+    contractions.check_chi_square(f.d, nu, f)
     c_d = contractions.chi_square_match_constant(f.d)
     first = 4.0 * math.factorial(f.d) * (norms.defect() / c_d) ** 2
     rest, exactness = _contraction_sum(norms, [r for r in range(1, f.d) if r != f.d // 2])
@@ -302,9 +283,7 @@ def t4(eq3: float, eq4: float, nu: int, d: int) -> float:
     """Chi-square moment statistic
     sqrt(((d-1)/(3d)) |E F^4 - 12 E F^3 - 12 nu^2 + 48 nu|); >= t3 with
     exact Gaussian-input moments."""
-    InvalidDegrees.check(nu)
-    if d % 2 != 0 or d < 2:
-        raise OddOrder(f"t4 needs even order >= 2, got d={d}")
+    contractions.check_chi_square(d, nu)
     return math.sqrt((d - 1) / (3.0 * d) * abs(eq4 - 12.0 * eq3 - 12.0 * nu ** 2 + 48.0 * nu))
 
 
@@ -330,7 +309,7 @@ def chi_square_smooth_bound(
         + max(sqrt(2 pi/nu), 1/nu + 2/nu^2) * sqrt((d-1)/(3d))
           * (moment_term + influence_term).
     """
-    _check_chi2_preconditions(f, nu)
+    contractions.check_chi_square(f.d, nu, f)
     max_inf = contractions.max_influence(f)
     inv = _invariance_term(f.d, profile.beta4, budget.b3, max_inf)
     moment_term = math.sqrt(abs(eq4x - 12.0 * eq3x - 12.0 * nu ** 2 + 48.0 * nu))

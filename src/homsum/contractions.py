@@ -36,10 +36,18 @@ import numpy as np
 import scipy.sparse
 
 from . import kernels
-from .errors import MaterializationTooLarge, OddOrder, ParameterOutOfRange, RankOutOfRange
+from .errors import (
+    InvalidDegrees,
+    MaterializationTooLarge,
+    NotNormalizedToTwoNu,
+    OddOrder,
+    ParameterOutOfRange,
+    RankOutOfRange,
+)
 from .kernels import SymmetricKernel
 
-DEFAULT_MATERIALIZATION_CAP = 10_000_000
+# the most values a dense kernel or contraction tensor may hold
+MATERIALIZATION_CAP = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -75,17 +83,18 @@ def _check_rank(f: SymmetricKernel, r: int) -> int:
     return int(r)
 
 
-def contract(f: SymmetricKernel, r: int, cap: int = DEFAULT_MATERIALIZATION_CAP) -> ContractionTensor:
-    """Materialize f *_r f as a dense tensor on [N]^{2d-2r}."""
+def contract(f: SymmetricKernel, r: int) -> ContractionTensor:
+    """Materialize f *_r f as a dense tensor on [N]^{2d-2r}; raises
+    MaterializationTooLarge past MATERIALIZATION_CAP values."""
     r = _check_rank(f, r)
     if r == f.d:
         scalar = np.array(kernels.squared_norm(f))
         return ContractionTensor(arity=0, N=f.N, values=scalar)
     out_arity = 2 * f.d - 2 * r
-    if max(f.N ** f.d, f.N ** out_arity) > cap:
+    if max(f.N ** f.d, f.N ** out_arity) > MATERIALIZATION_CAP:
         raise MaterializationTooLarge(
             f"contraction d={f.d}, r={r}, N={f.N} needs {max(f.N**f.d, f.N**out_arity)} "
-            f"values, cap is {cap}"
+            f"values, cap is {MATERIALIZATION_CAP}"
         )
     dense = kernels.dense_tensor(f)
     M = dense.reshape(f.N ** r, f.N ** (f.d - r))
@@ -240,8 +249,8 @@ class ChaosNorms:
     request and kept: Gram norms ||f *_r f||, symmetrized norms
     ||sym(f *_r f)|| and the chi-square defect."""
 
-    def __init__(self, f: SymmetricKernel, cap: int = DEFAULT_MATERIALIZATION_CAP):
-        self.f, self.cap, self._memo = f, cap, {}
+    def __init__(self, f: SymmetricKernel):
+        self.f, self._memo = f, {}
 
     def _get(self, key, compute):
         if key not in self._memo:
@@ -257,9 +266,7 @@ class ChaosNorms:
         r = _check_rank(self.f, r)
         if r >= self.f.d - 1:
             return self.gram(r)
-        return self._get(
-            ("sym", r), lambda: symmetrize(contract(self.f, r, self.cap)).frobenius_norm()
-        )
+        return self._get(("sym", r), lambda: symmetrize(contract(self.f, r)).frobenius_norm())
 
     def symmetrized(self, r: int) -> tuple:
         """(||sym(f *_r f)||, exact); past the cap the Gram norm, an upper
@@ -269,14 +276,26 @@ class ChaosNorms:
         except MaterializationTooLarge:
             return self.gram(r), False
 
+    def rank_sum(self, ranks, weight, acc: float = 0.0, exact: bool = False) -> tuple:
+        """(acc + sum over ranks of weight(r) * ||sym(f *_r f)||^2, exact),
+        added one rank after another in the order given.  With exact=True a
+        norm past the cap raises MaterializationTooLarge; otherwise its
+        Gram norm stands in and exact is False."""
+        all_exact = True
+        for r in ranks:
+            value, is_exact = (self.exact_symmetrized(r), True) if exact else self.symmetrized(r)
+            all_exact = all_exact and is_exact
+            acc += weight(r) * value ** 2
+        return acc, all_exact
+
     def defect(self) -> float:
-        """chi_square_defect(f, cap); raises MaterializationTooLarge past the cap."""
-        return self._get("defect", lambda: chi_square_defect(self.f, self.cap))
+        """chi_square_defect(f); raises MaterializationTooLarge past the cap."""
+        return self._get("defect", lambda: chi_square_defect(self.f))
 
 
-def chaos_norms(f, cap: int = DEFAULT_MATERIALIZATION_CAP) -> ChaosNorms:
-    """f when it already is a ChaosNorms record (with its own cap), else f's record."""
-    return f if isinstance(f, ChaosNorms) else ChaosNorms(f, cap)
+def chaos_norms(f) -> ChaosNorms:
+    """f when it already is a ChaosNorms record, else f's record."""
+    return f if isinstance(f, ChaosNorms) else ChaosNorms(f)
 
 
 def influence_profile(f: SymmetricKernel) -> InfluenceProfile:
@@ -295,23 +314,33 @@ def max_influence(f: SymmetricKernel) -> float:
     return influence_profile(f).max_influence
 
 
+def check_chi_square(d: int, nu=None, f: SymmetricKernel | None = None) -> None:
+    """The preconditions of every chi-square quantity: nu (when given) a
+    positive integer, else InvalidDegrees; the order d even and >= 2, else
+    OddOrder; f (when given) normalized to E[Q^2] = 2 nu, else
+    NotNormalizedToTwoNu."""
+    if nu is not None:
+        InvalidDegrees.check(nu)
+    if d % 2 != 0 or d < 2:
+        raise OddOrder(f"chi-square approximation needs even order >= 2, got d={d}")
+    if f is not None:
+        kernels.require_second_moment(f, 2.0 * nu, NotNormalizedToTwoNu)
+
+
 def chi_square_match_constant(d: int) -> float:
     """The constant c_d = 4 ((d/2)!)^3 / (d!)^2 in the chi-square criterion."""
-    if d % 2 != 0 or d < 2:
-        raise OddOrder(f"chi-square constant needs even order >= 2, got d={d}")
+    check_chi_square(d)
     return 4.0 * math.factorial(d // 2) ** 3 / math.factorial(d) ** 2
 
 
-def chi_square_defect(f: SymmetricKernel, cap: int = DEFAULT_MATERIALIZATION_CAP) -> float:
+def chi_square_defect(f: SymmetricKernel) -> float:
     """|| sym(f *_{d/2} f) - c_d * f ||_d over all ordered tuples of [N]^d.
 
     The symmetrized half-contraction carries diagonal mass; f is extended by
     zero there, so the defect norm runs over the full cube.
     """
-    if f.d % 2 != 0:
-        raise OddOrder(f"chi-square defect needs even order, got d={f.d}")
-    c_d = chi_square_match_constant(f.d)
-    T = symmetrize(contract(f, f.d // 2, cap))
+    c_d = chi_square_match_constant(f.d)  # raises OddOrder for an odd order
+    T = symmetrize(contract(f, f.d // 2))
     diff = T.values - c_d * kernels.dense_tensor(f)
     return float(np.sqrt((diff ** 2).sum()))
 

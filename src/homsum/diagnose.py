@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import bounds, contractions, kernels, moments, simulate
-from .errors import InvalidDegrees, OddOrder, ValidationError
+from .errors import InvalidDegrees, ValidationError
 from .kernels import KernelFamilySpec, SymmetricKernel
 
 TREND_TOLERANCE = 1e-9
@@ -41,8 +41,6 @@ class SequenceSpec:
     seed: int = 0
     workers: int = 1
     batch_size: int = 1024
-    tolerance: float = TREND_TOLERANCE
-    threshold: float = TERMINAL_THRESHOLD
 
     def __post_init__(self):
         object.__setattr__(self, "sweep", tuple(int(s) for s in self.sweep))
@@ -86,36 +84,37 @@ class VerdictReport:
     points: list
     trends: dict = field(default_factory=dict)
     verdict: bool | None = None
-    tolerance: float = TREND_TOLERANCE
-    threshold: float = TERMINAL_THRESHOLD
     statistics_used: list = field(default_factory=list)
     notes: list = field(default_factory=list)
+    # the verdict rule's constants, written into every report (not fields)
+    tolerance = TREND_TOLERANCE
+    threshold = TERMINAL_THRESHOLD
 
     def series(self, name: str) -> list:
         return [p[name] for p in self.points]
 
 
-def trend_of(series, tolerance: float = TREND_TOLERANCE) -> str:
-    """Noise-tolerant strict decrease: every step may rise by at most the
-    tolerance and the last value sits below the first by more than it."""
-    if all(b < a + tolerance for a, b in zip(series, series[1:])) and (
-        series[-1] < series[0] - tolerance
+def trend_of(series) -> str:
+    """Noise-tolerant strict decrease: every step may rise by at most
+    TREND_TOLERANCE and the last value sits below the first by more than it."""
+    if all(b < a + TREND_TOLERANCE for a, b in zip(series, series[1:])) and (
+        series[-1] < series[0] - TREND_TOLERANCE
     ):
         return DECREASING
     return STAGNANT
 
 
-def assess(points, statistic_names, tolerance=TREND_TOLERANCE, threshold=TERMINAL_THRESHOLD):
+def assess(points, statistic_names) -> tuple:
     """(trends, verdict): every named statistic must be decreasing and end
-    below the threshold; a single point yields no verdict."""
+    below TERMINAL_THRESHOLD; a single point yields no verdict."""
     trends = {}
     if len(points) < 2:
         return trends, None
     verdict = True
     for name in statistic_names:
         series = [p[name] for p in points]
-        trends[name] = trend_of(series, tolerance)
-        verdict = verdict and trends[name] == DECREASING and series[-1] < threshold
+        trends[name] = trend_of(series)
+        verdict = verdict and trends[name] == DECREASING and series[-1] < TERMINAL_THRESHOLD
     return trends, verdict
 
 
@@ -132,10 +131,9 @@ def _criterion_sweep(kind: str, spec: SequenceSpec, sigma2: float, point_stats) 
         f = kernels.normalize_to_variance(spec.kernel_at(size), sigma2)
         points.append({"size": float(size), **point_stats(contractions.ChaosNorms(f))})
     tracked = [k for k in points[0] if k != "size"]
-    trends, verdict = assess(points, tracked, spec.tolerance, spec.threshold)
+    trends, verdict = assess(points, tracked)
     return VerdictReport(
-        kind=kind, points=points, trends=trends, verdict=verdict,
-        tolerance=spec.tolerance, threshold=spec.threshold, statistics_used=tracked,
+        kind=kind, points=points, trends=trends, verdict=verdict, statistics_used=tracked
     )
 
 
@@ -155,9 +153,7 @@ def chi_square_diagnostic(spec: SequenceSpec) -> VerdictReport:
     """Chi-square-target criterion statistics: the defect
     ||sym(f *_{d/2} f) - c_d f||_d and the off-critical contraction norms,
     for kernels normalized to E[Q^2] = 2 spec.nu."""
-    InvalidDegrees.check(spec.nu)
-    if spec.d % 2 != 0:
-        raise OddOrder(f"chi-square diagnostic needs even order, got d={spec.d}")
+    contractions.check_chi_square(spec.d, spec.nu)
     return _criterion_sweep("chi_square", spec, 2.0 * spec.nu, lambda norms: {
         "chi_square_defect": norms.defect(), **_norm_stats(norms, skip=spec.d // 2),
     })
@@ -167,20 +163,19 @@ def de_jong_report(
     f: SymmetricKernel,
     dist: simulate.DistributionSpec,
     config: simulate.SampleConfig,
-    budget: bounds.TestFunctionBudget | None = None,
 ) -> VerdictReport:
     """Assumption statistics of the two-condition normality criterion for one
     unit-variance kernel: the fourth moment under `dist` (exact where an
     oracle applies, Monte Carlo otherwise), the maximal influence, the
     empirical Kolmogorov distance to the standard normal, and the assembled
-    smooth-test bound."""
+    smooth-test bound (test-function budget b3 = 1)."""
     f = kernels.normalize_to_variance(f, 1.0)
-    budget = budget or bounds.TestFunctionBudget(b3=1.0)
     summary = simulate.sample_sums(f, dist, config)
     _, eq4, eq4_exact, eq4_se = moments.estimate_moments(f, dist, config, summary=summary)
     max_inf = contractions.max_influence(f)
     report = bounds.normal_smooth_bound(
-        f, simulate.law_moment_profile(dist), budget, eq4, eq4_exact, eq4_se
+        f, simulate.law_moment_profile(dist), bounds.TestFunctionBudget(b3=1.0),
+        eq4, eq4_exact, eq4_se,
     )
     stats = {
         "fourth_moment_gap": abs(eq4 - 3.0),
@@ -232,7 +227,7 @@ def universality_experiment(spec: SequenceSpec) -> VerdictReport:
         points.append(stats)
     tracked = [f"ks_{law.name}" for law in laws]
     trends = (
-        {name: trend_of([p[name] for p in points], spec.tolerance) for name in tracked}
+        {name: trend_of([p[name] for p in points]) for name in tracked}
         if len(points) > 1
         else {}
     )
@@ -245,5 +240,5 @@ def universality_experiment(spec: SequenceSpec) -> VerdictReport:
     notes = [f"terminal spread {max(terminal) - min(terminal)!r} vs 3*DKW band {3.0 * band!r}"]
     return VerdictReport(
         kind="universality", points=points, trends=trends, verdict=verdict,
-        tolerance=spec.tolerance, threshold=spec.threshold, statistics_used=tracked, notes=notes,
+        statistics_used=tracked, notes=notes,
     )

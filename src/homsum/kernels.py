@@ -339,6 +339,8 @@ def random_sparse_kernel(
 
 def generate_family(spec: KernelFamilySpec) -> SymmetricKernel:
     _require_positive_sigma2(spec.sigma2)
+    if spec.seed < 0:
+        raise ParameterOutOfRange(f"seed must be >= 0, got {spec.seed}")
     if spec.family == "single_pair":
         return single_pair(spec.sigma2)
     if spec.family == "constant":

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import contractions, kernels, simulate
 from .bounds import EXACT, MONTE_CARLO
-from .errors import EnumerationTooLarge, InvalidDegrees, OddOrder, ParameterOutOfRange
+from .errors import EnumerationTooLarge, MaterializationTooLarge, ParameterOutOfRange
 from .kernels import SymmetricKernel
 
 ENUMERATION_MAX_N = 22
@@ -36,9 +36,7 @@ def gaussian_second_moment(f: SymmetricKernel) -> float:
     return kernels.second_moment(f)
 
 
-def gaussian_fourth_moment(
-    f, cap: int = contractions.DEFAULT_MATERIALIZATION_CAP
-) -> float:
+def gaussian_fourth_moment(f) -> float:
     """E[Q_d(G)^4] for a kernel with E[Q^2] = 1, from contraction norms:
 
         3 + 3d * sum_{r=1}^{d-1} r!(r-1)! C(d,r)^2 C(d-1,r-1)^2 (2d-2r)!
@@ -48,25 +46,20 @@ def gaussian_fourth_moment(
     f is a kernel or its contractions.ChaosNorms record; a symmetrized norm
     past the cap raises MaterializationTooLarge.
     """
-    norms = contractions.chaos_norms(f, cap)
+    norms = contractions.chaos_norms(f)
     kernels.require_second_moment(norms.f, 1.0)
     d = norms.f.d
-    acc = 0.0
-    for r in range(1, d):
-        acc += (
-            math.factorial(r)
-            * math.factorial(r - 1)
-            * math.comb(d, r) ** 2
-            * math.comb(d - 1, r - 1) ** 2
-            * math.factorial(2 * d - 2 * r)
-            * norms.exact_symmetrized(r) ** 2
-        )
+    acc, _ = norms.rank_sum(range(1, d), lambda r: (
+        math.factorial(r)
+        * math.factorial(r - 1)
+        * math.comb(d, r) ** 2
+        * math.comb(d - 1, r - 1) ** 2
+        * math.factorial(2 * d - 2 * r)
+    ), exact=True)
     return 3.0 + 3.0 * d * acc
 
 
-def gaussian_chi_square_combination(
-    f, nu: int, cap: int = contractions.DEFAULT_MATERIALIZATION_CAP
-) -> float:
+def gaussian_chi_square_combination(f, nu: int) -> float:
     """E[Q^4(G)] - 12 E[Q^3(G)] for an even-order kernel with E[Q^2] = 2 nu,
     exactly from contraction norms:
 
@@ -79,27 +72,19 @@ def gaussian_chi_square_combination(
     statistic; the third moment alone has no closed contraction form.  f is
     a kernel or its contractions.ChaosNorms record.
     """
-    norms = contractions.chaos_norms(f, cap)
+    norms = contractions.chaos_norms(f)
     d = norms.f.d
-    if d % 2 != 0:
-        raise OddOrder(f"chi-square combination needs even order, got d={d}")
-    InvalidDegrees.check(nu)
-    kernels.require_second_moment(norms.f, 2.0 * nu)
+    contractions.check_chi_square(d, nu, norms.f)
     c_d = contractions.chi_square_match_constant(d)
-    acc = 24.0 * math.factorial(d) * (norms.defect() / c_d) ** 2
-    for r in range(1, d):
-        if r == d // 2:
-            continue
-        acc += (
-            3.0
-            * d
-            * math.factorial(r)
-            * math.factorial(r - 1)
-            * math.comb(d, r) ** 2
-            * math.comb(d - 1, r - 1) ** 2
-            * math.factorial(2 * d - 2 * r)
-            * norms.exact_symmetrized(r) ** 2
-        )
+    acc, _ = norms.rank_sum([r for r in range(1, d) if r != d // 2], lambda r: (
+        3.0
+        * d
+        * math.factorial(r)
+        * math.factorial(r - 1)
+        * math.comb(d, r) ** 2
+        * math.comb(d - 1, r - 1) ** 2
+        * math.factorial(2 * d - 2 * r)
+    ), acc=24.0 * math.factorial(d) * (norms.defect() / c_d) ** 2, exact=True)
     return 12.0 * nu ** 2 - 48.0 * nu + acc
 
 
@@ -107,15 +92,19 @@ def estimate_moments(f, law, config, need_third: bool = False, summary=None) -> 
     """(E Q^3, E Q^4, exactness, standard error) under the input law: 2^N
     enumeration for Rademacher inputs with N <= 22, the contraction identity
     for Gaussian inputs unless the third moment is needed (E Q^3 is then
-    nan), else Monte Carlo from `summary`, drawn under `config` if not given.
-    f is a kernel or its contractions.ChaosNorms record."""
+    nan) or a contraction is past the cap, else Monte Carlo from `summary`,
+    drawn under `config` if not given.  f is a kernel or its
+    contractions.ChaosNorms record."""
     norms = contractions.chaos_norms(f)
     f = norms.f
     if law.tag == "rademacher" and f.N <= ENUMERATION_MAX_N:
         dist = exact_rademacher_distribution(f)
         return dist.moment(3), dist.moment(4), EXACT, None
     if law.tag == "gaussian" and not need_third:
-        return float("nan"), gaussian_fourth_moment(norms), EXACT, None
+        try:
+            return float("nan"), gaussian_fourth_moment(norms), EXACT, None
+        except MaterializationTooLarge:
+            pass  # sampled below, like any other law
     if summary is None:
         summary = simulate.sample_sums(f, law, config)
     return summary.moment(3), summary.moment(4), MONTE_CARLO, summary.standard_error(4)

@@ -35,6 +35,11 @@ code paths, so they can certify library output:
 * symmetrize_all_permutations: the average of a tensor over every axis
   permutation, one strided transpose added after another, the reference
   for the library's symmetrize.
+* t1_by_rank_loop, t3_by_rank_loop, fourth_moment_by_rank_loop and
+  chi_square_combination_by_rank_loop: each statistic's weighted sum of
+  squared symmetrized norms written out as its own loop, with its own weight
+  expression and order of additions, read off a ChaosNorms record; the
+  references for the library's one shared rank sum.
 """
 
 import itertools
@@ -45,6 +50,7 @@ from numpy.random import Generator, Philox
 from scipy import integrate, special
 
 from homsum import kernels
+from homsum.bounds import EXACT, UPPER_BOUND
 from homsum.errors import DimensionMismatch, IndexOutOfRange, ParameterOutOfRange
 
 
@@ -210,6 +216,74 @@ def symmetrize_all_permutations(values: np.ndarray) -> np.ndarray:
         acc += np.transpose(values, p)
     acc /= math.factorial(values.ndim)
     return acc
+
+
+def _normal_contraction_sum(norms, ranks) -> tuple:
+    d = norms.f.d
+    pairs = [norms.symmetrized(r) for r in ranks]
+    acc = sum(
+        math.factorial(r - 1) ** 2
+        * math.comb(d - 1, r - 1) ** 4
+        * math.factorial(2 * d - 2 * r)
+        * value ** 2
+        for r, (value, _) in zip(ranks, pairs)
+    )
+    return d ** 2 * acc, EXACT if all(exact for _, exact in pairs) else UPPER_BOUND
+
+
+def t1_by_rank_loop(norms) -> tuple:
+    """(t1, exactness) of the kernel of a ChaosNorms record."""
+    value, exactness = _normal_contraction_sum(norms, range(1, norms.f.d))
+    return math.sqrt(value), exactness
+
+
+def _chi_square_constant(d: int) -> float:
+    return 4.0 * math.factorial(d // 2) ** 3 / math.factorial(d) ** 2
+
+
+def t3_by_rank_loop(norms) -> tuple:
+    """(t3, exactness) of the even-order kernel of a ChaosNorms record."""
+    d = norms.f.d
+    first = 4.0 * math.factorial(d) * (norms.defect() / _chi_square_constant(d)) ** 2
+    rest, exactness = _normal_contraction_sum(norms, [r for r in range(1, d) if r != d // 2])
+    return math.sqrt(first + rest), exactness
+
+
+def fourth_moment_by_rank_loop(norms) -> float:
+    """E[Q(G)^4] of the unit-variance kernel of a ChaosNorms record."""
+    d = norms.f.d
+    acc = 0.0
+    for r in range(1, d):
+        acc += (
+            math.factorial(r)
+            * math.factorial(r - 1)
+            * math.comb(d, r) ** 2
+            * math.comb(d - 1, r - 1) ** 2
+            * math.factorial(2 * d - 2 * r)
+            * norms.exact_symmetrized(r) ** 2
+        )
+    return 3.0 + 3.0 * d * acc
+
+
+def chi_square_combination_by_rank_loop(norms, nu: int) -> float:
+    """E[Q(G)^4] - 12 E[Q(G)^3] of the even-order kernel, normalized to
+    E[Q^2] = 2 nu, of a ChaosNorms record."""
+    d = norms.f.d
+    acc = 24.0 * math.factorial(d) * (norms.defect() / _chi_square_constant(d)) ** 2
+    for r in range(1, d):
+        if r == d // 2:
+            continue
+        acc += (
+            3.0
+            * d
+            * math.factorial(r)
+            * math.factorial(r - 1)
+            * math.comb(d, r) ** 2
+            * math.comb(d - 1, r - 1) ** 2
+            * math.factorial(2 * d - 2 * r)
+            * norms.exact_symmetrized(r) ** 2
+        )
+    return 12.0 * nu ** 2 - 48.0 * nu + acc
 
 
 def product_normal_cdf(z: float) -> float:

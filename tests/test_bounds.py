@@ -77,11 +77,12 @@ class TestT1T2:
             assert exactness == bounds.EXACT
             assert v1 <= v2 * (1 + 1e-10) + 1e-12
 
-    def test_upper_bound_fallback_flagged(self):
+    def test_upper_bound_fallback_flagged(self, monkeypatch):
         # cap too small to materialize the r=1 symmetrization for d=3
         f = kernels.normalize_to_variance(kernels.random_sparse_kernel(3, 8, seed=8), 1.0)
         exact_value, flag = bounds.t1(f)
-        capped_value, capped_flag = bounds.t1(f, cap=100)
+        monkeypatch.setattr(contractions, "MATERIALIZATION_CAP", 100)
+        capped_value, capped_flag = bounds.t1(f)
         assert flag == bounds.EXACT and capped_flag == bounds.UPPER_BOUND
         assert capped_value >= exact_value - 1e-12
 
@@ -258,10 +259,12 @@ class TestMultivariate:
 
 
 class TestReportInvariants:
-    def test_upper_bound_t1_dominates_exact(self):
+    def test_upper_bound_t1_dominates_exact(self, monkeypatch):
         rng = np.random.default_rng(251)
         for f in random_kernels(rng, 10, d_range=(3, 3), n_max=7, sigma2=1.0):
             exact_value, _ = bounds.t1(f)
-            upper_value, flag = bounds.t1(f, cap=10)
+            with monkeypatch.context() as m:
+                m.setattr(contractions, "MATERIALIZATION_CAP", 10)
+                upper_value, flag = bounds.t1(f)
             assert flag == bounds.UPPER_BOUND
             assert upper_value >= exact_value - 1e-12

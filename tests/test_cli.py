@@ -35,6 +35,16 @@ class TestKernelCommands:
         assert run(["kernel", "generate", "--family", "disjoint_pairs", "--m", "0",
                     "--out", str(tmp_path / "d.kern")]) == 2
 
+    @pytest.mark.parametrize("family, size", [
+        ("random_sparse", ["--d", "3", "-N", "8"]), ("constant", ["-N", "5"]),
+    ])
+    def test_generate_negative_seed_exit_2(self, tmp_path, capsys, family, size):
+        out = tmp_path / "k.kern"
+        assert run(["kernel", "generate", "--family", family, *size, "--seed", "-1",
+                    "--out", str(out)]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_inspect_reports_norm(self, tmp_path):
         kern = tmp_path / "p2.kern"
         kernels.write_kernel(kernels.single_pair(), kern)
@@ -220,6 +230,23 @@ class TestCapacityFlags:
         assert bound["t2_exactness"] == "unavailable:capacity"
         assert "t2" not in bound
         assert bound["eq4x_exactness"] == "exact"
+
+    @pytest.mark.parametrize("kind", ["normal", "wasserstein"])
+    def test_gaussian_moment_past_the_cap_is_sampled(self, tmp_path, kind):
+        # rank 1 of d=3, N=60 needs 60^4 values: the contraction identity
+        # cannot give E Q^4, so it is drawn like that of any other law
+        kern, out = tmp_path / "k.kern", tmp_path / "r.txt"
+        assert run(["kernel", "generate", "--family", "random_sparse", "--d", "3", "-N", "60",
+                    "--seed", "1", "--out", str(kern)]) == 0
+        assert run(["bound", kind, "--kernel", str(kern), "--law", "gaussian", "--n", "2000",
+                    "--seed", "4", "--out", str(out)]) == 0
+        sections = dict(reportio.parse_sections(out.read_text(), reportio.REPORT_MAGIC))
+        bound = sections["bound"]
+        assert bound["eq4x_exactness"] == "monte-carlo"
+        assert bound["mc_standard_error"] > 0
+        assert bound["t1_exactness"] == "upper-bound"
+        assert bound["t2_exactness"] == "unavailable:capacity"
+        assert sections["manifest"]["param.seed"] == 4
 
     def test_t3_t4_flagged_when_the_defect_is_past_the_cap(self, tmp_path):
         # the defect of d=4, N=60 needs 60^4 values

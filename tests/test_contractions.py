@@ -62,10 +62,11 @@ class TestContract:
         with pytest.raises(RankOutOfRange):
             contractions.contraction_norm(p2, -1)
 
-    def test_materialization_cap(self):
+    def test_materialization_cap(self, monkeypatch):
         f = kernels.walsh_kernel(2, 200)
-        with pytest.raises(MaterializationTooLarge):
-            contractions.contract(f, 1, cap=10_000)
+        monkeypatch.setattr(contractions, "MATERIALIZATION_CAP", 10_000)
+        with pytest.raises(MaterializationTooLarge, match="needs 40000 values, cap is 10000"):
+            contractions.contract(f, 1)
 
 
 class TestContractionNorm:
@@ -119,9 +120,10 @@ def test_first_seen_ids_equal_unique_numbering(name):
 
 
 class TestChaosNorms:
-    def test_past_cap_falls_back_to_gram(self):
+    def test_past_cap_falls_back_to_gram(self, monkeypatch):
         f = kernels.walsh_kernel(4, 6)  # ranks 1 and 2 need 6^6 and 6^4 values
-        norms = contractions.ChaosNorms(f, cap=1000)
+        monkeypatch.setattr(contractions, "MATERIALIZATION_CAP", 1000)
+        norms = contractions.ChaosNorms(f)
         for _ in range(2):
             with pytest.raises(MaterializationTooLarge):
                 norms.exact_symmetrized(1)

@@ -97,18 +97,17 @@ class TestFourthMomentDiagnostic:
 
 class TestChiSquareDiagnostic:
     def test_constant_kernel_positive(self):
-        # terminal defect is ~ 250^{-1/2} = 0.063, so the sweep needs a
-        # threshold above the 0.05 default to register as converged
+        # the defect is ~ N^{-1/2}: 0.045 at N = 500, below the 0.05 threshold
         spec = diagnose.SequenceSpec(
-            family="constant", d=2, sweep=(10, 50, 250), target="chi2", nu=1, threshold=0.1
+            family="constant", d=2, sweep=(10, 50, 500), target="chi2", nu=1
         )
         report = diagnose.chi_square_diagnostic(spec)
         defects = report.series("chi_square_defect")
         assert defects[0] > defects[1] > defects[2]
-        for N, defect in zip((10, 50, 250), defects):
+        for N, defect in zip((10, 50, 500), defects):
             assert defect <= 1.5 / math.sqrt(N)
+        assert defects[2] < diagnose.TERMINAL_THRESHOLD
         assert report.verdict is True
-        assert report.threshold == 0.1
 
     def test_disjoint_pairs_negative(self):
         # Gaussian limit, not chi-square: the defect stalls near 1

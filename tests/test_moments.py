@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from homsum import kernels, moments, simulate
+from homsum import bounds, contractions, kernels, moments, simulate
 from homsum.errors import (
     EnumerationTooLarge,
     InvalidDegrees,
+    MaterializationTooLarge,
     NotNormalized,
     OddOrder,
     ParameterOutOfRange,
@@ -123,6 +124,109 @@ class TestChiSquareCombination:
         f = kernels.normalize_to_variance(kernels.random_sparse_kernel(3, 6, seed=9), 2.0)
         with pytest.raises(OddOrder):
             moments.gaussian_chi_square_combination(f, 1)
+
+
+def _same_value_or_error(library, oracle, *args):
+    """library(*args) == oracle(*args) bit for bit, or both raise
+    MaterializationTooLarge with the same message."""
+    try:
+        want = oracle(*args)
+    except MaterializationTooLarge as exc:
+        with pytest.raises(MaterializationTooLarge) as got:
+            library(*args)
+        assert str(got.value) == str(exc)
+        return
+    assert library(*args) == want
+
+
+# largest N of the random kernels of each order: a symmetrized norm at rank
+# r costs N^(2d-2r) (2d-2r)! additions, so orders 5 and 6 run under a cap
+# that keeps contractions of arity 8 and more from being built
+RANK_SUM_N_MAX = {2: 30, 3: 10, 4: 6, 5: 6, 6: 7}
+DEFAULT_CAP = contractions.MATERIALIZATION_CAP
+
+
+def _rank_sum_caps(d: int, N: int) -> list:
+    """The default cap up to order 4, a cap that sends rank 1 (and, at
+    order 6, rank 2) past it, and a cap that every rank below d-1 is past."""
+    return [DEFAULT_CAP] * (d <= 4) + [N ** min(2 * d - 3, 7), 1]
+
+
+class _DrawnNorms(contractions.ChaosNorms):
+    """A ChaosNorms record of f whose norms are drawn instead of computed,
+    so that the arithmetic of the statistics is checked at every order;
+    the symmetrized norms of the ranks in `past` are past the cap."""
+
+    def __init__(self, f, rng, past=()):
+        super().__init__(f)
+        self.drawn, self.past = rng.uniform(0.0, 2.0, size=(3, f.d + 1)), set(past)
+
+    def gram(self, r):
+        return float(self.drawn[0, r])
+
+    def exact_symmetrized(self, r):
+        if r in self.past:
+            raise MaterializationTooLarge(f"rank {r} is drawn past the cap")
+        return float(self.drawn[1, r]) if r < self.f.d - 1 else self.gram(r)
+
+    def defect(self):
+        self.exact_symmetrized(self.f.d // 2)  # the defect is past the cap with its rank
+        return float(self.drawn[2, 0])
+
+
+class TestRankSumKeepsBits:
+    """t1, t3, the Gaussian fourth moment and the chi-square combination
+    share one rank-weighted sum; each keeps the bits of its own loop."""
+
+    @pytest.mark.parametrize("d", sorted(RANK_SUM_N_MAX))
+    def test_random_kernels(self, d, monkeypatch):
+        rng = np.random.default_rng(300 + d)
+        for trial in range(4):
+            nu = trial % 3 + 1
+            [f] = random_kernels(rng, 1, d_range=(d, d), n_max=RANK_SUM_N_MAX[d], sigma2=1.0)
+            [g] = random_kernels(rng, 1, d_range=(d, d), n_max=RANK_SUM_N_MAX[d],
+                                 sigma2=2.0 * nu)
+            for cap in _rank_sum_caps(d, f.N):
+                monkeypatch.setattr(contractions, "MATERIALIZATION_CAP", cap)
+                norms = contractions.ChaosNorms(f)
+                value, exactness = bounds.t1(norms)
+                assert (value, exactness) == oracles.t1_by_rank_loop(norms)
+                # a cap below N^(2d-2) puts rank 1 past it, where t1 is an upper bound
+                rank_one_past = d >= 3 and f.N ** (2 * d - 2) > cap
+                assert exactness == (bounds.UPPER_BOUND if rank_one_past else bounds.EXACT)
+                _same_value_or_error(moments.gaussian_fourth_moment,
+                                     oracles.fourth_moment_by_rank_loop, norms)
+            for cap in _rank_sum_caps(d, g.N) if d % 2 == 0 else []:
+                monkeypatch.setattr(contractions, "MATERIALIZATION_CAP", cap)
+                norms = contractions.ChaosNorms(g)
+                _same_value_or_error(lambda n: bounds.t3(n, nu), oracles.t3_by_rank_loop, norms)
+                _same_value_or_error(moments.gaussian_chi_square_combination,
+                                     oracles.chi_square_combination_by_rank_loop, norms, nu)
+
+    def test_past_the_cap_names_size_and_cap(self, monkeypatch):
+        f = kernels.normalize_to_variance(kernels.walsh_kernel(4, 6), 1.0)
+        monkeypatch.setattr(contractions, "MATERIALIZATION_CAP", 40_000)
+        with pytest.raises(MaterializationTooLarge,
+                           match=r"d=4, r=1, N=6 needs 46656 values, cap is 40000"):
+            moments.gaussian_fourth_moment(f)
+
+    @pytest.mark.parametrize("d", range(2, kernels.MAX_ORDER + 1))
+    def test_drawn_norms_at_every_order(self, d):
+        # up to order 12, where some weights pass 2^53 and are rounded
+        rng = np.random.default_rng(400 + d)
+        unit = kernels.make_kernel(d, d, {tuple(range(1, d + 1)): 1.0})
+        for trial in range(12):
+            past = [r for r in range(1, d - 1) if trial % 2 and rng.random() < 0.5]
+            nu = trial % 3 + 1
+            norms = _DrawnNorms(kernels.normalize_to_variance(unit, 1.0), rng, past)
+            assert bounds.t1(norms) == oracles.t1_by_rank_loop(norms)
+            _same_value_or_error(moments.gaussian_fourth_moment,
+                                 oracles.fourth_moment_by_rank_loop, norms)
+            if d % 2 == 0:
+                norms = _DrawnNorms(kernels.normalize_to_variance(unit, 2.0 * nu), rng, past)
+                _same_value_or_error(lambda n: bounds.t3(n, nu), oracles.t3_by_rank_loop, norms)
+                _same_value_or_error(moments.gaussian_chi_square_combination,
+                                     oracles.chi_square_combination_by_rank_loop, norms, nu)
 
 
 class TestExactRademacher:
