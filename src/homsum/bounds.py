@@ -17,6 +17,7 @@ recompute exactly from their serialized components.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -101,6 +102,30 @@ class BoundReport:
         raise ParameterOutOfRange(f"unknown report kind {self.kind!r}")
 
 
+def _assembled(bound):
+    """Each bound's report is finished here: its total is recomputed from its
+    components, and a term that overflows, or a component or total that is
+    not finite (bar the nan total of an inapplicable Wasserstein bound),
+    raises ParameterOutOfRange naming the moment profile and the order."""
+
+    @functools.wraps(bound)
+    def assembled(f, profile: MomentProfile, *args, **kwargs) -> BoundReport:
+        try:
+            report = bound(f, profile, *args, **kwargs)
+            report.total = report.recompute_total()
+            values = [*report.components.values(), report.total if report.applicable else 0.0]
+        except OverflowError:
+            values = [math.inf]
+        if not all(map(math.isfinite, values)):
+            d = f.d if isinstance(f, SymmetricKernel) else ",".join(str(g.d) for g in f)
+            raise ParameterOutOfRange(
+                f"{bound.__name__} overflows or is not finite for the moment profile "
+                f"beta3={profile.beta3!r}, beta4={profile.beta4!r} at d={d}")
+        return report
+
+    return assembled
+
+
 # ---------------------------------------------------------------------------
 # Univariate normal approximation
 # ---------------------------------------------------------------------------
@@ -178,6 +203,7 @@ def _influence_term_normal(d: int, alpha: float, max_inf: float) -> float:
     )
 
 
+@_assembled
 def normal_smooth_bound(
     f: SymmetricKernel,
     profile: MomentProfile,
@@ -198,29 +224,23 @@ def normal_smooth_bound(
     """
     kernels.require_second_moment(f, 1.0)
     max_inf = contractions.max_influence(f)
-    inv = _invariance_term(f.d, profile.beta4, budget.b3, max_inf)
-    cstar = c_star(budget, f.d)
-    moment_term = math.sqrt(abs(eq4x - 3.0))
-    influence_term = _influence_term_normal(f.d, profile.alpha, max_inf)
-    components = {
-        "d": float(f.d),
-        "c_star": cstar,
-        "invariance": inv,
-        "moment_term": moment_term,
-        "influence_term": influence_term,
-        "eq4x": eq4x,
-        "max_influence": max_inf,
-    }
-    report = BoundReport(
+    return BoundReport(
         kind="normal",
-        components=components,
+        components={
+            "d": float(f.d),
+            "c_star": c_star(budget, f.d),
+            "invariance": _invariance_term(f.d, profile.beta4, budget.b3, max_inf),
+            "moment_term": math.sqrt(abs(eq4x - 3.0)),
+            "influence_term": _influence_term_normal(f.d, profile.alpha, max_inf),
+            "eq4x": eq4x,
+            "max_influence": max_inf,
+        },
         exactness={"eq4x": eq4x_exactness},
         mc_standard_error=eq4x_se,
     )
-    report.total = report.recompute_total()
-    return report
 
 
+@_assembled
 def wasserstein_bound(
     f: SymmetricKernel,
     profile: MomentProfile,
@@ -244,15 +264,13 @@ def wasserstein_bound(
     )
     threshold = 3.0 / (4.0 * math.sqrt(2.0))
     applicable = b1 + b2 <= threshold
-    report = BoundReport(
+    return BoundReport(
         kind="wasserstein",
         components={"d": float(f.d), "b1": b1, "b2": b2, "threshold": threshold},
         exactness={"eq4x": eq4x_exactness},
         applicable=applicable,
         mc_standard_error=eq4x_se,
     )
-    report.total = report.recompute_total()
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +309,7 @@ def chi2_prefactor(nu: int) -> float:
     return max(math.sqrt(2.0 * math.pi / nu), 1.0 / nu + 2.0 / nu ** 2)
 
 
+@_assembled
 def chi_square_smooth_bound(
     f: SymmetricKernel,
     profile: MomentProfile,
@@ -311,8 +330,6 @@ def chi_square_smooth_bound(
     """
     contractions.check_chi_square(f.d, nu, f)
     max_inf = contractions.max_influence(f)
-    inv = _invariance_term(f.d, profile.beta4, budget.b3, max_inf)
-    moment_term = math.sqrt(abs(eq4x - 12.0 * eq3x - 12.0 * nu ** 2 + 48.0 * nu))
     influence_term = (
         4.0
         * math.sqrt(f.d)
@@ -325,25 +342,22 @@ def chi_square_smooth_bound(
         )
         * max_inf ** 0.25
     )
-    components = {
-        "d": float(f.d),
-        "nu": float(nu),
-        "prefactor": chi2_prefactor(nu),
-        "invariance": inv,
-        "moment_term": moment_term,
-        "influence_term": influence_term,
-        "eq3x": eq3x,
-        "eq4x": eq4x,
-        "max_influence": max_inf,
-    }
-    report = BoundReport(
+    return BoundReport(
         kind="chi2",
-        components=components,
+        components={
+            "d": float(f.d),
+            "nu": float(nu),
+            "prefactor": chi2_prefactor(nu),
+            "invariance": _invariance_term(f.d, profile.beta4, budget.b3, max_inf),
+            "moment_term": math.sqrt(abs(eq4x - 12.0 * eq3x - 12.0 * nu ** 2 + 48.0 * nu)),
+            "influence_term": influence_term,
+            "eq3x": eq3x,
+            "eq4x": eq4x,
+            "max_influence": max_inf,
+        },
         exactness={"moments": moments_exactness},
         mc_standard_error=moments_se,
     )
-    report.total = report.recompute_total()
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +411,7 @@ def delta_matrix(kernel_list) -> np.ndarray:
     return delta
 
 
+@_assembled
 def multivariate_smooth_bound(
     kernel_list, profile: MomentProfile, budget: TestFunctionBudget
 ) -> BoundReport:
@@ -434,6 +449,4 @@ def multivariate_smooth_bound(
         "max_max_influence": max_max_inf,
         "mixing_term": mixing,
     }
-    report = BoundReport(kind="multivariate", components=components, delta=delta)
-    report.total = report.recompute_total()
-    return report
+    return BoundReport(kind="multivariate", components=components, delta=delta)

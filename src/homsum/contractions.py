@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from . import kernels
+from . import kernels, reductions
 from .errors import (
     InvalidDegrees,
     MaterializationTooLarge,
@@ -59,7 +59,7 @@ class ContractionTensor:
     values: np.ndarray
 
     def frobenius_norm(self) -> float:
-        return float(np.sqrt((self.values ** 2).sum()))
+        return math.sqrt(reductions.sum_squares(self.values))
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ def contract(f: SymmetricKernel, r: int) -> ContractionTensor:
         )
     dense = kernels.dense_tensor(f)
     M = dense.reshape(f.N ** r, f.N ** (f.d - r))
-    out = (M.T @ M).reshape((f.N,) * out_arity)
+    out = reductions.gram(M).reshape((f.N,) * out_arity)
     return ContractionTensor(arity=out_arity, N=f.N, values=out)
 
 
@@ -142,9 +142,7 @@ def contraction_norm(f: SymmetricKernel, r: int) -> float:
         return kernels.squared_norm(f)
     if f.entry_count == 0:
         return 0.0
-    S = _slice_matrix(f, r)
-    W = (S.T @ S).tocoo()
-    gram_sq = float((W.data ** 2).sum())
+    gram_sq = reductions.sum_squares(reductions.gram(_slice_matrix(f, r)).data)
     return math.factorial(r) * math.factorial(f.d - r) * math.sqrt(gram_sq)
 
 
@@ -342,7 +340,7 @@ def chi_square_defect(f: SymmetricKernel) -> float:
     c_d = chi_square_match_constant(f.d)  # raises OddOrder for an odd order
     T = symmetrize(contract(f, f.d // 2))
     diff = T.values - c_d * kernels.dense_tensor(f)
-    return float(np.sqrt((diff ** 2).sum()))
+    return math.sqrt(reductions.sum_squares(diff))
 
 
 def crux_gap(f: SymmetricKernel) -> tuple:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import bounds, contractions, kernels, moments, simulate
-from .errors import InvalidDegrees, ValidationError
+from .errors import ValidationError
 from .kernels import KernelFamilySpec, SymmetricKernel
 
 TREND_TOLERANCE = 1e-9
@@ -50,7 +50,7 @@ class SequenceSpec:
         if self.target not in ("normal", "chi2"):
             raise ValidationError(f"target must be 'normal' or 'chi2', got {self.target!r}")
         if self.target == "chi2":
-            InvalidDegrees.check(self.nu)
+            contractions.check_chi_square(self.d, self.nu)
         # the sampling fields are checked for every kind, sampling or not
         simulate.SampleConfig(
             n=self.n, seed=self.seed, workers=self.workers, batch_size=self.batch_size
@@ -89,9 +89,6 @@ class VerdictReport:
     # the verdict rule's constants, written into every report (not fields)
     tolerance = TREND_TOLERANCE
     threshold = TERMINAL_THRESHOLD
-
-    def series(self, name: str) -> list:
-        return [p[name] for p in self.points]
 
 
 def trend_of(series) -> str:

@@ -24,6 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
+from . import reductions
 from .errors import (
     DimensionMismatch,
     DuplicateTuple,
@@ -137,7 +138,7 @@ def make_kernel(d: int, N: int, canonical_entries) -> SymmetricKernel:
 
 def squared_norm(f: SymmetricKernel) -> float:
     """||f||_d^2: sum of f^2 over all ordered tuples = d! * sum of canonical f^2."""
-    return math.factorial(f.d) * float(np.dot(f.value_array, f.value_array))
+    return math.factorial(f.d) * reductions.dot(f.value_array, f.value_array)
 
 
 def second_moment(f: SymmetricKernel) -> float:
@@ -183,8 +184,9 @@ class RowSums:
 
     Rows are reduced in units counted from the start of their batch: on the
     dense path (`evaluation_chunk` is None) the whole batch, one GEMM
-    quadratic form sum_{i,j} F[i,j] x_i x_j over its first N columns;
-    otherwise `evaluation_chunk(f)` rows, one GEMV times d! over each row's
+    quadratic form sum_{i,j} F[i,j] x_i x_j over its first N columns
+    (`reductions.row_quadratic_forms`); otherwise `evaluation_chunk(f)`
+    rows, one GEMV (`reductions.row_dots`) times d! over each row's
     products x_{i1} ... x_{id} (one gather per coordinate, multiplied in
     coordinate order).  BLAS handles rows in small groups and rounds a
     leftover group differently, so a row's last bits depend on the unit it
@@ -225,12 +227,8 @@ class RowSums:
 
     def _reduce(self, unit: np.ndarray) -> np.ndarray:
         if self.dense is not None:
-            reduced = unit @ self.dense
-            reduced *= unit
-            return reduced.sum(axis=1)
-        reduced = unit @ self.f.value_array
-        reduced *= float(math.factorial(self.f.d))
-        return reduced
+            return reductions.row_quadratic_forms(unit, self.dense)
+        return reductions.row_dots(unit, self.f.value_array) * float(math.factorial(self.f.d))
 
 
 def dense_tensor(f: SymmetricKernel) -> np.ndarray:
@@ -420,34 +418,28 @@ def _lines(pieces):
     yield from "".join(held).splitlines()
 
 
-def _parse_pieces(pieces) -> SymmetricKernel:
-    """The kernel in a text given as consecutive pieces, parsed as they come."""
-    lines = (ln for ln in _lines(pieces) if ln and not ln.isspace())
-    header = list(itertools.islice(lines, 3))
-    if not header or header[0].strip() != KERNEL_MAGIC:
-        raise ParameterOutOfRange(f"not a kernel file (expected header {KERNEL_MAGIC!r})")
-    try:
-        d = int(header[1].split()[1])
-        N = int(header[2].split()[1])
-    except (IndexError, ValueError) as exc:
-        raise ParameterOutOfRange(f"malformed kernel header: {exc}") from None
-    slices = iter(lambda: list(itertools.islice(lines, PARSE_SLICE)), [])
-    # a file without records is one empty slice, which the field count rejects
-    parts = [_parse_records(records, d) for records in slices] or [_parse_records([], d)]
-    index, values = (np.concatenate(arrays) for arrays in zip(*parts))
-    del parts
-    return kernel_from_arrays(d, N, index, values)
-
-
-def parse_kernel(text: str) -> SymmetricKernel:
-    return _parse_pieces(text[lo : lo + READ_PIECE] for lo in range(0, len(text), READ_PIECE))
-
-
 def write_kernel(f: SymmetricKernel, path) -> None:
     with open(path, "w") as fh:
         fh.write(format_kernel(f))
 
 
 def read_kernel(path) -> SymmetricKernel:
+    """The kernel in a kernel file, read in pieces of READ_PIECE characters
+    and parsed as they come."""
     with UndecodableFile.reading(path), open(path, encoding="utf-8") as fh:
-        return _parse_pieces(iter(lambda: fh.read(READ_PIECE), ""))
+        pieces = iter(lambda: fh.read(READ_PIECE), "")
+        lines = (ln for ln in _lines(pieces) if ln and not ln.isspace())
+        header = list(itertools.islice(lines, 3))
+        if not header or header[0].strip() != KERNEL_MAGIC:
+            raise ParameterOutOfRange(f"not a kernel file (expected header {KERNEL_MAGIC!r})")
+        try:
+            d = int(header[1].split()[1])
+            N = int(header[2].split()[1])
+        except (IndexError, ValueError) as exc:
+            raise ParameterOutOfRange(f"malformed kernel header: {exc}") from None
+        slices = iter(lambda: list(itertools.islice(lines, PARSE_SLICE)), [])
+        # a file without records is one empty slice, which the field count rejects
+        parts = [_parse_records(records, d) for records in slices] or [_parse_records([], d)]
+    index, values = (np.concatenate(arrays) for arrays in zip(*parts))
+    del parts
+    return kernel_from_arrays(d, N, index, values)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import contractions, kernels, simulate
+from . import contractions, kernels, reductions, simulate
 from .bounds import EXACT, MONTE_CARLO
 from .errors import EnumerationTooLarge, MaterializationTooLarge, ParameterOutOfRange
 from .kernels import SymmetricKernel
@@ -130,10 +130,10 @@ class ExactDistribution:
         object.__setattr__(self, "probabilities", p)
 
     def moment(self, k: int) -> float:
-        return float(np.dot(self.probabilities, self.values ** k))
+        return reductions.dot(self.probabilities, self.values ** k)
 
     def abs_moment(self, k: float) -> float:
-        return float(np.dot(self.probabilities, np.abs(self.values) ** k))
+        return reductions.dot(self.probabilities, np.abs(self.values) ** k)
 
 
 def exact_rademacher_distribution(f: SymmetricKernel) -> ExactDistribution:

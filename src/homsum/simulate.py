@@ -46,7 +46,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import gammainc, ndtr
 
-from . import kernels
+from . import kernels, reductions
 from .errors import DimensionMismatch, InvalidDegrees, ParameterOutOfRange, ValidationError
 from .kernels import SymmetricKernel
 
@@ -225,7 +225,7 @@ class VectorSampleSummary:
     samples: np.ndarray  # shape (n, m)
 
     def empirical_covariance(self) -> np.ndarray:
-        return self.samples.T @ self.samples / self.n
+        return reductions.covariance(self.samples)
 
     def marginal(self, j: int) -> SampleSummary:
         return SampleSummary(n=self.n, law=self.law, seed=self.seed, samples=self.samples[:, j])

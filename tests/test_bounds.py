@@ -259,6 +259,23 @@ class TestMultivariate:
 
 
 class TestReportInvariants:
+    def test_overflowing_terms_raise(self, p2):
+        huge4 = bounds.MomentProfile(beta3=1.0, beta4=1e200)
+        f, budget = kernels.disjoint_pairs(10), bounds.TestFunctionBudget(b3=1.0, b2m=1.0, b3m=1.0)
+        for build in (
+            lambda: bounds.normal_smooth_bound(f, huge4, budget, 3.0),
+            lambda: bounds.wasserstein_bound(f, huge4, 3.0),
+            lambda: bounds.chi_square_smooth_bound(
+                kernels.disjoint_pairs(10, sigma2=2.0), huge4, budget, 1, 8.0, 60.0),
+            # float products reach inf without an OverflowError
+            lambda: bounds.multivariate_smooth_bound(
+                [f, f], bounds.MomentProfile(beta3=1e300, beta4=1.0), budget),
+        ):
+            with pytest.raises(ParameterOutOfRange, match="beta4=.* at d=2"):
+                build()
+        # an inapplicable Wasserstein bound has a nan total by definition
+        assert math.isnan(bounds.wasserstein_bound(p2, GAUSS, 9.0).total)
+
     def test_upper_bound_t1_dominates_exact(self, monkeypatch):
         rng = np.random.default_rng(251)
         for f in random_kernels(rng, 10, d_range=(3, 3), n_max=7, sigma2=1.0):

@@ -1,5 +1,6 @@
 import collections
 import hashlib
+import json
 import math
 import multiprocessing
 import os
@@ -183,17 +184,26 @@ class TestBoundCommands:
         sections = dict(reportio.parse_sections(out.read_text(), reportio.REPORT_MAGIC))
         np.testing.assert_allclose(sections["bound"]["delta.0"], math.sqrt(2) / 10, rtol=1e-12)
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--profile", "nan,nan"),
-        ("--profile", "inf,inf"),
-        ("--budget", "nan,0,1"),
-        ("--budget", "a,0,1"),
-    ], ids=["profile_nan", "profile_inf", "budget_nan", "budget_not_a_number"])
-    def test_non_finite_or_non_numeric_parameters_exit_2(self, tmp_path, flag, value):
+    @pytest.mark.parametrize("kind, flags", [
+        ("normal", ["--profile", "nan,nan"]),
+        ("normal", ["--profile", "inf,inf"]),
+        ("normal", ["--budget", "nan,0,1"]),
+        ("normal", ["--budget", "a,0,1"]),
+        # (30 beta4)^d overflowed with a traceback; the multi total was inf with exit 0
+        ("normal", ["--profile", "1,1e200"]),
+        ("wasserstein", ["--profile", "1,1e200"]),
+        ("chi2", ["--profile", "1,1e200"]),
+        ("normal", ["--law", "two_point:1e-200"]),
+        ("multi", ["--profile", "1e300,1", "--budget", "1,1"]),
+    ], ids=["profile_nan", "profile_inf", "budget_nan", "budget_not_a_number",
+            "normal_profile_overflows", "wasserstein_profile_overflows",
+            "chi2_profile_overflows", "law_moments_overflow", "multi_mixing_term_overflows"])
+    def test_non_finite_or_non_numeric_parameters_exit_2(self, tmp_path, capsys, kind, flags):
         kern, out = tmp_path / "d.kern", tmp_path / "r.txt"
-        kernels.write_kernel(kernels.disjoint_pairs(20), kern)
-        assert run(["bound", "normal", "--kernel", str(kern), "--law", "rademacher",
-                    "--n", "2000", flag, value, "--out", str(out)]) == 2
+        kernels.write_kernel(kernels.disjoint_pairs(10), kern)
+        assert run(["bound", kind, "--kernel", str(kern), "--law", "rademacher",
+                    "--n", "2000", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
     def test_directory_as_kernel_exit_2(self, tmp_path):
@@ -417,11 +427,23 @@ class TestDiagnoseCommand:
         spec.write_text("garbage\n")
         assert run(["diagnose", "--spec", str(spec)]) == 2
 
-    def test_decreasing_sweep_exit_2(self, tmp_path):
-        spec = tmp_path / "spec.txt"
-        self._write_spec(spec, {"kind": "fourth_moment", "family": "disjoint_pairs",
-                                "d": 2, "sweep": [100, 10]})
-        assert run(["diagnose", "--spec", str(spec)]) == 2
+    _ODD_CHI2 = {"family": "walsh", "d": 3, "sweep": [5, 9], "target": "chi2",
+                 "laws": ["gaussian", "rademacher"], "n": 2000}
+
+    @pytest.mark.parametrize("body, message", [
+        ({"kind": "fourth_moment", "family": "disjoint_pairs", "d": 2, "sweep": [100, 10]},
+         "strictly increasing"),
+        # an odd order has no chi-square limit: these exited 0, the first with verdict = true
+        ({"kind": "universality", **_ODD_CHI2}, "even order"),
+        ({"kind": "de_jong", **_ODD_CHI2}, "even order"),
+    ], ids=["decreasing_sweep", "odd_order_chi2_universality", "odd_order_chi2_de_jong"])
+    def test_invalid_sequence_exit_2(self, tmp_path, capsys, body, message):
+        spec, out = tmp_path / "spec.txt", tmp_path / "r.txt"
+        self._write_spec(spec, body)
+        assert run(["diagnose", "--spec", str(spec), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("field, value", [("d", "x"), ("sweep", ["a", "b"])],
                              ids=["d_not_a_number", "sweep_not_numbers"])
@@ -639,21 +661,48 @@ GOLDEN_SHA256 = {
 }
 
 
-def test_output_bytes_pinned(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)  # reports name their inputs by relative path
-    for name, argv in GOLDEN_INPUTS.items():
-        assert run(["kernel", "generate", *argv, "--out", name]) == 0
+def _golden_argvs(directory: Path) -> list:
+    """The golden commands in order, kernels first; writes the diagnose specs
+    they read into `directory`."""
     for name, body in GOLDEN_SPECS.items():
-        (tmp_path / name).write_text(
+        (directory / name).write_text(
             reportio.format_sections(reportio.DIAGNOSE_MAGIC, [("sequence", body)])
         )
-    for name, argv in GOLDEN_COMMANDS.items():
-        assert run([*argv, "--out", name]) == 0, name
-    got = {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    return [
+        *(["kernel", "generate", *argv, "--out", name] for name, argv in GOLDEN_INPUTS.items()),
+        *([*argv, "--out", name] for name, argv in GOLDEN_COMMANDS.items()),
+    ]
+
+
+def _golden_hashes(directory: Path) -> dict:
+    return {
+        name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
         for name in [*GOLDEN_INPUTS, *GOLDEN_COMMANDS]
     }
-    assert got == GOLDEN_SHA256
+
+
+def test_output_bytes_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # reports name their inputs by relative path
+    for argv in _golden_argvs(tmp_path):
+        assert run(argv) == 0, argv
+    assert _golden_hashes(tmp_path) == GOLDEN_SHA256
+
+
+def _blas_env(threads: int) -> dict:
+    """This environment with `threads` OpenBLAS threads and homsum importable."""
+    src = str(Path(homsum.__file__).resolve().parents[1])
+    return {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_output_bytes_pinned_at_one_blas_thread(tmp_path):
+    # the same manifests in one fresh process, whose BLAS starts with one thread
+    script = ("import json, sys\nfrom homsum import cli\n"
+              "for argv in json.loads(sys.stdin.read()):\n"
+              "    assert cli.main(argv) == 0, argv\n")
+    subprocess.run([sys.executable, "-c", script], input=json.dumps(_golden_argvs(tmp_path)),
+                   text=True, cwd=tmp_path, env=_blas_env(1), check=True, timeout=600)
+    assert _golden_hashes(tmp_path) == GOLDEN_SHA256
 
 
 # The two 2^N enumeration commands of the exact_chaos benchmark workload, at
@@ -687,9 +736,7 @@ ENUMERATION_SHA256 = {
 
 
 def test_enumeration_report_bytes_pinned_at_one_blas_thread(tmp_path):
-    src = str(Path(homsum.__file__).resolve().parents[1])
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = _blas_env(1)
     for name, argv in ENUMERATION_COMMANDS.items():
         subprocess.run([sys.executable, "-m", "homsum.cli", *argv, "--out", name],
                        cwd=tmp_path, env=env, check=True, timeout=120)

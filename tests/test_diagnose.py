@@ -32,6 +32,10 @@ class TestTrendLogic:
         assert verdict is False
 
 
+def series(report, name: str) -> list:
+    return [p[name] for p in report.points]
+
+
 class TestSequenceSpec:
     def test_sweep_must_increase(self):
         with pytest.raises(ValidationError):
@@ -42,6 +46,11 @@ class TestSequenceSpec:
     def test_chi2_needs_valid_nu(self):
         with pytest.raises(InvalidDegrees):
             diagnose.SequenceSpec(family="constant", d=2, sweep=(10, 20), target="chi2", nu=0)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_chi2_needs_even_order(self, d):
+        with pytest.raises(OddOrder):
+            diagnose.SequenceSpec(family="walsh", d=d, sweep=(5, 9), target="chi2")
 
     def test_kernel_at_normalizes_to_target(self):
         spec = diagnose.SequenceSpec(family="constant", d=2, sweep=(10, 20), target="chi2", nu=2)
@@ -62,10 +71,10 @@ class TestFourthMomentDiagnostic:
     def test_disjoint_pairs_positive(self):
         spec = diagnose.SequenceSpec(family="disjoint_pairs", d=2, sweep=(10, 100, 1000))
         report = diagnose.fourth_moment_diagnostic(spec)
-        gaps = report.series("fourth_moment_gap")
+        gaps = series(report, "fourth_moment_gap")
         np.testing.assert_allclose(gaps, [6 / 10, 6 / 100, 6 / 1000], rtol=1e-10)
         np.testing.assert_allclose(
-            report.series("contraction_norm_r1"),
+            series(report, "contraction_norm_r1"),
             [1 / math.sqrt(80), 1 / math.sqrt(800), 1 / math.sqrt(8000)],
             rtol=1e-12,
         )
@@ -76,7 +85,7 @@ class TestFourthMomentDiagnostic:
         report = diagnose.fourth_moment_diagnostic(spec)
         assert report.verdict is False
         assert report.trends["max_influence"] == diagnose.STAGNANT
-        np.testing.assert_allclose(report.series("max_influence"), 0.25, rtol=1e-12)
+        np.testing.assert_allclose(series(report, "max_influence"), 0.25, rtol=1e-12)
 
     def test_single_point_has_no_verdict(self):
         spec = diagnose.SequenceSpec(family="disjoint_pairs", d=2, sweep=(50,))
@@ -102,7 +111,7 @@ class TestChiSquareDiagnostic:
             family="constant", d=2, sweep=(10, 50, 500), target="chi2", nu=1
         )
         report = diagnose.chi_square_diagnostic(spec)
-        defects = report.series("chi_square_defect")
+        defects = series(report, "chi_square_defect")
         assert defects[0] > defects[1] > defects[2]
         for N, defect in zip((10, 50, 500), defects):
             assert defect <= 1.5 / math.sqrt(N)
@@ -116,7 +125,7 @@ class TestChiSquareDiagnostic:
         )
         report = diagnose.chi_square_diagnostic(spec)
         assert report.verdict is False
-        assert min(report.series("chi_square_defect")) > 0.9
+        assert min(series(report, "chi_square_defect")) > 0.9
 
     def test_odd_order_rejected(self):
         spec = diagnose.SequenceSpec(family="walsh", d=3, sweep=(5, 9), target="normal")
@@ -180,8 +189,8 @@ class TestUniversality:
         report = diagnose.universality_experiment(spec)
         assert report.verdict is True
         for law in ("rademacher", "shifted_exponential"):
-            series = report.series(f"ks_{law}")
-            assert series[-1] < series[0]
+            ks = series(report, f"ks_{law}")
+            assert ks[-1] < ks[0]
 
     def test_walsh_negative(self):
         spec = diagnose.SequenceSpec(

@@ -354,9 +354,11 @@ class TestKernelFile:
         ("1 2 0.5 3\n4 0.5\n", ParameterOutOfRange),
         ("1 x 0.5\n", ParameterOutOfRange),
     ], ids=["nan", "inf", "duplicate_behind_zero", "misaligned_fields", "non_integer_index"])
-    def test_parse_rejects_bad_records(self, records, error):
+    def test_parse_rejects_bad_records(self, tmp_path, records, error):
+        path = tmp_path / "bad.kern"
+        path.write_text("artifact-kernel v1\nd 2\nN 4\n" + records)
         with pytest.raises(error):
-            kernels.parse_kernel("artifact-kernel v1\nd 2\nN 4\n" + records)
+            kernels.read_kernel(path)
 
     def test_parse_in_slices(self, tmp_path):
         f = kernels.constant_kernel(200)
@@ -375,9 +377,11 @@ class TestKernelFile:
             kernels.read_kernel(path)
         assert cli.main(["kernel", "inspect", "--kernel", str(path)]) == 2
 
-    def test_header_only_file_rejected(self):
+    def test_header_only_file_rejected(self, tmp_path):
+        path = tmp_path / "header.kern"
+        path.write_text("artifact-kernel v1\nd 2\nN 4\n")
         with pytest.raises(ParameterOutOfRange):
-            kernels.parse_kernel("artifact-kernel v1\nd 2\nN 4\n")
+            kernels.read_kernel(path)
 
     def test_reject_garbage(self, tmp_path):
         path = tmp_path / "junk"
@@ -420,19 +424,16 @@ def _outcome(read, arg):
 
 
 class TestStreamedReading:
-    """read_kernel and parse_kernel read the text piece by piece; each must
-    give the kernel, or raise the exception type, that splitting the whole
-    text at once gives."""
+    """read_kernel reads a file's text piece by piece; it must give the
+    kernel, or raise the exception type, that splitting the whole text at
+    once gives."""
 
     @pytest.mark.parametrize("piece", [1, 3, 7, 1 << 20], ids=lambda n: f"piece_{n}")
     @pytest.mark.parametrize("name", STREAM_TEXTS)
     def test_same_kernel_as_whole_text(self, name, piece, monkeypatch, tmp_path):
         monkeypatch.setattr(kernels, "READ_PIECE", piece)
-        text = STREAM_TEXTS[name]
-        want = _outcome(parse_kernel_whole_text, text)
-        assert _outcome(kernels.parse_kernel, text) == want
         path = tmp_path / "k.kern"
-        path.write_bytes(text.encode())
+        path.write_bytes(STREAM_TEXTS[name].encode())
         # reading a file translates "\r\n" and "\r" into "\n", as read_text does
         assert _outcome(kernels.read_kernel, path) == _outcome(parse_kernel_whole_text, path.read_text())
 
@@ -444,18 +445,21 @@ class TestStreamedReading:
         assert outcomes["header_only"] is ParameterOutOfRange
         assert outcomes["duplicate_last_record"] is DuplicateTuple
 
-    def test_cr_only_text_parsed_in_linear_time(self, monkeypatch):
+    def test_text_without_newline_parsed_in_linear_time(self, monkeypatch, tmp_path):
         # a text without "\n" is held piece by piece until its end: joining
-        # the held pieces anew for every piece would take seconds here
+        # the held pieces anew for every piece would take seconds here.  A
+        # file read turns "\r" into "\n", so form feeds separate the lines.
         monkeypatch.setattr(kernels, "READ_PIECE", 8)
         f = kernels.constant_kernel(300)
         text = kernels.format_kernel(f)
         seconds = {}
-        for sep in ("\n", "\r"):
+        for sep in ("\n", "\x0c"):
+            path = tmp_path / "k.kern"
+            path.write_text(text.replace("\n", sep))
             start = time.perf_counter()
-            assert kernels.parse_kernel(text.replace("\n", sep)) == f
+            assert kernels.read_kernel(path) == f
             seconds[sep] = time.perf_counter() - start
-        assert seconds["\r"] < 3 * seconds["\n"] + 0.5
+        assert seconds["\x0c"] < 3 * seconds["\n"] + 0.5
 
     def test_bad_record_in_later_piece(self, monkeypatch, tmp_path):
         monkeypatch.setattr(kernels, "READ_PIECE", 4096)
