@@ -136,8 +136,7 @@ def c_star(budget: TestFunctionBudget, d: int) -> float:
         4 sqrt(2) (1 + 5^{3d/2})
           * max(1.5 b + (b3/3)(2 sqrt(2)/sqrt(pi)), 2 a + b3/3).
     """
-    if not 1 <= d <= kernels.MAX_ORDER:
-        raise ParameterOutOfRange(f"c_star needs 1 <= d <= {kernels.MAX_ORDER}, got {d}")
+    kernels.check_order(d)
     inner = max(
         1.5 * budget.b + (budget.b3 / 3.0) * (2.0 * math.sqrt(2.0) / math.sqrt(math.pi)),
         2.0 * budget.a + budget.b3 / 3.0,

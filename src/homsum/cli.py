@@ -113,9 +113,7 @@ def _spec_str(value, key: str) -> str:
 
 def cmd_kernel(args) -> int:
     if args.action == "generate":
-        size = args.m if args.family == "disjoint_pairs" else args.N
-        if args.family == "single_pair":
-            size = 2
+        size = {"disjoint_pairs": args.m, "single_pair": 2}.get(args.family, args.N)
         if size is None:
             raise ValidationError(f"family {args.family} needs --m or -N")
         spec = kernels.KernelFamilySpec(
@@ -176,6 +174,8 @@ def _attach_statistics(report, norms, kind, nu) -> None:
 
 
 def cmd_bound(args) -> int:
+    if args.kind != "multi" and len(args.kernel) > 1:
+        raise ValidationError(f"bound {args.kind} takes one --kernel, got {len(args.kernel)}")
     kernel_list = [kernels.read_kernel(p) for p in args.kernel]
     law = simulate.get_law(args.law)
     if args.profile:
@@ -228,13 +228,15 @@ def cmd_bound(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.nu is not None:
+        InvalidDegrees.check(args.nu)
+        if len(args.kernel) > 1:
+            raise ValidationError(f"simulate --nu takes one --kernel, got {len(args.kernel)}")
     kernel_list = [kernels.read_kernel(p) for p in args.kernel]
     law = simulate.get_law(args.law)
     config = simulate.SampleConfig(
         n=args.n, seed=args.seed, workers=args.workers, batch_size=args.batch
     )
-    if args.nu is not None:
-        InvalidDegrees.check(args.nu)
     params = {
         "kernel": list(args.kernel) if len(args.kernel) > 1 else args.kernel[0],
         "law": args.law,

@@ -81,8 +81,7 @@ def kernel_from_arrays(d: int, N: int, index, values) -> SymmetricKernel:
     zero-valued repeat included); then drops exact zeros.  Rows are kept in
     lexicographic order.
     """
-    if int(d) != d or not 1 <= d <= MAX_ORDER:
-        raise ParameterOutOfRange(f"order d must be an integer in 1..{MAX_ORDER}, got {d}")
+    check_order(d)
     if int(N) != N or N < d:
         raise ParameterOutOfRange(f"dimension N must satisfy N >= d, got N={N}, d={d}")
     d, N = int(d), int(N)
@@ -115,6 +114,12 @@ def kernel_from_arrays(d: int, N: int, index, values) -> SymmetricKernel:
     index = index - 1
     index.flags.writeable = values.flags.writeable = False
     return SymmetricKernel(d=d, N=N, index_array=index, value_array=values)
+
+
+def check_order(d) -> None:
+    """Raise unless the order d is an integer in 1..MAX_ORDER."""
+    if int(d) != d or not 1 <= d <= MAX_ORDER:
+        raise ParameterOutOfRange(f"order d must be an integer in 1..{MAX_ORDER}, got {d}")
 
 
 def _rows_sorted(index: np.ndarray) -> bool:
@@ -339,15 +344,13 @@ def generate_family(spec: KernelFamilySpec) -> SymmetricKernel:
     _require_positive_sigma2(spec.sigma2)
     if spec.seed < 0:
         raise ParameterOutOfRange(f"seed must be >= 0, got {spec.seed}")
+    if spec.family in ("single_pair", "constant", "disjoint_pairs") and spec.d != 2:
+        raise UnsupportedFamilyParameters(f"{spec.family} family requires d = 2")
     if spec.family == "single_pair":
         return single_pair(spec.sigma2)
     if spec.family == "constant":
-        if spec.d != 2:
-            raise UnsupportedFamilyParameters("constant family requires d = 2")
         return constant_kernel(spec.size, spec.sigma2)
     if spec.family == "disjoint_pairs":
-        if spec.d != 2:
-            raise UnsupportedFamilyParameters("disjoint_pairs family requires d = 2")
         return disjoint_pairs(spec.size, spec.sigma2)
     if spec.family == "walsh":
         return walsh_kernel(spec.d, spec.size, spec.sigma2)
@@ -376,59 +379,18 @@ def format_kernel(f: SymmetricKernel) -> str:
     return "\n".join(lines) + "\n"
 
 
-# records parsed at once, so the string tokens of a large file never all
-# exist together
-PARSE_SLICE = 1 << 14
-# characters read or split into lines at once, so no whole text and no list
-# of all its lines is held
-READ_PIECE = 1 << 20
-
-
-def _parse_records(records: list, d: int):
-    """(index, values) arrays of a list of `i1 ... id value` records."""
-    # one split over all records, with a "|" token between them: every record
-    # has d + 1 fields exactly when each separator sits at its expected slot
-    tokens = " | ".join(records).split()
-    width = d + 2
-    gaps = len(records) - 1
-    if len(tokens) != width * len(records) - 1 or tokens[d + 1 :: width].count("|") != gaps:
-        bad = next((ln for ln in records if len(ln.split()) != d + 1), "")
-        raise ParameterOutOfRange(f"malformed kernel record {bad.strip()!r}")
-    try:
-        values = np.array(tokens[d::width], dtype=np.float64)
-        columns = [np.array(tokens[k::width], dtype=np.int64) for k in range(d)]
-    except (ValueError, OverflowError) as exc:
-        raise ParameterOutOfRange(f"malformed kernel record: {exc}") from None
-    return np.array(columns, dtype=np.int64).T, values
-
-
-def _lines(pieces):
-    """The lines `str.splitlines` gives on the concatenated pieces of a text.
-    A "\n" ends a line whatever follows it, so each piece is cut after its
-    last "\n" and split; the rest waits for the next "\n" or the end."""
-    held = []
-    for piece in pieces:
-        cut = piece.rfind("\n") + 1
-        if cut:
-            held.append(piece[:cut])
-            yield from "".join(held).splitlines()
-            held = [piece[cut:]]
-        else:
-            held.append(piece)
-    yield from "".join(held).splitlines()
-
-
 def write_kernel(f: SymmetricKernel, path) -> None:
     with open(path, "w") as fh:
         fh.write(format_kernel(f))
 
 
 def read_kernel(path) -> SymmetricKernel:
-    """The kernel in a kernel file, read in pieces of READ_PIECE characters
-    and parsed as they come."""
+    """The kernel in a kernel file.  Lines end where `str.splitlines` ends
+    them and blank ones are skipped; after the three header lines, each
+    record is d indices and a value separated by whitespace, and
+    `np.loadtxt` parses the records as the file is read."""
     with UndecodableFile.reading(path), open(path, encoding="utf-8") as fh:
-        pieces = iter(lambda: fh.read(READ_PIECE), "")
-        lines = (ln for ln in _lines(pieces) if ln and not ln.isspace())
+        lines = (ln for text in fh for ln in text.splitlines() if ln and not ln.isspace())
         header = list(itertools.islice(lines, 3))
         if not header or header[0].strip() != KERNEL_MAGIC:
             raise ParameterOutOfRange(f"not a kernel file (expected header {KERNEL_MAGIC!r})")
@@ -437,9 +399,16 @@ def read_kernel(path) -> SymmetricKernel:
             N = int(header[2].split()[1])
         except (IndexError, ValueError) as exc:
             raise ParameterOutOfRange(f"malformed kernel header: {exc}") from None
-        slices = iter(lambda: list(itertools.islice(lines, PARSE_SLICE)), [])
-        # a file without records is one empty slice, which the field count rejects
-        parts = [_parse_records(records, d) for records in slices] or [_parse_records([], d)]
-    index, values = (np.concatenate(arrays) for arrays in zip(*parts))
-    del parts
-    return kernel_from_arrays(d, N, index, values)
+        check_order(d)  # loadtxt sets up every field of a record: d must be small
+        first = next(lines, None)  # on no records loadtxt only warns
+        if first is None:
+            raise ParameterOutOfRange(f"kernel file {path} has no records")
+        try:
+            dtype = [("i", np.int64, (d,)), ("v", np.float64)]
+            records = np.loadtxt(itertools.chain([first], lines), dtype, comments=None, ndmin=1)
+        except UnicodeDecodeError:  # a ValueError, left for the `with` to name
+            raise
+        except ValueError as exc:
+            detail = str(exc).partition(";")[0]  # without numpy's `usecols` advice
+            raise ParameterOutOfRange(f"malformed kernel record: {detail}") from None
+    return kernel_from_arrays(d, N, records["i"], records["v"])

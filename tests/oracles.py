@@ -186,9 +186,10 @@ def first_seen_ids_by_unique(rows: np.ndarray) -> tuple:
 
 def parse_kernel_whole_text(text: str):
     """The kernel in a kernel file's text: every line split off at once, the
-    blank ones dropped, the records parsed in slices of PARSE_SLICE.  The
-    library, which reads and splits the text piece by piece, must give the
-    same kernel or raise the same exception type."""
+    blank ones dropped, and all records tokenized by one `str.split` and
+    converted by `np.array`.  The library, which hands the lines to
+    `np.loadtxt` as it reads them, must give the same kernel or raise the
+    same exception type."""
     lines = [ln for ln in text.splitlines() if ln and not ln.isspace()]
     if not lines or lines[0].strip() != kernels.KERNEL_MAGIC:
         raise ParameterOutOfRange("not a kernel file")
@@ -198,13 +199,18 @@ def parse_kernel_whole_text(text: str):
     except (IndexError, ValueError) as exc:
         raise ParameterOutOfRange(f"malformed kernel header: {exc}") from None
     records = lines[3:]
-    parts = [
-        kernels._parse_records(records[lo : lo + kernels.PARSE_SLICE], d)
-        for lo in range(0, max(1, len(records)), kernels.PARSE_SLICE)
-    ]
-    index = np.concatenate([p[0] for p in parts])
-    values = np.concatenate([p[1] for p in parts])
-    return kernels.kernel_from_arrays(d, N, index, values)
+    # one split over all records, with a "|" token between them: every record
+    # has d + 1 fields exactly when each separator sits at its expected slot
+    tokens = " | ".join(records).split()
+    width = d + 2
+    if len(tokens) != width * len(records) - 1 or tokens[d + 1 :: width].count("|") != len(records) - 1:
+        raise ParameterOutOfRange("malformed kernel record")
+    try:
+        values = np.array(tokens[d::width], dtype=np.float64)
+        columns = [np.array(tokens[k::width], dtype=np.int64) for k in range(d)]
+    except (ValueError, OverflowError) as exc:
+        raise ParameterOutOfRange(f"malformed kernel record: {exc}") from None
+    return kernels.kernel_from_arrays(d, N, np.array(columns, dtype=np.int64).T, values)
 
 
 def symmetrize_all_permutations(values: np.ndarray) -> np.ndarray:

@@ -75,6 +75,13 @@ class TestKernelCommands:
                     "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_generate_order_two_family_at_other_order_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "p.kern"
+        assert run(["kernel", "generate", "--family", "single_pair", "--d", "5",
+                    "--out", str(out)]) == 2
+        assert "single_pair family requires d = 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_error_exit_1(self):
         assert run(["kernel", "generate"]) == 1
         assert run(["bound", "sideways", "--kernel", "x"]) == 1
@@ -94,16 +101,21 @@ class TestKernelCommands:
 class TestInputFileLimits:
     """Files that are not UTF-8, or kernels past the order limit, exit 2."""
 
-    @pytest.mark.parametrize("command", ["inspect", "bound", "diagnose"])
+    @pytest.mark.parametrize("command", ["inspect", "bound", "diagnose", "inspect_past_8_kib"])
     def test_non_utf8_file_exit_2(self, tmp_path, capsys, command):
         path = tmp_path / "latin.txt"
         if command == "diagnose":
             path.write_bytes(f"{reportio.DIAGNOSE_MAGIC}\n[sequence]\n".encode() + b"kind = \xff\n")
             args = ["diagnose", "--spec", str(path)]
         else:
-            path.write_bytes(b"artifact-kernel v1\nd 2\nN 4\n1 2 0.5\xff\n")
-            args = (["kernel", "inspect"] if command == "inspect"
-                    else ["bound", "normal", "--law", "rademacher"]) + ["--kernel", str(path)]
+            records = b"1 2 0.5\xff\n"
+            if command == "inspect_past_8_kib":
+                # the header read decodes the first 8 KiB; the rest is decoded
+                # while the records are parsed
+                records = b"1 2 0.5\n" + b"\n" * 9000 + b"3 4 0.5\xff\n"
+            path.write_bytes(b"artifact-kernel v1\nd 2\nN 4\n" + records)
+            args = (["bound", "normal", "--law", "rademacher"] if command == "bound"
+                    else ["kernel", "inspect"]) + ["--kernel", str(path)]
         assert run(args + ["--out", str(tmp_path / "r.txt")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path} is not UTF-8 text")
         assert not (tmp_path / "r.txt").exists()
@@ -204,6 +216,17 @@ class TestBoundCommands:
         assert run(["bound", kind, "--kernel", str(kern), "--law", "rademacher",
                     "--n", "2000", *flags, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["normal", "chi2", "wasserstein"])
+    def test_second_kernel_exit_2(self, tmp_path, capsys, kind):
+        # only `bound multi` bounds several kernels
+        kern = tmp_path / "d.kern"
+        kernels.write_kernel(kernels.disjoint_pairs(5), kern)
+        out = tmp_path / "r.txt"
+        assert run(["bound", kind, "--kernel", str(kern), "--kernel", str(kern), "--law", "rademacher",
+                    "--out", str(out)]) == 2
+        assert f"bound {kind} takes one --kernel, got 2" in capsys.readouterr().err
         assert not out.exists()
 
     def test_directory_as_kernel_exit_2(self, tmp_path):
@@ -336,6 +359,16 @@ class TestSimulateCommand:
         out = tmp_path / "r.txt"
         assert run(["simulate", "--kernel", str(kern), "--law", "rademacher", "--n", "100000",
                     "--nu", "0", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_nu_with_two_kernels_exit_2(self, tmp_path, capsys):
+        # a joint simulation computes no chi-square distance
+        kern = tmp_path / "d.kern"
+        kernels.write_kernel(kernels.disjoint_pairs(5), kern)
+        out = tmp_path / "r.txt"
+        assert run(["simulate", "--kernel", str(kern), "--kernel", str(kern), "--nu", "3",
+                    "--n", "100", "--out", str(out)]) == 2
+        assert "simulate --nu takes one --kernel, got 2" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [["simulate"], ["bound", "normal"]])

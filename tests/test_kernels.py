@@ -353,29 +353,43 @@ class TestKernelFile:
         ("1 2 0.0\n1 2 0.5\n", DuplicateTuple),
         ("1 2 0.5 3\n4 0.5\n", ParameterOutOfRange),
         ("1 x 0.5\n", ParameterOutOfRange),
-    ], ids=["nan", "inf", "duplicate_behind_zero", "misaligned_fields", "non_integer_index"])
+        ("1 2 0.5\n# 3 4 0.5\n", ParameterOutOfRange),
+        ("1 2 1_0\n", ParameterOutOfRange),
+    ], ids=["nan", "inf", "duplicate_behind_zero", "misaligned_fields", "non_integer_index",
+            "comment_line", "underscore_in_value"])
     def test_parse_rejects_bad_records(self, tmp_path, records, error):
         path = tmp_path / "bad.kern"
         path.write_text("artifact-kernel v1\nd 2\nN 4\n" + records)
         with pytest.raises(error):
             kernels.read_kernel(path)
 
-    def test_parse_in_slices(self, tmp_path):
-        f = kernels.constant_kernel(200)
-        assert kernels.PARSE_SLICE < f.entry_count <= 2 * kernels.PARSE_SLICE
-        path = tmp_path / "c200.kern"
-        kernels.write_kernel(f, path)
-        assert kernels.read_kernel(path) == f
-
     @pytest.mark.parametrize("suffix", [" 7", "x"], ids=["extra_field", "non_number"])
-    def test_bad_record_in_second_slice(self, tmp_path, suffix):
-        lines = kernels.format_kernel(kernels.constant_kernel(200)).splitlines()
-        lines[3 + kernels.PARSE_SLICE + 5] += suffix
-        path = tmp_path / "bad.kern"
+    def test_bad_record_far_into_a_large_file(self, tmp_path, suffix):
+        # constant(400) has 79,800 records; the bad one lies past the first 50,000
+        lines = kernels.format_kernel(kernels.constant_kernel(400)).splitlines()
+        lines[3 + 60_000] += suffix
+        path = tmp_path / "c400.kern"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParameterOutOfRange):
+        with pytest.raises(ParameterOutOfRange, match="malformed kernel record"):
             kernels.read_kernel(path)
         assert cli.main(["kernel", "inspect", "--kernel", str(path)]) == 2
+
+    @pytest.mark.parametrize("d", ["0", "-1", "1000000"])
+    def test_order_out_of_range_exit_2(self, tmp_path, d):
+        path = tmp_path / "k.kern"
+        path.write_text(f"artifact-kernel v1\nd {d}\nN 4\n1 2 0.5\n")
+        with pytest.raises(ParameterOutOfRange, match="order d must be an integer"):
+            kernels.read_kernel(path)
+        assert cli.main(["kernel", "inspect", "--kernel", str(path)]) == 2
+
+    @pytest.mark.parametrize("f", [
+        kernels.make_kernel(2, 4, {(1, 3): 0.25}),
+        kernels.make_kernel(1, 5, {(2,): 0.5, (4,): -1.0}),
+    ], ids=["one_record", "order_one"])
+    def test_small_kernels_read_back_equal(self, tmp_path, f):
+        path = tmp_path / "k.kern"
+        kernels.write_kernel(f, path)
+        assert kernels.read_kernel(path) == f
 
     def test_header_only_file_rejected(self, tmp_path):
         path = tmp_path / "header.kern"
@@ -424,18 +438,29 @@ def _outcome(read, arg):
 
 
 class TestStreamedReading:
-    """read_kernel reads a file's text piece by piece; it must give the
-    kernel, or raise the exception type, that splitting the whole text at
-    once gives."""
+    """read_kernel hands the lines of a file to `np.loadtxt` as it reads
+    them; it must give the kernel, or raise the exception type, that
+    splitting the whole text at once gives."""
 
     @pytest.mark.parametrize("piece", [1, 3, 7, 1 << 20], ids=lambda n: f"piece_{n}")
     @pytest.mark.parametrize("name", STREAM_TEXTS)
     def test_same_kernel_as_whole_text(self, name, piece, monkeypatch, tmp_path):
-        monkeypatch.setattr(kernels, "READ_PIECE", piece)
+        # the file object decodes `piece` bytes at a time, so a "\r\n" pair,
+        # a line or a multi-byte character can straddle two reads
+        opened = []
+
+        def open_in_pieces(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            fh._CHUNK_SIZE = piece
+            opened.append(fh)
+            return fh
+
+        monkeypatch.setattr(kernels, "open", open_in_pieces, raising=False)
         path = tmp_path / "k.kern"
         path.write_bytes(STREAM_TEXTS[name].encode())
         # reading a file translates "\r\n" and "\r" into "\n", as read_text does
         assert _outcome(kernels.read_kernel, path) == _outcome(parse_kernel_whole_text, path.read_text())
+        assert [fh._CHUNK_SIZE for fh in opened] == [piece]
 
     def test_cases_cover_both_outcomes(self):
         outcomes = {name: _outcome(parse_kernel_whole_text, text) for name, text in STREAM_TEXTS.items()}
@@ -445,11 +470,10 @@ class TestStreamedReading:
         assert outcomes["header_only"] is ParameterOutOfRange
         assert outcomes["duplicate_last_record"] is DuplicateTuple
 
-    def test_text_without_newline_parsed_in_linear_time(self, monkeypatch, tmp_path):
-        # a text without "\n" is held piece by piece until its end: joining
-        # the held pieces anew for every piece would take seconds here.  A
-        # file read turns "\r" into "\n", so form feeds separate the lines.
-        monkeypatch.setattr(kernels, "READ_PIECE", 8)
+    def test_text_without_newline_parsed_in_linear_time(self, tmp_path):
+        # a text without "\n" is one line of the file, which `str.splitlines`
+        # splits at once.  A file read turns "\r" into "\n", so form feeds
+        # separate the lines.
         f = kernels.constant_kernel(300)
         text = kernels.format_kernel(f)
         seconds = {}
@@ -461,29 +485,20 @@ class TestStreamedReading:
             seconds[sep] = time.perf_counter() - start
         assert seconds["\x0c"] < 3 * seconds["\n"] + 0.5
 
-    def test_bad_record_in_later_piece(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(kernels, "READ_PIECE", 4096)
-        lines = kernels.format_kernel(kernels.constant_kernel(200)).splitlines()
-        lines[-7] += " 7"
-        path = tmp_path / "bad.kern"
-        path.write_text("\n".join(lines) + "\n")
-        assert path.stat().st_size > 100 * kernels.READ_PIECE
-        with pytest.raises(ParameterOutOfRange):
-            kernels.read_kernel(path)
-        assert cli.main(["kernel", "inspect", "--kernel", str(path)]) == 2
-
     def test_read_memory_bounded(self, tmp_path):
-        # whole-text reading peaked at 53.7 MiB on this 244,650-record file
+        # on this 244,650-record file, whole-text reading peaked at 53.7 MiB
+        # and reading in pieces with a token parser at 14.7 MiB
         path = tmp_path / "c700.kern"
-        kernels.write_kernel(kernels.constant_kernel(700), path)
+        g = kernels.constant_kernel(700)
+        kernels.write_kernel(g, path)
         tracemalloc.start()
         try:
             f = kernels.read_kernel(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert f.entry_count == 244_650
-        assert peak < 53.7 * 2**20 / 2
+        assert f.entry_count == 244_650 and f == g
+        assert peak < 13 * 2**20
 
 
 def test_sorted_rows_skip_the_sort():
