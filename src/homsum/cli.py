@@ -94,24 +94,23 @@ def _parse_floats(s: str, count: int, what: str):
     return values
 
 
-def _spec_int(value, key: str) -> int:
-    """An integer field of a diagnose spec; anything else is a ValidationError."""
-    try:
-        if int(value) == value:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValidationError(f"diagnose spec field {key!r} must be an integer, got {value!r}")
+def _sampling_inputs(args) -> tuple:
+    """(kernels, law, SampleConfig, manifest parameters) of a command that
+    takes --kernel and the sampling flags."""
+    kernel_list = [kernels.read_kernel(p) for p in args.kernel]
+    law = simulate.get_law(args.law)
+    config = simulate.SampleConfig(
+        n=args.n, seed=args.seed, workers=args.workers, batch_size=args.batch
+    )
+    params = {
+        "kernel": list(args.kernel) if len(args.kernel) > 1 else args.kernel[0],
+        "law": args.law,
+        "n": args.n,
+    }
+    return kernel_list, law, config, params
 
 
-def _spec_str(value, key: str) -> str:
-    """A text field of a diagnose spec; anything else is a ValidationError."""
-    if not isinstance(value, str):
-        raise ValidationError(f"diagnose spec field {key!r} must be text, got {value!r}")
-    return value
-
-
-def cmd_kernel(args) -> int:
+def cmd_kernel(args) -> list | None:
     if args.action == "generate":
         size = {"disjoint_pairs": args.m, "single_pair": 2}.get(args.family, args.N)
         if size is None:
@@ -122,12 +121,12 @@ def cmd_kernel(args) -> int:
         f = kernels.generate_family(spec)
         kernels.write_kernel(f, args.out)
         print(f"wrote {args.out}: d={f.d} N={f.N} entries={f.entry_count}")
-        return 0
+        return None  # a kernel file, no report
     if args.action == "normalize":
         f = kernels.normalize_to_variance(kernels.read_kernel(args.kernel), args.sigma2)
         kernels.write_kernel(f, args.out)
         print(f"wrote {args.out}: second moment {kernels.second_moment(f)!r}")
-        return 0
+        return None
     f = kernels.read_kernel(args.kernel)
     prof = contractions.influence_profile(f)
     manifest = reportio.RunManifest("kernel-inspect", {"kernel": args.kernel})
@@ -141,11 +140,7 @@ def cmd_kernel(args) -> int:
         "min_influence": float(prof.values.min()) if f.N else 0.0,
         "influence_sum": prof.total,
     }
-    text = reportio.format_sections(
-        reportio.REPORT_MAGIC, [("manifest", manifest.to_section()), ("kernel", section)]
-    )
-    _emit(text, args.out)
-    return 0
+    return [("manifest", manifest.to_section()), ("kernel", section)]
 
 
 def _attach_statistics(report, norms, kind, nu) -> None:
@@ -173,27 +168,16 @@ def _attach_statistics(report, norms, kind, nu) -> None:
             report.exactness["t4"] = bounds.UNAVAILABLE
 
 
-def cmd_bound(args) -> int:
+def cmd_bound(args) -> list:
     if args.kind != "multi" and len(args.kernel) > 1:
         raise ValidationError(f"bound {args.kind} takes one --kernel, got {len(args.kernel)}")
-    kernel_list = [kernels.read_kernel(p) for p in args.kernel]
-    law = simulate.get_law(args.law)
+    kernel_list, law, config, params = _sampling_inputs(args)
     if args.profile:
         beta3, beta4 = _parse_floats(args.profile, 2, "--profile")
         profile = bounds.MomentProfile(beta3=beta3, beta4=beta4)
     else:
         profile = simulate.law_moment_profile(law)
-    config = simulate.SampleConfig(
-        n=args.n, seed=args.seed, workers=args.workers, batch_size=args.batch
-    )
-    params = {
-        "kind": args.kind,
-        "kernel": list(args.kernel) if len(args.kernel) > 1 else args.kernel[0],
-        "law": args.law,
-        "profile": [profile.beta3, profile.beta4],
-        "budget": args.budget,
-        "n": args.n,
-    }
+    params.update(kind=args.kind, profile=[profile.beta3, profile.beta4], budget=args.budget)
     if args.kind == "multi":
         b2m, b3m = _parse_floats(args.budget, 2, "--budget (multi)")
         budget = bounds.TestFunctionBudget(b2m=b2m, b3m=b3m)
@@ -219,30 +203,16 @@ def cmd_bound(args) -> int:
         if exactness == bounds.MONTE_CARLO:
             params["seed"] = args.seed
     manifest = reportio.RunManifest(f"bound-{args.kind}", params, seed=args.seed)
-    text = reportio.format_sections(
-        reportio.REPORT_MAGIC,
-        [("manifest", manifest.to_section()), ("bound", reportio.bound_report_section(report))],
-    )
-    _emit(text, args.out)
-    return 0
+    return [("manifest", manifest.to_section()), ("bound", reportio.bound_report_section(report))]
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> list:
     if args.nu is not None:
         InvalidDegrees.check(args.nu)
         if len(args.kernel) > 1:
             raise ValidationError(f"simulate --nu takes one --kernel, got {len(args.kernel)}")
-    kernel_list = [kernels.read_kernel(p) for p in args.kernel]
-    law = simulate.get_law(args.law)
-    config = simulate.SampleConfig(
-        n=args.n, seed=args.seed, workers=args.workers, batch_size=args.batch
-    )
-    params = {
-        "kernel": list(args.kernel) if len(args.kernel) > 1 else args.kernel[0],
-        "law": args.law,
-        "n": args.n,
-        "batch": args.batch,
-    }
+    kernel_list, law, config, params = _sampling_inputs(args)
+    params["batch"] = args.batch
     if args.nu is not None:
         params["nu"] = args.nu
     manifest = reportio.RunManifest("simulate", params, seed=args.seed)
@@ -268,56 +238,23 @@ def cmd_simulate(args) -> int:
         raw = joint.samples
     if args.dump_samples:
         simulate.write_samples(args.dump_samples, raw)
-    _emit(reportio.format_sections(reportio.REPORT_MAGIC, sections), args.out)
-    return 0
+    return sections
 
 
-def cmd_diagnose(args) -> int:
+def cmd_diagnose(args) -> list:
     with UndecodableFile.reading(args.spec), open(args.spec, encoding="utf-8") as fh:
-        sections = reportio.parse_sections(fh.read(), reportio.DIAGNOSE_MAGIC)
-    body = dict(sections)
-    if "sequence" not in body:
+        seq = dict(reportio.parse_sections(fh.read(), reportio.DIAGNOSE_MAGIC)).get("sequence")
+    if seq is None:
         raise ValidationError("diagnose spec needs a [sequence] section")
-    seq = body["sequence"]
-    kind = _spec_str(seq.get("kind", "universality"), "kind")
-    laws = seq.get("laws", "gaussian")
-    laws = tuple(_spec_str(law, "laws") for law in (laws if isinstance(laws, list) else [laws]))
-    sweep = seq.get("sweep", [])
-    sweep = sweep if isinstance(sweep, list) else [sweep]
-    spec = diagnose.SequenceSpec(
-        family=_spec_str(seq.get("family", "disjoint_pairs"), "family"),
-        d=_spec_int(seq.get("d", 2), "d"),
-        sweep=tuple(_spec_int(s, "sweep") for s in sweep),
-        target=_spec_str(seq.get("target", "normal"), "target"),
-        nu=_spec_int(seq.get("nu", 1), "nu"),
-        laws=laws,
-        n=_spec_int(seq.get("n", 10_000), "n"),
-        seed=_spec_int(seq.get("seed", 0), "seed"),
-        workers=(args.workers if args.workers is not None
-                 else _spec_int(seq.get("workers", 1), "workers")),
-        batch_size=_spec_int(seq.get("batch", 1024), "batch"),
-    )
-    if kind == "universality":
-        report = diagnose.universality_experiment(spec)
-    elif kind == "fourth_moment":
-        report = diagnose.fourth_moment_diagnostic(spec)
-    elif kind == "chi_square":
-        report = diagnose.chi_square_diagnostic(spec)
-    elif kind == "de_jong":
-        f = spec.kernel_at(spec.sweep[-1])
-        report = diagnose.de_jong_report(
-            f, simulate.get_law(spec.laws[0]), spec.sample_config(len(spec.sweep) - 1)
-        )
-    else:
-        raise ValidationError(f"unknown diagnose kind {kind!r}")
+    spec = diagnose.SequenceSpec.from_section(seq, workers=args.workers)
     params = {k: seq[k] for k in sorted(seq) if k != "workers"}
     manifest = reportio.RunManifest("diagnose", params, seed=spec.seed)
-    text = reportio.format_sections(
-        reportio.REPORT_MAGIC,
-        [("manifest", manifest.to_section())] + reportio.verdict_sections(report),
-    )
-    _emit(text, args.out)
-    return 0
+    return [("manifest", manifest.to_section())] + reportio.verdict_sections(diagnose.run(spec))
+
+
+# each command returns its report's sections, or None when it writes no report
+COMMANDS = {"kernel": cmd_kernel, "bound": cmd_bound, "simulate": cmd_simulate,
+            "diagnose": cmd_diagnose}
 
 
 def main(argv=None) -> int:
@@ -327,13 +264,10 @@ def main(argv=None) -> int:
         # down before main returns on every path
         with simulate.worker_pool():
             args = parser.parse_args(argv)
-            if args.command == "kernel":
-                return cmd_kernel(args)
-            if args.command == "bound":
-                return cmd_bound(args)
-            if args.command == "simulate":
-                return cmd_simulate(args)
-            return cmd_diagnose(args)
+            sections = COMMANDS[args.command](args)
+            if sections is not None:
+                _emit(reportio.format_sections(reportio.REPORT_MAGIC, sections), args.out)
+            return 0
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

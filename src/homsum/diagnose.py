@@ -7,12 +7,15 @@ statistics at every point (fourth moment, contraction norms, chi-square
 defect, maximal influence, empirical Kolmogorov distances), and reduces
 each statistic series to a trend verdict.  Convergence over a finite sweep
 is operationalized as: strictly decreasing up to an absolute tolerance,
-with the terminal value below a threshold.  Verdicts are pure functions of
-the recorded statistics.
+with the terminal value below a threshold (for universality: terminal
+distances that agree across laws).  Verdicts are pure functions of the
+recorded statistics.
 """
 
 from __future__ import annotations
 
+import functools
+import typing
 from dataclasses import dataclass, field
 
 from . import bounds, contractions, kernels, moments, simulate
@@ -26,17 +29,36 @@ DECREASING = "decreasing"
 STAGNANT = "stagnant"
 
 
+def _typed(value, hint, key: str):
+    """`value` as a spec field annotated `hint` (int, str, or a tuple of
+    either, which takes one value or a list), else a ValidationError."""
+    if typing.get_origin(hint) is tuple:
+        items = value if isinstance(value, list) else [value]
+        return tuple(_typed(v, typing.get_args(hint)[0], key) for v in items)
+    if hint is str and isinstance(value, str):
+        return value
+    try:
+        if hint is int and int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    what = "an integer" if hint is int else "text"
+    raise ValidationError(f"diagnose spec field {key!r} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SequenceSpec:
-    """A family swept over strictly increasing sizes, with the laws and
-    sampling configuration used for the empirical statistics."""
+    """A diagnose run: its kind, and a family swept over strictly increasing
+    sizes with the laws and sampling configuration used for the empirical
+    statistics.  The defaults here are the defaults of a spec file."""
 
-    family: str
-    d: int
-    sweep: tuple
+    kind: str = "universality"  # a key of REPORTS
+    family: str = "disjoint_pairs"
+    d: int = 2
+    sweep: tuple[int, ...] = ()
     target: str = "normal"  # "normal" | "chi2"
     nu: int = 1
-    laws: tuple = ("gaussian",)
+    laws: tuple[str, ...] = ("gaussian",)
     n: int = 10_000
     seed: int = 0
     workers: int = 1
@@ -55,6 +77,27 @@ class SequenceSpec:
         simulate.SampleConfig(
             n=self.n, seed=self.seed, workers=self.workers, batch_size=self.batch_size
         )
+        if self.kind not in REPORTS:
+            raise ValidationError(f"unknown diagnose kind {self.kind!r}")
+        if self.kind == "de_jong" and len(self.laws) > 1:
+            # it samples one law: the others would be named in the manifest, never used
+            raise ValidationError(f"de_jong takes one law, got {', '.join(self.laws)}")
+
+    @classmethod
+    def from_section(cls, section: dict, workers: int | None = None) -> SequenceSpec:
+        """The spec of a diagnose file's [sequence] section.  Its keys are the
+        field names (`batch` for batch_size), each value of its field's type;
+        an unknown key is an error.  `workers`, when given, replaces the
+        section's."""
+        if workers is not None:
+            section = {**section, "workers": workers}
+        hints = typing.get_type_hints(cls)
+        names = {("batch" if name == "batch_size" else name): name for name in hints}
+        unknown = [key for key in section if key not in names]
+        if unknown:
+            raise ValidationError(f"unknown diagnose spec key {', '.join(map(repr, unknown))}"
+                                  f" (known: {', '.join(names)})")
+        return cls(**{names[k]: _typed(v, hints[names[k]], k) for k, v in section.items()})
 
     def kernel_at(self, size: int) -> SymmetricKernel:
         sigma2 = 2.0 * self.nu if self.target == "chi2" else 1.0
@@ -76,8 +119,8 @@ class VerdictReport:
     """Per-point statistics with trend verdicts.
 
     `trends` maps each tracked statistic to decreasing/stagnant; `verdict`
-    is the conjunction over `statistics_used` (None for a single-point
-    sweep, where no trend exists).
+    is the conjunction over `statistics_used` and the sweep's terminal
+    condition (None for a single-point sweep, where no trend exists).
     """
 
     kind: str
@@ -101,18 +144,29 @@ def trend_of(series) -> str:
     return STAGNANT
 
 
-def assess(points, statistic_names) -> tuple:
-    """(trends, verdict): every named statistic must be decreasing and end
-    below TERMINAL_THRESHOLD; a single point yields no verdict."""
-    trends = {}
+def assess(points, statistic_names, terminal_ok=None) -> tuple:
+    """(trends, verdict): every named statistic must be decreasing, and the
+    sweep must end well: `terminal_ok` when given, otherwise every statistic
+    ending below TERMINAL_THRESHOLD.  A single point yields no verdict."""
     if len(points) < 2:
-        return trends, None
-    verdict = True
-    for name in statistic_names:
-        series = [p[name] for p in points]
-        trends[name] = trend_of(series)
-        verdict = verdict and trends[name] == DECREASING and series[-1] < TERMINAL_THRESHOLD
-    return trends, verdict
+        return {}, None
+    trends = {name: trend_of([p[name] for p in points]) for name in statistic_names}
+    if terminal_ok is None:
+        terminal_ok = all(points[-1][name] < TERMINAL_THRESHOLD for name in statistic_names)
+    return trends, terminal_ok and all(t == DECREASING for t in trends.values())
+
+
+def _sweep(kind: str, spec: SequenceSpec, point_stats, terminal=None) -> VerdictReport:
+    """Point i holds its size and `point_stats(i, f)` for its kernel f =
+    spec.kernel_at(size); `assess` judges every statistic, with
+    `terminal(last point)`, when given, as the sweep's (terminal_ok, notes)."""
+    points = [{"size": float(size), **point_stats(i, spec.kernel_at(size))}
+              for i, size in enumerate(spec.sweep)]
+    tracked = [k for k in points[0] if k != "size"]
+    terminal_ok, notes = terminal(points[-1]) if terminal else (None, [])
+    trends, verdict = assess(points, tracked, terminal_ok)
+    return VerdictReport(kind=kind, points=points, trends=trends, verdict=verdict,
+                         statistics_used=tracked, notes=notes)
 
 
 def _norm_stats(norms: contractions.ChaosNorms, skip: int | None = None) -> dict:
@@ -123,15 +177,8 @@ def _norm_stats(norms: contractions.ChaosNorms, skip: int | None = None) -> dict
 def _criterion_sweep(kind: str, spec: SequenceSpec, sigma2: float, point_stats) -> VerdictReport:
     """Sweep report tracking every statistic of `point_stats(norms)`, where
     norms is the ChaosNorms record of the kernel normalized to E[Q^2] = sigma2."""
-    points = []
-    for size in spec.sweep:
-        f = kernels.normalize_to_variance(spec.kernel_at(size), sigma2)
-        points.append({"size": float(size), **point_stats(contractions.ChaosNorms(f))})
-    tracked = [k for k in points[0] if k != "size"]
-    trends, verdict = assess(points, tracked)
-    return VerdictReport(
-        kind=kind, points=points, trends=trends, verdict=verdict, statistics_used=tracked
-    )
+    return _sweep(kind, spec, lambda _, f: point_stats(
+        contractions.ChaosNorms(kernels.normalize_to_variance(f, sigma2))))
 
 
 def fourth_moment_diagnostic(spec: SequenceSpec) -> VerdictReport:
@@ -205,37 +252,36 @@ def universality_experiment(spec: SequenceSpec) -> VerdictReport:
     distance to the target must decrease along the sweep, and the terminal
     distances must agree across laws within 3x the DKW band.  Needs at
     least two distinct laws to compare."""
-    if len(spec.laws) < 2:
-        raise ValidationError("universality experiment needs at least two laws")
     laws = [simulate.get_law(name) for name in spec.laws]
-    if len({law.name for law in laws}) < len(laws):
+    if len({law.name for law in laws}) < max(2, len(laws)):
         # a repeated law's cells would overwrite each other: it would be compared with itself
-        raise ValidationError(f"universality experiment lists a law twice: {', '.join(spec.laws)}")
-    points = []
-    for pi, size in enumerate(spec.sweep):
-        f = spec.kernel_at(size)
-        stats = {"size": float(size)}
-        for li, law in enumerate(laws):
-            summary = simulate.sample_sums(f, law, spec.sample_config(pi, li))
-            if spec.target == "chi2":
-                stats[f"ks_{law.name}"] = simulate.ks_chi2(summary, spec.nu)
-            else:
-                stats[f"ks_{law.name}"] = simulate.ks_normal(summary)
-        points.append(stats)
-    tracked = [f"ks_{law.name}" for law in laws]
-    trends = (
-        {name: trend_of([p[name] for p in points]) for name in tracked}
-        if len(points) > 1
-        else {}
-    )
-    band = simulate.dkw_epsilon(spec.n)
-    terminal = [points[-1][name] for name in tracked]
-    agree = max(terminal) - min(terminal) <= 3.0 * band
-    verdict = None
-    if len(points) > 1:
-        verdict = agree and all(trends[name] == DECREASING for name in tracked)
-    notes = [f"terminal spread {max(terminal) - min(terminal)!r} vs 3*DKW band {3.0 * band!r}"]
-    return VerdictReport(
-        kind="universality", points=points, trends=trends, verdict=verdict,
-        statistics_used=tracked, notes=notes,
-    )
+        raise ValidationError("universality experiment needs two or more distinct laws, got "
+                              + ", ".join(spec.laws))
+    ks = (functools.partial(simulate.ks_chi2, nu=spec.nu) if spec.target == "chi2"
+          else simulate.ks_normal)
+
+    def agreement(last):
+        ks_last = [v for k, v in last.items() if k != "size"]
+        spread, band = max(ks_last) - min(ks_last), 3.0 * simulate.dkw_epsilon(spec.n)
+        return spread <= band, [f"terminal spread {spread!r} vs 3*DKW band {band!r}"]
+
+    return _sweep("universality", spec, lambda i, f: {
+        f"ks_{law.name}": ks(simulate.sample_sums(f, law, spec.sample_config(i, li)))
+        for li, law in enumerate(laws)
+    }, agreement)
+
+
+REPORTS = {
+    "universality": universality_experiment,
+    "fourth_moment": fourth_moment_diagnostic,
+    "chi_square": chi_square_diagnostic,
+    "de_jong": lambda spec: de_jong_report(
+        spec.kernel_at(spec.sweep[-1]), simulate.get_law(spec.laws[0]),
+        spec.sample_config(len(spec.sweep) - 1),
+    ),
+}
+
+
+def run(spec: SequenceSpec) -> VerdictReport:
+    """The report of the spec's kind."""
+    return REPORTS[spec.kind](spec)

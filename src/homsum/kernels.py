@@ -403,12 +403,28 @@ def read_kernel(path) -> SymmetricKernel:
         first = next(lines, None)  # on no records loadtxt only warns
         if first is None:
             raise ParameterOutOfRange(f"kernel file {path} has no records")
+        dtype = [("i", np.int64, (d,)), ("v", np.float64)]
         try:
-            dtype = [("i", np.int64, (d,)), ("v", np.float64)]
             records = np.loadtxt(itertools.chain([first], lines), dtype, comments=None, ndmin=1)
         except UnicodeDecodeError:  # a ValueError, left for the `with` to name
             raise
-        except ValueError as exc:
-            detail = str(exc).partition(";")[0]  # without numpy's `usecols` advice
-            raise ParameterOutOfRange(f"malformed kernel record: {detail}") from None
+        except ValueError:
+            raise ParameterOutOfRange(_malformed_record(fh, dtype)) from None
     return kernel_from_arrays(d, N, records["i"], records["v"])
+
+
+def _malformed_record(fh, dtype) -> str:
+    """The message for the first record of an open kernel file that
+    `np.loadtxt` rejects, quoting it with its file line (from 1, blank lines
+    counted, and lines split as `read_kernel` splits them), which numpy's own
+    row numbers are not: the file is read again from its start."""
+    fh.seek(0)
+    lines = enumerate((ln for text in fh for ln in text.splitlines()), 1)
+    lines = ((no, ln) for no, ln in lines if ln and not ln.isspace())
+    for no, ln in itertools.islice(lines, 3, None):  # past the header
+        try:
+            np.loadtxt([ln], dtype, comments=None, ndmin=1)
+        except ValueError as exc:
+            reason = str(exc).partition(" at row")[0]  # numpy's record count
+            return f"malformed kernel record {ln!r} at line {no}: {reason}"
+    return "malformed kernel record"

@@ -469,7 +469,17 @@ class TestDiagnoseCommand:
         # an odd order has no chi-square limit: these exited 0, the first with verdict = true
         ({"kind": "universality", **_ODD_CHI2}, "even order"),
         ({"kind": "de_jong", **_ODD_CHI2}, "even order"),
-    ], ids=["decreasing_sweep", "odd_order_chi2_universality", "odd_order_chi2_de_jong"])
+        # unknown keys ran with their defaults: `law` computed under Gaussian
+        # inputs while the manifest said param.law = rademacher
+        ({"kind": "de_jong", "family": "disjoint_pairs", "d": 2, "sweep": [20], "n": 200,
+          "law": "rademacher"}, "unknown diagnose spec key 'law'"),
+        ({"kind": "fourth_moment", "family": "disjoint_pairs", "d": 2, "sweep": [10, 20],
+          "threshold": 0.1}, "unknown diagnose spec key 'threshold'"),
+        # it sampled laws[0] only, while the manifest named every law
+        ({"kind": "de_jong", "family": "disjoint_pairs", "d": 2, "sweep": [20], "n": 200,
+          "laws": ["gaussian", "rademacher"]}, "de_jong takes one law"),
+    ], ids=["decreasing_sweep", "odd_order_chi2_universality", "odd_order_chi2_de_jong",
+            "unknown_key_law", "unknown_key_threshold", "de_jong_two_laws"])
     def test_invalid_sequence_exit_2(self, tmp_path, capsys, body, message):
         spec, out = tmp_path / "spec.txt", tmp_path / "r.txt"
         self._write_spec(spec, body)

@@ -1,9 +1,11 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from homsum import diagnose, kernels, simulate
+from homsum import diagnose, kernels, reportio, simulate
 from homsum.errors import InvalidDegrees, OddOrder, ValidationError
 
 
@@ -31,12 +33,44 @@ class TestTrendLogic:
         assert trends["b"] == diagnose.STAGNANT
         assert verdict is False
 
+    def test_terminal_ok_replaces_the_threshold(self):
+        above = [{"a": 1.0}, {"a": 0.5}]  # decreasing, ends above TERMINAL_THRESHOLD
+        below = [{"a": 1.0}, {"a": 0.01}]
+        assert diagnose.assess(above, ["a"])[1] is False
+        assert diagnose.assess(above, ["a"], terminal_ok=True)[1] is True
+        assert diagnose.assess(below, ["a"])[1] is True
+        assert diagnose.assess(below, ["a"], terminal_ok=False)[1] is False
+        assert diagnose.assess([{"a": 0.6}, {"a": 0.6}], ["a"], terminal_ok=True)[1] is False
+
 
 def series(report, name: str) -> list:
     return [p[name] for p in report.points]
 
 
 class TestSequenceSpec:
+    def test_from_section_maps_keys_and_fills_defaults(self):
+        spec = diagnose.SequenceSpec.from_section(
+            {"kind": "de_jong", "sweep": 8, "batch": 7.0, "workers": 3}, workers=2
+        )
+        assert spec == diagnose.SequenceSpec(kind="de_jong", sweep=(8,), batch_size=7, workers=2)
+
+    def test_unknown_kind_rejected_when_built(self):
+        with pytest.raises(ValidationError, match="unknown diagnose kind 'bogus'"):
+            diagnose.SequenceSpec(kind="bogus", sweep=(4, 8))
+
+    def test_readme_spec_example_and_key_table(self):
+        # the README's example must parse, and its key table must give each default
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = readme.split("```\n" + reportio.DIAGNOSE_MAGIC + "\n", 1)[1].split("```", 1)[0]
+        sections = reportio.parse_sections(reportio.DIAGNOSE_MAGIC + "\n" + example,
+                                           reportio.DIAGNOSE_MAGIC)
+        spec = diagnose.SequenceSpec.from_section(dict(sections)["sequence"])
+        assert (spec.kind, spec.sweep) == ("universality", (100, 1000, 10000))
+        for f in dataclasses.fields(diagnose.SequenceSpec):
+            key = "batch" if f.name == "batch_size" else f.name
+            default = f"`{reportio.format_value(f.default)}`" if f.default != () else "none"
+            assert f"| `{key}` | {default} |" in readme, key
+
     def test_sweep_must_increase(self):
         with pytest.raises(ValidationError):
             diagnose.SequenceSpec(family="disjoint_pairs", d=2, sweep=(10, 10))

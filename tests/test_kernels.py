@@ -370,9 +370,18 @@ class TestKernelFile:
         lines[3 + 60_000] += suffix
         path = tmp_path / "c400.kern"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParameterOutOfRange, match="malformed kernel record"):
+        with pytest.raises(ParameterOutOfRange, match="malformed kernel record '.*' at line 60004:"):
             kernels.read_kernel(path)
         assert cli.main(["kernel", "inspect", "--kernel", str(path)]) == 2
+
+    @pytest.mark.parametrize("record", ["1 3 x", "1 3 0.5 7"], ids=["non_number", "extra_field"])
+    def test_bad_record_message_quotes_it_with_its_file_line(self, tmp_path, record):
+        # numpy numbers this record "row 1" or "row 2", counting records, not lines
+        path = tmp_path / "k.kern"
+        path.write_text(f"artifact-kernel v1\nd 2\nN 4\n1 2 0.5\n\n{record}\n")
+        with pytest.raises(ParameterOutOfRange) as err:
+            kernels.read_kernel(path)
+        assert str(err.value).startswith(f"malformed kernel record {record!r} at line 6: ")
 
     @pytest.mark.parametrize("d", ["0", "-1", "1000000"])
     def test_order_out_of_range_exit_2(self, tmp_path, d):
