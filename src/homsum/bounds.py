@@ -106,7 +106,8 @@ def _assembled(bound):
     """Each bound's report is finished here: its total is recomputed from its
     components, and a term that overflows, or a component or total that is
     not finite (bar the nan total of an inapplicable Wasserstein bound),
-    raises ParameterOutOfRange naming the moment profile and the order."""
+    raises ParameterOutOfRange naming the moment profile, the test-function
+    budget when the bound takes one, and the order."""
 
     @functools.wraps(bound)
     def assembled(f, profile: MomentProfile, *args, **kwargs) -> BoundReport:
@@ -118,9 +119,11 @@ def _assembled(bound):
             values = [math.inf]
         if not all(map(math.isfinite, values)):
             d = f.d if isinstance(f, SymmetricKernel) else ",".join(str(g.d) for g in f)
+            budget = "".join(f" and the budget {a}" for a in (*args, *kwargs.values())
+                             if isinstance(a, TestFunctionBudget))
             raise ParameterOutOfRange(
                 f"{bound.__name__} overflows or is not finite for the moment profile "
-                f"beta3={profile.beta3!r}, beta4={profile.beta4!r} at d={d}")
+                f"beta3={profile.beta3!r}, beta4={profile.beta4!r}{budget} at d={d}")
         return report
 
     return assembled
@@ -431,7 +434,7 @@ def multivariate_smooth_bound(
     n_max = max(f.N for f in kernel_list)
     stacked = np.zeros((len(kernel_list), n_max))
     for j, f in enumerate(kernel_list):
-        stacked[j, : f.N] = contractions.influence_profile(f).values
+        stacked[j, : f.N] = contractions.influence_profile(f)
     per_index_max = stacked.max(axis=0)
     c_sum, max_max_inf = float(per_index_max.sum()), float(per_index_max.max())
     cube = sum(

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import bounds, contractions, diagnose, kernels, moments, reportio, simulate
+from . import bounds, contractions, diagnose, kernels, moments, reductions, reportio, simulate
 from .errors import CapacityError, HomsumError, InvalidDegrees, UndecodableFile, ValidationError
 
 
@@ -129,18 +129,18 @@ def cmd_kernel(args) -> list | None:
         return None
     f = kernels.read_kernel(args.kernel)
     prof = contractions.influence_profile(f)
-    manifest = reportio.RunManifest("kernel-inspect", {"kernel": args.kernel})
     section = {
         "d": f.d,
         "N": f.N,
         "entries": f.entry_count,
         "squared_norm": kernels.squared_norm(f),
         "second_moment": kernels.second_moment(f),
-        "max_influence": prof.max_influence,
-        "min_influence": float(prof.values.min()) if f.N else 0.0,
-        "influence_sum": prof.total,
+        "max_influence": float(prof.max()),
+        "min_influence": float(prof.min()),
+        "influence_sum": float(prof.sum()),
     }
-    return [("manifest", manifest.to_section()), ("kernel", section)]
+    return [("manifest", reportio.manifest_section("kernel-inspect", {"kernel": args.kernel})),
+            ("kernel", section)]
 
 
 def _attach_statistics(report, norms, kind, nu) -> None:
@@ -202,8 +202,8 @@ def cmd_bound(args) -> list:
         _attach_statistics(report, norms, args.kind, args.nu)
         if exactness == bounds.MONTE_CARLO:
             params["seed"] = args.seed
-    manifest = reportio.RunManifest(f"bound-{args.kind}", params, seed=args.seed)
-    return [("manifest", manifest.to_section()), ("bound", reportio.bound_report_section(report))]
+    return [("manifest", reportio.manifest_section(f"bound-{args.kind}", params, seed=args.seed)),
+            ("bound", reportio.bound_report_section(report))]
 
 
 def cmd_simulate(args) -> list:
@@ -215,8 +215,7 @@ def cmd_simulate(args) -> list:
     params["batch"] = args.batch
     if args.nu is not None:
         params["nu"] = args.nu
-    manifest = reportio.RunManifest("simulate", params, seed=args.seed)
-    sections = [("manifest", manifest.to_section())]
+    sections = [("manifest", reportio.manifest_section("simulate", params, seed=args.seed))]
     if len(kernel_list) == 1:
         summary = simulate.sample_sums(kernel_list[0], law, config)
         extra = {"ks_normal": simulate.ks_normal(summary)}
@@ -225,17 +224,14 @@ def cmd_simulate(args) -> list:
         sections.append(("summary", reportio.summary_section(summary, extra)))
         raw = summary.samples
     else:
-        joint = simulate.sample_vector_sums(kernel_list, law, config)
-        cov = joint.empirical_covariance()
-        head = {"law": joint.law, "n": joint.n, "seed": joint.seed, "m": len(kernel_list)}
-        head.update(reportio.matrix_items("covariance", cov))
+        raw = simulate.sample_vector_sums(kernel_list, law, config)
+        head = {"law": law.name, "n": config.n, "seed": config.seed, "m": len(kernel_list)}
+        head.update(reportio.matrix_items("covariance", reductions.covariance(raw)))
         sections.append(("joint", head))
         for j in range(len(kernel_list)):
-            marg = joint.marginal(j)
-            sections.append(
-                (f"marginal.{j}", reportio.summary_section(marg, {"ks_normal": simulate.ks_normal(marg)}))
-            )
-        raw = joint.samples
+            marg = simulate.SampleSummary(config.n, law.name, config.seed, raw[:, j])
+            extra = {"ks_normal": simulate.ks_normal(marg)}
+            sections.append((f"marginal.{j}", reportio.summary_section(marg, extra)))
     if args.dump_samples:
         simulate.write_samples(args.dump_samples, raw)
     return sections
@@ -248,8 +244,8 @@ def cmd_diagnose(args) -> list:
         raise ValidationError("diagnose spec needs a [sequence] section")
     spec = diagnose.SequenceSpec.from_section(seq, workers=args.workers)
     params = {k: seq[k] for k in sorted(seq) if k != "workers"}
-    manifest = reportio.RunManifest("diagnose", params, seed=spec.seed)
-    return [("manifest", manifest.to_section())] + reportio.verdict_sections(diagnose.run(spec))
+    manifest = reportio.manifest_section("diagnose", params, seed=spec.seed)
+    return [("manifest", manifest)] + reportio.verdict_sections(diagnose.run(spec))
 
 
 # each command returns its report's sections, or None when it writes no report

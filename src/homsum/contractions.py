@@ -62,21 +62,6 @@ class ContractionTensor:
         return math.sqrt(reductions.sum_squares(self.values))
 
 
-@dataclass(frozen=True)
-class InfluenceProfile:
-    """Per-index influence: total squared canonical mass on tuples containing i."""
-
-    values: np.ndarray
-
-    @property
-    def max_influence(self) -> float:
-        return float(self.values.max()) if self.values.size else 0.0
-
-    @property
-    def total(self) -> float:
-        return float(self.values.sum())
-
-
 def _check_rank(f: SymmetricKernel, r: int) -> int:
     if int(r) != r or not 0 <= r <= f.d:
         raise RankOutOfRange(f"contraction rank {r} outside 0..{f.d}")
@@ -266,14 +251,6 @@ class ChaosNorms:
             return self.gram(r)
         return self._get(("sym", r), lambda: symmetrize(contract(self.f, r)).frobenius_norm())
 
-    def symmetrized(self, r: int) -> tuple:
-        """(||sym(f *_r f)||, exact); past the cap the Gram norm, an upper
-        bound, stands in and exact is False."""
-        try:
-            return self.exact_symmetrized(r), True
-        except MaterializationTooLarge:
-            return self.gram(r), False
-
     def rank_sum(self, ranks, weight, acc: float = 0.0, exact: bool = False) -> tuple:
         """(acc + sum over ranks of weight(r) * ||sym(f *_r f)||^2, exact),
         added one rank after another in the order given.  With exact=True a
@@ -281,8 +258,12 @@ class ChaosNorms:
         Gram norm stands in and exact is False."""
         all_exact = True
         for r in ranks:
-            value, is_exact = (self.exact_symmetrized(r), True) if exact else self.symmetrized(r)
-            all_exact = all_exact and is_exact
+            try:
+                value = self.exact_symmetrized(r)
+            except MaterializationTooLarge:
+                if exact:
+                    raise
+                value, all_exact = self.gram(r), False
             acc += weight(r) * value ** 2
         return acc, all_exact
 
@@ -296,20 +277,20 @@ def chaos_norms(f) -> ChaosNorms:
     return f if isinstance(f, ChaosNorms) else ChaosNorms(f)
 
 
-def influence_profile(f: SymmetricKernel) -> InfluenceProfile:
-    """Influence of each index: sum of squared canonical entries containing it.
+def influence_profile(f: SymmetricKernel) -> np.ndarray:
+    """Influence of each index i (an (N,) array): sum of squared canonical
+    entries containing i.
 
     Equals (d-1)!^{-1} times the ordered-tuple sum of f^2 over tuples whose
     first coordinate is i.  The influences sum to ||f||_d^2 / (d-1)!.
     """
     squares = np.repeat(f.value_array * f.value_array, f.d)
     # bincount adds in entry order, one index at a time
-    acc = np.bincount(f.index_array.ravel(), weights=squares, minlength=f.N)
-    return InfluenceProfile(values=acc)
+    return np.bincount(f.index_array.ravel(), weights=squares, minlength=f.N)
 
 
 def max_influence(f: SymmetricKernel) -> float:
-    return influence_profile(f).max_influence
+    return float(influence_profile(f).max())
 
 
 def check_chi_square(d: int, nu=None, f: SymmetricKernel | None = None) -> None:

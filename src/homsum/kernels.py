@@ -41,6 +41,9 @@ from .errors import (
 FAMILY_TAGS = ("single_pair", "constant", "disjoint_pairs", "walsh", "random_sparse")
 NORMALIZED_RTOL = 1e-9
 MAX_ORDER = 12  # factorial/binomial arithmetic kept in exact-integer range
+# one float64 row of this many values is 32 GiB, so every N-sized array built
+# from a kernel (influence profile, sample row, `bound multi` stack) is indexable
+MAX_DIMENSION = 2 ** 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,6 +87,7 @@ def kernel_from_arrays(d: int, N: int, index, values) -> SymmetricKernel:
     check_order(d)
     if int(N) != N or N < d:
         raise ParameterOutOfRange(f"dimension N must satisfy N >= d, got N={N}, d={d}")
+    check_dimension(N)
     d, N = int(d), int(N)
     try:
         # the index is only read, so an int64 array is taken as it is
@@ -120,6 +124,12 @@ def check_order(d) -> None:
     """Raise unless the order d is an integer in 1..MAX_ORDER."""
     if int(d) != d or not 1 <= d <= MAX_ORDER:
         raise ParameterOutOfRange(f"order d must be an integer in 1..{MAX_ORDER}, got {d}")
+
+
+def check_dimension(N) -> None:
+    """Raise unless the dimension N is at most MAX_DIMENSION."""
+    if N > MAX_DIMENSION:
+        raise ParameterOutOfRange(f"dimension N must be at most {MAX_DIMENSION}, got N={N}")
 
 
 def _rows_sorted(index: np.ndarray) -> bool:
@@ -346,6 +356,7 @@ def generate_family(spec: KernelFamilySpec) -> SymmetricKernel:
         raise ParameterOutOfRange(f"seed must be >= 0, got {spec.seed}")
     if spec.family in ("single_pair", "constant", "disjoint_pairs") and spec.d != 2:
         raise UnsupportedFamilyParameters(f"{spec.family} family requires d = 2")
+    check_dimension({"disjoint_pairs": 2 * spec.size, "single_pair": 2}.get(spec.family, spec.size))
     if spec.family == "single_pair":
         return single_pair(spec.sigma2)
     if spec.family == "constant":

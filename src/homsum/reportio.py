@@ -9,8 +9,6 @@ inputs produce byte-identical documents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import __version__
@@ -84,24 +82,17 @@ def parse_sections(text: str, magic: str):
     return sections
 
 
-@dataclass
-class RunManifest:
-    """Provenance of a CLI run.  Only semantic parameters are serialized:
-    worker counts and output paths are execution details that must not
-    change report bytes, and no wall-clock time is recorded."""
-
-    command: str
-    params: dict
-    seed: int | None = None
-    version: str = __version__
-
-    def to_section(self) -> dict:
-        out = {"command": self.command, "version": self.version}
-        if self.seed is not None:
-            out["seed"] = self.seed
-        for k in sorted(self.params):
-            out[f"param.{k}"] = self.params[k]
-        return out
+def manifest_section(command: str, params: dict, seed: int | None = None) -> dict:
+    """The [manifest] section: provenance of a CLI run.  Only semantic
+    parameters are serialized: worker counts and output paths are execution
+    details that must not change report bytes, and no wall-clock time is
+    recorded."""
+    out = {"command": command, "version": __version__}
+    if seed is not None:
+        out["seed"] = seed
+    for k in sorted(params):
+        out[f"param.{k}"] = params[k]
+    return out
 
 
 def matrix_items(prefix: str, mat: np.ndarray) -> dict:

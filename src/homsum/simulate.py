@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextlib
-import contextvars
 import math
 import multiprocessing
 import os
@@ -46,7 +45,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import gammainc, ndtr
 
-from . import kernels, reductions
+from . import kernels
 from .errors import DimensionMismatch, InvalidDegrees, ParameterOutOfRange, ValidationError
 from .kernels import SymmetricKernel
 
@@ -215,22 +214,6 @@ class SampleSummary:
         return self._sorted
 
 
-@dataclass
-class VectorSampleSummary:
-    """Joint samples of several sums sharing each input draw."""
-
-    n: int
-    law: str
-    seed: int
-    samples: np.ndarray  # shape (n, m)
-
-    def empirical_covariance(self) -> np.ndarray:
-        return reductions.covariance(self.samples)
-
-    def marginal(self, j: int) -> SampleSummary:
-        return SampleSummary(n=self.n, law=self.law, seed=self.seed, samples=self.samples[:, j])
-
-
 def _compute_block(evaluators, dist, seed, lo, hi, n_inputs) -> np.ndarray:
     """(hi - lo, len(evaluators)) sums of draws lo..hi-1, one column per
     kernel's `kernels.RowSums`, filled in slices of whole rows holding about
@@ -268,50 +251,24 @@ def _compute_blocks(kernel_list, dist, seed, blocks, n_inputs):
     return [(lo, _compute_block(evaluators, dist, seed, lo, hi, n_inputs)) for lo, hi in blocks]
 
 
-class _PoolScope:
-    """The worker pool shared by the sampling calls of one `worker_pool()`
-    scope: started on first use, restarted only to grow."""
-
-    def __init__(self):
-        self._pool = None
-        self._size = 0
-
-    def pool(self, workers: int) -> concurrent.futures.Executor:
-        if workers > self._size:
-            self.close()
-            method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-            self._pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers, mp_context=multiprocessing.get_context(method)
-            )
-            self._size = workers
-        return self._pool
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool, self._size = None, 0
-
-
-_SCOPE: contextvars.ContextVar = contextvars.ContextVar("homsum_worker_pool", default=None)
+# [pool, size] of the innermost `worker_pool()` scope; None outside every scope
+_scope = None
 
 
 @contextlib.contextmanager
 def worker_pool():
-    """Scope within which every sampling call shares one worker pool; its
-    workers are shut down before the scope exits, however it exits."""
-    scope = _PoolScope()
-    token = _SCOPE.set(scope)
+    """Scope within which every sampling call shares one worker pool: started
+    on the first call that needs more than one worker, restarted only to
+    grow, and shut down before the scope exits, however it exits."""
+    global _scope
+    outer = _scope
+    scope = _scope = [None, 0]
     try:
-        yield scope
+        yield
     finally:
-        _SCOPE.reset(token)
-        scope.close()
-
-
-def _enclosing_scope():
-    """The enclosing worker_pool() scope, or a new one for a single call."""
-    scope = _SCOPE.get()
-    return worker_pool() if scope is None else contextlib.nullcontext(scope)
+        _scope = outer
+        if scope[0] is not None:
+            scope[0].shutdown(wait=True, cancel_futures=True)
 
 
 def _sample_matrix(kernel_list, dist: DistributionSpec, config: SampleConfig) -> np.ndarray:
@@ -329,8 +286,17 @@ def _sample_matrix(kernel_list, dist: DistributionSpec, config: SampleConfig) ->
     if workers == 1:
         results = [_compute_blocks(kernel_list, dist, config.seed, blocks, n_inputs)]
     else:
-        with _enclosing_scope() as scope:
-            pool = scope.pool(workers)
+        # a call outside any scope opens and closes a pool of its own
+        with worker_pool() if _scope is None else contextlib.nullcontext():
+            pool, size = _scope
+            if workers > size:
+                if pool is not None:
+                    pool.shutdown(wait=True, cancel_futures=True)
+                method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+                pool = concurrent.futures.ProcessPoolExecutor(
+                    max_workers=workers, mp_context=multiprocessing.get_context(method)
+                )
+                _scope[:] = [pool, workers]
             futures = [
                 pool.submit(_compute_blocks, kernel_list, dist, config.seed, blocks[w::workers], n_inputs)
                 for w in range(workers)
@@ -348,13 +314,13 @@ def sample_sums(f: SymmetricKernel, dist: DistributionSpec, config: SampleConfig
     return SampleSummary(n=config.n, law=dist.name, seed=config.seed, samples=q)
 
 
-def sample_vector_sums(kernel_list, dist: DistributionSpec, config: SampleConfig) -> VectorSampleSummary:
-    """Joint samples: every kernel is evaluated on the same input draw
-    (smaller kernels read a prefix of the shared vector)."""
+def sample_vector_sums(kernel_list, dist: DistributionSpec, config: SampleConfig) -> np.ndarray:
+    """(n, m) joint samples, column j the sums of kernel j: every kernel is
+    evaluated on the same input draw (smaller kernels read a prefix of the
+    shared vector)."""
     if not kernel_list:
         raise DimensionMismatch("need at least one kernel")
-    q = _sample_matrix(kernel_list, dist, config)
-    return VectorSampleSummary(n=config.n, law=dist.name, seed=config.seed, samples=q)
+    return _sample_matrix(kernel_list, dist, config)
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,12 @@ from scipy import integrate, special
 
 from homsum import kernels
 from homsum.bounds import EXACT, UPPER_BOUND
-from homsum.errors import DimensionMismatch, IndexOutOfRange, ParameterOutOfRange
+from homsum.errors import (
+    DimensionMismatch,
+    IndexOutOfRange,
+    MaterializationTooLarge,
+    ParameterOutOfRange,
+)
 
 
 def entries(f) -> dict:
@@ -226,7 +231,12 @@ def symmetrize_all_permutations(values: np.ndarray) -> np.ndarray:
 
 def _normal_contraction_sum(norms, ranks) -> tuple:
     d = norms.f.d
-    pairs = [norms.symmetrized(r) for r in ranks]
+    pairs = []
+    for r in ranks:  # past the cap the Gram norm, an upper bound, stands in
+        try:
+            pairs.append((norms.exact_symmetrized(r), True))
+        except MaterializationTooLarge:
+            pairs.append((norms.gram(r), False))
     acc = sum(
         math.factorial(r - 1) ** 2
         * math.comb(d - 1, r - 1) ** 4

@@ -138,6 +138,39 @@ class TestInputFileLimits:
                     "--out", str(out)]) == 2
         assert not out.exists()
 
+    # numpy cannot index an array this long: "array is too big" with exit 1,
+    # or an OverflowError traceback, or (normalize) exit 0
+    @pytest.mark.parametrize("N", ["4611686018427387904", "99999999999999999999"],
+                             ids=["2_62", "past_2_64"])
+    @pytest.mark.parametrize("command", [["kernel", "inspect"], ["kernel", "normalize"],
+                                         ["bound", "normal", "--law", "rademacher"],
+                                         ["bound", "multi", "--budget", "1,1"],
+                                         ["simulate", "--n", "10"]],
+                             ids=["inspect", "normalize", "bound_normal", "bound_multi", "simulate"])
+    def test_dimension_past_limit_exit_2(self, tmp_path, capsys, command, N):
+        kern = tmp_path / "wide.kern"
+        kern.write_text(f"artifact-kernel v1\nd 2\nN {N}\n1 2 0.5\n")
+        out = tmp_path / "out.txt"
+        assert run(command + ["--kernel", str(kern), "--out", str(out)]) == 2
+        assert f"dimension N must be at most 4294967296, got N={N}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, N", [
+        (["--family", "disjoint_pairs", "--m", "99999999999999999999"], 2 * 99999999999999999999),
+        (["--family", "disjoint_pairs", "--m", str(2**31 + 1)], 2**32 + 2),  # 2m past the limit
+        (["--family", "constant", "-N", "99999999999999999999"], 99999999999999999999),
+        (["--family", "walsh", "-N", "99999999999999999999"], 99999999999999999999),
+        (["--family", "random_sparse", "-N", "99999999999999999999"], 99999999999999999999),
+        # this one ran for minutes, growing its support set
+        (["--family", "random_sparse", "-N", "4611686018427387904"], 4611686018427387904),
+    ], ids=["disjoint_pairs", "disjoint_pairs_2m", "constant", "walsh", "random_sparse",
+            "random_sparse_2_62"])
+    def test_generate_dimension_past_limit_exit_2(self, tmp_path, capsys, flags, N):
+        out = tmp_path / "g.kern"
+        assert run(["kernel", "generate", *flags, "--out", str(out)]) == 2
+        assert f"dimension N must be at most 4294967296, got N={N}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBoundCommands:
     def test_normal_bound_on_disjoint_pairs(self, tmp_path):
@@ -207,15 +240,21 @@ class TestBoundCommands:
         ("chi2", ["--profile", "1,1e200"]),
         ("normal", ["--law", "two_point:1e-200"]),
         ("multi", ["--profile", "1e300,1", "--budget", "1,1"]),
+        # the message blamed only the moment profile
+        ("normal", ["--law", "gaussian", "--budget", "0,0,1e308"]),
     ], ids=["profile_nan", "profile_inf", "budget_nan", "budget_not_a_number",
             "normal_profile_overflows", "wasserstein_profile_overflows",
-            "chi2_profile_overflows", "law_moments_overflow", "multi_mixing_term_overflows"])
+            "chi2_profile_overflows", "law_moments_overflow", "multi_mixing_term_overflows",
+            "budget_overflows"])
     def test_non_finite_or_non_numeric_parameters_exit_2(self, tmp_path, capsys, kind, flags):
         kern, out = tmp_path / "d.kern", tmp_path / "r.txt"
         kernels.write_kernel(kernels.disjoint_pairs(10), kern)
         assert run(["bound", kind, "--kernel", str(kern), "--law", "rademacher",
                     "--n", "2000", *flags, "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        if flags[-2:] == ["--budget", "0,0,1e308"]:
+            assert "b3=1e+308" in err  # the budget overflowed, not the Gaussian's profile
         assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["normal", "chi2", "wasserstein"])
@@ -478,8 +517,11 @@ class TestDiagnoseCommand:
         # it sampled laws[0] only, while the manifest named every law
         ({"kind": "de_jong", "family": "disjoint_pairs", "d": 2, "sweep": [20], "n": 200,
           "laws": ["gaussian", "rademacher"]}, "de_jong takes one law"),
+        ({"kind": "fourth_moment", "family": "constant", "d": 2,
+          "sweep": [4, 99999999999999999999]}, "dimension N must be at most 4294967296"),
     ], ids=["decreasing_sweep", "odd_order_chi2_universality", "odd_order_chi2_de_jong",
-            "unknown_key_law", "unknown_key_threshold", "de_jong_two_laws"])
+            "unknown_key_law", "unknown_key_threshold", "de_jong_two_laws",
+            "sweep_past_dimension_limit"])
     def test_invalid_sequence_exit_2(self, tmp_path, capsys, body, message):
         spec, out = tmp_path / "spec.txt", tmp_path / "r.txt"
         self._write_spec(spec, body)
@@ -665,12 +707,15 @@ GOLDEN_COMMANDS = {
     "chi2_c.rep": ["diagnose", "--spec", "chi2_c.txt"],
     "dejong_rad.rep": ["diagnose", "--spec", "dejong_rad.txt"],
     "dejong_unif.rep": ["diagnose", "--spec", "dejong_unif.txt"],
+    "joint_simulate.rep": ["simulate", "--kernel", "w3.kern", "--kernel", "dp8.kern",
+                           "--law", "uniform", "--n", "3001", "--seed", "4"],
 }
 
 # sha256 of each output (x86-64, numpy 2.4, OpenBLAS).  The first 19 were
 # taken before kernels moved to array-only storage, the rest (w4.kern onward)
-# before contraction norms were computed once per kernel; neither change may
-# move a byte.
+# before contraction norms were computed once per kernel, and the last
+# (joint_simulate.rep) before the joint samples lost their summary record;
+# none of these changes may move a byte.
 # Sizes stay small enough that no BLAS call splits across threads: at
 # N = 16 the 2^N sign enumeration already gives thread-dependent moments.
 GOLDEN_SHA256 = {
@@ -701,6 +746,7 @@ GOLDEN_SHA256 = {
     "chi2_c.rep": "eecba57cd543450f21e4b3beaff7d0635006d3f0d44f28bcf1031df99aaaab87",
     "dejong_rad.rep": "39c69edb15c010ae6b9229d55f52d247bbd3a4c1cbbd930afbcf948a267a5910",
     "dejong_unif.rep": "7bc5a51afa0fa48e719529fa0da6ec32852faa153b74ca4182fa367e452f1fc2",
+    "joint_simulate.rep": "c080e21980e5333efdcb507c9b4e74c52e371b8b0e39677f9d915386d5232f13",
 }
 
 

@@ -129,15 +129,19 @@ class TestChaosNorms:
                 norms.exact_symmetrized(1)
             with pytest.raises(MaterializationTooLarge):
                 norms.defect()
-            assert norms.symmetrized(1) == (contractions.contraction_norm(f, 1), False)
-            assert norms.symmetrized(3) == (contractions.contraction_norm(f, 3), True)
+            with pytest.raises(MaterializationTooLarge):
+                norms.rank_sum([1], lambda _: 1.0, exact=True)
+            gram = [contractions.contraction_norm(f, r) ** 2 for r in (1, 3)]
+            assert norms.rank_sum([1], lambda _: 1.0) == (gram[0], False)
+            assert norms.rank_sum([3], lambda _: 1.0) == (gram[1], True)
 
     def test_within_cap_equals_direct_computation(self):
         f = kernels.walsh_kernel(4, 6)
         norms = contractions.ChaosNorms(f)
         for r in (1, 2):
             T = contractions.symmetrize(contractions.contract(f, r))
-            assert norms.symmetrized(r) == (T.frobenius_norm(), True)
+            assert norms.exact_symmetrized(r) == T.frobenius_norm()
+            assert norms.rank_sum([r], lambda _: 1.0) == (T.frobenius_norm() ** 2, True)
         for r in (1, 2, 3):
             assert norms.gram(r) == contractions.contraction_norm(f, r)
         assert norms.defect() == contractions.chi_square_defect(f)
@@ -264,22 +268,22 @@ class TestSymmetrizeBitIdentity:
 
 class TestInfluence:
     def test_closed_forms(self, c3, w25):
-        np.testing.assert_allclose(contractions.influence_profile(c3).values, 1 / 6, rtol=1e-13)
+        np.testing.assert_allclose(contractions.influence_profile(c3), 1 / 6, rtol=1e-13)
         prof = contractions.influence_profile(w25)
-        assert prof.values[0] == pytest.approx(0.25, rel=1e-13)
-        np.testing.assert_allclose(prof.values[1:], 1 / 16, rtol=1e-13)
+        assert prof[0] == pytest.approx(0.25, rel=1e-13)
+        np.testing.assert_allclose(prof[1:], 1 / 16, rtol=1e-13)
 
     def test_disjoint_pairs(self):
         for m in (2, 10):
             prof = contractions.influence_profile(kernels.disjoint_pairs(m))
-            np.testing.assert_allclose(prof.values, 1.0 / (4 * m), rtol=1e-13)
+            np.testing.assert_allclose(prof, 1.0 / (4 * m), rtol=1e-13)
 
     def test_sum_identity(self):
         # influences sum to ||f||^2 / (d-1)!
         rng = np.random.default_rng(113)
         for f in random_kernels(rng, 40):
             want = kernels.squared_norm(f) / math.factorial(f.d - 1)
-            assert contractions.influence_profile(f).total == pytest.approx(want, rel=1e-12)
+            assert float(contractions.influence_profile(f).sum()) == pytest.approx(want, rel=1e-12)
 
     def test_matches_ordered_sum_definition(self):
         rng = np.random.default_rng(127)
@@ -290,7 +294,7 @@ class TestInfluence:
                     evaluate(f, (i,) + rest) ** 2
                     for rest in itertools.product(range(1, f.N + 1), repeat=f.d - 1)
                 )
-                assert prof.values[i - 1] == pytest.approx(
+                assert prof[i - 1] == pytest.approx(
                     ordered / math.factorial(f.d - 1), rel=1e-11, abs=1e-15
                 )
 
@@ -377,7 +381,7 @@ def loop_gram_norm(f, r):
 def test_array_readers_equal_entry_loops_bitwise():
     rng = np.random.default_rng(131)
     for f in random_kernels(rng, 30, d_range=(2, 4), n_max=9):
-        assert contractions.influence_profile(f).values.tobytes() == loop_influences(f).tobytes()
+        assert contractions.influence_profile(f).tobytes() == loop_influences(f).tobytes()
         for r in range(1, f.d):
             assert contractions.contraction_norm(f, r).hex() == loop_gram_norm(f, r).hex()
 
@@ -388,7 +392,7 @@ def test_file_round_trip_keeps_statistics_bitwise(tmp_path):
     def stats(k):
         return [
             contractions.max_influence(k).hex(),
-            contractions.influence_profile(k).total.hex(),
+            float(contractions.influence_profile(k).sum()).hex(),
             *(contractions.contraction_norm(k, r).hex() for r in range(1, k.d)),
         ]
 

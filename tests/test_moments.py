@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from homsum import bounds, contractions, kernels, moments, simulate
+from homsum import bounds, contractions, kernels, moments, reductions, simulate
 from homsum.errors import (
     EnumerationTooLarge,
     InvalidDegrees,
@@ -34,8 +34,8 @@ def _joint_gaussian(kernel_list, n, seed):
 
 
 def _assert_cross_within(joint, want, z=5.0):
-    emp = joint.empirical_covariance()[0, 1]
-    se = (joint.samples[:, 0] * joint.samples[:, 1]).std() / math.sqrt(joint.n)
+    emp = reductions.covariance(joint)[0, 1]
+    se = (joint[:, 0] * joint[:, 1]).std() / math.sqrt(len(joint))
     assert abs(emp - want) <= z * se
 
 
@@ -54,7 +54,7 @@ class TestSecondAndCrossMoments:
         assert oracles.cross_moment(f, f) == pytest.approx(
             moments.gaussian_second_moment(f), rel=1e-14
         )
-        cov = _joint_gaussian([f, f], 20_000, seed=6).empirical_covariance()
+        cov = reductions.covariance(_joint_gaussian([f, f], 20_000, seed=6))
         assert cov[0, 1] == cov[0, 0] == cov[1, 1]
 
     def test_different_n_padded(self):

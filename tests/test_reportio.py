@@ -52,17 +52,16 @@ class TestSections:
 
 class TestManifest:
     def test_serialization_excludes_timestamp(self):
-        m = reportio.RunManifest("simulate", {"law": "gaussian", "n": 10}, seed=1)
-        section = m.to_section()
+        section = reportio.manifest_section("simulate", {"law": "gaussian", "n": 10}, seed=1)
         assert "created_at" not in section
         assert section["command"] == "simulate"
         assert section["param.law"] == "gaussian"
 
     def test_identical_manifests_identical_bytes(self):
-        a = reportio.RunManifest("x", {"p": 1}, seed=2)
-        b = reportio.RunManifest("x", {"p": 1}, seed=2)
-        ta = reportio.format_sections(reportio.REPORT_MAGIC, [("manifest", a.to_section())])
-        tb = reportio.format_sections(reportio.REPORT_MAGIC, [("manifest", b.to_section())])
+        a = reportio.manifest_section("x", {"p": 1}, seed=2)
+        b = reportio.manifest_section("x", {"p": 1}, seed=2)
+        ta = reportio.format_sections(reportio.REPORT_MAGIC, [("manifest", a)])
+        tb = reportio.format_sections(reportio.REPORT_MAGIC, [("manifest", b)])
         assert ta == tb
 
 

@@ -1,10 +1,11 @@
 import math
+import multiprocessing
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from homsum import kernels, moments, simulate
+from homsum import kernels, moments, reductions, simulate
 from homsum.errors import DimensionMismatch, InvalidDegrees, ParameterOutOfRange, ValidationError
 from oracles import draw_generator, law_draw, product_normal_cdf, unit_sums, whole_block_sums
 
@@ -87,6 +88,42 @@ class TestSampling:
         assert all(np.array_equal(runs[0], r) for r in runs)
 
     @staticmethod
+    def _sample(workers):
+        config = simulate.SampleConfig(n=100, seed=1, workers=workers, batch_size=10)
+        return simulate.sample_sums(kernels.disjoint_pairs(5), simulate.get_law("uniform"), config)
+
+    def test_nested_scope_builds_its_own_pool(self, monkeypatch, inline_pools):
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 8)
+        with simulate.worker_pool():
+            self._sample(2)
+            with simulate.worker_pool():
+                self._sample(2)
+            with pytest.raises(RuntimeError), simulate.worker_pool():
+                self._sample(3)
+                raise RuntimeError
+            self._sample(2)
+        assert inline_pools == [2, 2, 3]  # the last call is back on the outer pool
+
+    def test_nested_scope_shuts_its_workers_down(self, monkeypatch):
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
+
+        def children():
+            return {p.pid for p in multiprocessing.active_children()}
+
+        with simulate.worker_pool():
+            self._sample(2)
+            outer = children()
+            assert len(outer) == 2
+            with pytest.raises(RuntimeError), simulate.worker_pool():
+                self._sample(3)
+                assert len(children() - outer) == 3
+                raise RuntimeError
+            assert children() == outer
+            self._sample(2)
+            assert children() == outer  # the outer pool, not restarted
+        assert multiprocessing.active_children() == []
+
+    @staticmethod
     def _assert_block_equals_fresh_draws(name, n_inputs, seed, lo, hi):
         # order-1 coordinate kernels read the block's input rows back exactly
         coords = [kernels.make_kernel(1, n_inputs, {(i,): 1.0}) for i in range(1, n_inputs + 1)]
@@ -118,7 +155,7 @@ class TestSampling:
         config = simulate.SampleConfig(n=130, seed=4, batch_size=64)
         X = np.vstack([law_draw(name, draw_generator(4, j), 7) for j in range(130)])
         want = np.column_stack([unit_sums(f, X[:, : f.N]) for f in kernel_list])
-        got = simulate.sample_vector_sums(kernel_list, simulate.get_law(name), config).samples
+        got = simulate.sample_vector_sums(kernel_list, simulate.get_law(name), config)
         assert got.tobytes() == want.tobytes()
 
     def test_deterministic_given_seed_independent_of_runs(self):
@@ -337,7 +374,7 @@ class TestVectorSampling:
         joint = simulate.sample_vector_sums(
             [f, f], simulate.get_law("gaussian"), simulate.SampleConfig(n=2000, seed=19)
         )
-        cov = joint.empirical_covariance()
+        cov = reductions.covariance(joint)
         assert cov[0, 1] == pytest.approx(cov[0, 0], rel=1e-12)
 
     def test_disjoint_supports_uncorrelated(self):
@@ -346,8 +383,8 @@ class TestVectorSampling:
         joint = simulate.sample_vector_sums(
             [a, b], simulate.get_law("uniform"), simulate.SampleConfig(n=100_000, seed=23)
         )
-        cov = joint.empirical_covariance()
-        se = (joint.samples[:, 0] * joint.samples[:, 1]).std() / math.sqrt(joint.n)
+        cov = reductions.covariance(joint)
+        se = (joint[:, 0] * joint[:, 1]).std() / math.sqrt(len(joint))
         assert abs(cov[0, 1] - 0.0) <= 5 * se
 
     def test_single_kernel_reduces_to_sample_sums(self):
@@ -355,7 +392,7 @@ class TestVectorSampling:
         law = simulate.get_law("rademacher")
         joint = simulate.sample_vector_sums([f], law, simulate.SampleConfig(n=256, seed=29))
         flat = simulate.sample_sums(f, law, simulate.SampleConfig(n=256, seed=29))
-        assert np.array_equal(joint.samples[:, 0], flat.samples)
+        assert np.array_equal(joint[:, 0], flat.samples)
 
     def test_smaller_kernel_reads_prefix(self):
         # a kernel on the first 4 coordinates sees the same inputs whether
@@ -368,9 +405,9 @@ class TestVectorSampling:
         # different input-vector lengths change the draws, so only the wide
         # run is comparable: re-run with matching n_inputs via the wide pair
         again = simulate.sample_vector_sums([small, wide], law, simulate.SampleConfig(n=128, seed=31))
-        assert np.array_equal(joint.samples, again.samples)
-        assert joint.samples.shape == (128, 2)
-        assert alone.samples.shape == (128, 1)
+        assert np.array_equal(joint, again)
+        assert joint.shape == (128, 2)
+        assert alone.shape == (128, 1)
 
     def test_empty_kernel_list(self):
         with pytest.raises(DimensionMismatch):
