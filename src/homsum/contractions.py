@@ -13,8 +13,12 @@ Norms come in two flavors:
 
 * `contraction_norm` uses the Gram identity
       ||f *_r f||^2 = sum_{a,b in [N]^r} <f(a,.), f(b,.)>^2
-  on the sparse slice structure, never materializing the output; cost is
-  quadratic in the number of distinct r-subsets carrying support.
+  on the slice matrix S (complement (d-r)-subsets by r-subsets), never
+  materializing the output.  scipy's sparse product S^T S costs
+  sum_k nnz(row k of S)^2 products and walks them twice, the first time
+  only counting; when S is at least half full and S^T S fits the cap, the
+  same stored values come from the dense product S^T D instead
+  (`reductions.gram_values`), with the same bits.
 * the symmetrized norm ||sym(f *_r f)|| needs the dense tensor (there is no
   Gram shortcut after averaging over coordinate permutations), except for
   output arity 2 where the contraction is already symmetric.  `symmetrize`
@@ -120,14 +124,19 @@ def contraction_norm(f: SymmetricKernel, r: int) -> float:
 
         ||f *_r f||^2 = r!^2 (d-r)!^2 * sum_{A,B} <S_A, S_B>^2,
 
-    i.e. r! (d-r)! times the Frobenius norm of the slice Gram matrix.
+    i.e. r! (d-r)! times the Frobenius norm of the slice Gram matrix.  Its
+    stored values come from scipy's sparse product, or from a dense array
+    when the slice matrix is at least half full and the Gram matrix holds
+    at most MATERIALIZATION_CAP values; both give the same values in the
+    same order, so the norm has the same bits either way.
     """
     r = _check_rank(f, r)
     if r == f.d or r == 0:
         return kernels.squared_norm(f)
     if f.entry_count == 0:
         return 0.0
-    gram_sq = reductions.sum_squares(reductions.gram(_slice_matrix(f, r)).data)
+    gram_sq = reductions.sum_squares(
+        reductions.gram_values(_slice_matrix(f, r), MATERIALIZATION_CAP))
     return math.factorial(r) * math.factorial(f.d - r) * math.sqrt(gram_sq)
 
 

@@ -29,6 +29,7 @@ from .errors import (
     DimensionMismatch,
     DuplicateTuple,
     IndexOutOfRange,
+    MaterializationTooLarge,
     NonCanonicalTuple,
     NonFiniteValue,
     NotNormalized,
@@ -341,6 +342,13 @@ def random_sparse_kernel(
         support = list(itertools.combinations(range(1, N + 1), d))
         chosen = [support[i] for i in rng.choice(total, size=entry_count, replace=False)]
     else:
+        from . import contractions  # it imports this module, so its cap is read here
+
+        if entry_count > contractions.MATERIALIZATION_CAP:
+            raise MaterializationTooLarge(
+                f"random_sparse d={d}, N={N} samples {entry_count} entries, "
+                f"cap is {contractions.MATERIALIZATION_CAP}"
+            )
         seen: set = set()
         while len(seen) < entry_count:
             seen.add(tuple(sorted(rng.choice(N, size=d, replace=False) + 1)))

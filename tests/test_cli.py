@@ -99,7 +99,8 @@ class TestKernelCommands:
 
 
 class TestInputFileLimits:
-    """Files that are not UTF-8, or kernels past the order limit, exit 2."""
+    """Files that are not UTF-8, or kernels past the order limit, exit 2; a
+    random_sparse support past the materialization cap exits 3."""
 
     @pytest.mark.parametrize("command", ["inspect", "bound", "diagnose", "inspect_past_8_kib"])
     def test_non_utf8_file_exit_2(self, tmp_path, capsys, command):
@@ -169,6 +170,35 @@ class TestInputFileLimits:
         out = tmp_path / "g.kern"
         assert run(["kernel", "generate", *flags, "--out", str(out)]) == 2
         assert f"dimension N must be at most 4294967296, got N={N}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("how", ["generate", "diagnose_sweep"])
+    def test_random_sparse_past_cap_exit_3(self, tmp_path, how):
+        # within the dimension limit, random_sparse would sample 2N = 8.6e9
+        # support tuples into a set; the child's address space is limited
+        # so that a loop that did start fails fast, on another message
+        if how == "generate":
+            argv = ["kernel", "generate", "--family", "random_sparse", "--d", "2",
+                    "-N", "4294967296"]
+        else:
+            spec = tmp_path / "spec.txt"
+            spec.write_text(reportio.format_sections(reportio.DIAGNOSE_MAGIC, [("sequence", {
+                "kind": "fourth_moment", "family": "random_sparse", "d": 2,
+                "sweep": [4, 4294967296]})]))
+            argv = ["diagnose", "--spec", str(spec)]
+        out = tmp_path / "out.txt"
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from homsum import cli\n"
+            f"sys.exit(cli.main({argv + ['--out', str(out)]!r}))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(homsum.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert done.returncode == 3
+        assert done.stderr == ("capacity error: random_sparse d=2, N=4294967296 samples "
+                               "8589934592 entries, cap is 10000000\n")
         assert not out.exists()
 
 

@@ -3,13 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse
 
-from homsum import contractions, kernels
+from homsum import contractions, kernels, reductions
 from homsum.errors import MaterializationTooLarge, OddOrder, RankOutOfRange
 from conftest import random_kernels
 from oracles import entries, evaluate, first_seen_ids_by_unique, symmetrize_all_permutations
@@ -384,6 +385,99 @@ def test_array_readers_equal_entry_loops_bitwise():
         assert contractions.influence_profile(f).tobytes() == loop_influences(f).tobytes()
         for r in range(1, f.d):
             assert contractions.contraction_norm(f, r).hex() == loop_gram_norm(f, r).hex()
+
+
+def _half_rounded(f):
+    """f with its values rounded to multiples of 1/2, zeros made 1/2, so
+    that some Gram sums cancel exactly."""
+    values = np.round(2 * f.value_array) / 2
+    values[values == 0] = 0.5
+    return kernels.kernel_from_arrays(f.d, f.N, f.index_array + 1, values)
+
+
+def dense_gram_cases():
+    for N in (2, 3, 50, 200, 500):
+        yield f"constant_{N}", kernels.constant_kernel(N)
+    for d in (2, 3, 4):
+        for N in (d + 2, 9):
+            total = math.comb(N, d)
+            for count in (total // 2, total):
+                for seed in range(2):
+                    f = kernels.random_sparse_kernel(d, N, seed=seed, entry_count=count)
+                    name = f"random_sparse_{d}_{N}_{count}_{seed}"
+                    yield name, f
+                    yield name + "_half", _half_rounded(f)
+    # every product underflows to 0.0, so nothing is stored
+    yield "underflowing", kernels.kernel_from_arrays(2, 3, [[1, 2], [1, 3], [2, 3]], [1e-200] * 3)
+    # 8 entries of S^T S get products; the 4 off the diagonal cancel to 0.0
+    # and are not stored
+    yield "cancelling", kernels.kernel_from_arrays(
+        2, 4, [[1, 3], [2, 3], [1, 4], [2, 4]], [1.0, 1.0, 1.0, -1.0])
+
+
+@pytest.fixture
+def dense_calls(monkeypatch):
+    """The slice matrices the dense Gram route is given."""
+    calls, dense = [], reductions._dense_gram_values
+    monkeypatch.setattr(reductions, "_dense_gram_values", lambda S: calls.append(S) or dense(S))
+    return calls
+
+
+class TestDenseGram:
+    """Dense slice matrices get their Gram norms from a dense array, with
+    the stored values of the sparse product S^T S in its storage order."""
+
+    def test_norms_and_stored_values_bitwise(self, dense_calls):
+        routed = 0
+        for name, f in dense_gram_cases():
+            for r in range(1, f.d):
+                before = len(dense_calls)
+                assert contractions.contraction_norm(f, r).hex() == loop_gram_norm(f, r).hex(), name
+                routed += len(dense_calls) > before
+                # the dense route keeps every stored value and its place, routed or not
+                S = contractions._slice_matrix(f, r)
+                stored = reductions.gram(S).data
+                assert reductions._dense_gram_values(S).tobytes() == stored.tobytes(), (name, r)
+        assert routed == 53  # of the 103 (kernel, rank) cases
+
+    def test_cancelling_sums_are_dropped(self, dense_calls):
+        f = dict(dense_gram_cases())["cancelling"]
+        S = contractions._slice_matrix(f, 1)
+        values = reductions.gram_values(S, contractions.MATERIALIZATION_CAP)
+        assert len(dense_calls) == 1 and S.shape == (4, 4)
+        assert reductions.gram(S).nnz == 4 and values.tolist() == [2.0, 2.0, 2.0, 2.0]
+
+    @pytest.mark.parametrize("make, dense", [
+        (lambda: kernels.disjoint_pairs(10_000), False),
+        (lambda: kernels.walsh_kernel(4, 8), False),
+        (lambda: kernels.random_sparse_kernel(3, 40), False),
+        (lambda: kernels.constant_kernel(100), True),
+    ], ids=["disjoint_pairs_10000", "walsh_4_8", "random_sparse_3_40", "constant_100"])
+    def test_route_follows_density(self, dense_calls, make, dense):
+        f = make()
+        for r in range(1, f.d):
+            contractions.contraction_norm(f, r)
+        assert bool(dense_calls) == dense
+
+    def test_past_the_cap_stays_sparse(self, dense_calls, monkeypatch):
+        f = kernels.constant_kernel(100)
+        want = contractions.contraction_norm(f, 1)
+        monkeypatch.setattr(contractions, "MATERIALIZATION_CAP", 100 * 100 - 1)
+        assert contractions.contraction_norm(f, 1).hex() == want.hex()
+        assert len(dense_calls) == 1
+
+    def test_memory_bounded(self, dense_calls):
+        # contraction_norm(constant(1000), 1) builds a 1000 x 1000 slice
+        # matrix; from it, the sparse product peaked at 22.9 MiB
+        S = contractions._slice_matrix(kernels.constant_kernel(1000), 1)
+        tracemalloc.start()
+        try:
+            reductions.gram_values(S, contractions.MATERIALIZATION_CAP)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(dense_calls) == 1
+        assert peak <= 34 * 2**20
 
 
 def test_file_round_trip_keeps_statistics_bitwise(tmp_path):
