@@ -187,6 +187,8 @@ def cmd_bound(args) -> list:
         a, bb, b3 = _parse_floats(args.budget, 3, "--budget")
         budget = bounds.TestFunctionBudget(a=a, b=bb, b3=b3)
         chi2 = args.kind == "chi2"
+        if chi2:
+            InvalidDegrees.check(args.nu)  # before 2 nu is used as the target second moment
         f = kernels.normalize_to_variance(kernel_list[0], 2.0 * args.nu if chi2 else 1.0)
         norms = contractions.ChaosNorms(f)
         eq3, eq4, exactness, se = moments.estimate_moments(norms, law, config, need_third=chi2)

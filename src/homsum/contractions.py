@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from . import kernels, reductions
 from .errors import (
@@ -108,6 +107,7 @@ def _first_seen_ids(rows: np.ndarray) -> tuple:
 def _slice_matrix(f: SymmetricKernel, r: int):
     """Sparse matrix S over (complement (d-r)-subset, r-subset) -> value, rows
     and columns numbered by first occurrence in canonical entry order."""
+    import scipy.sparse  # here, not at the top: kernel commands never load scipy
     subsets = list(itertools.combinations(range(f.d), r))
     rest = [[k for k in range(f.d) if k not in s] for s in subsets]
     row_ids, n_rows = _first_seen_ids(f.index_array[:, rest].reshape(-1, f.d - r))

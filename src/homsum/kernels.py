@@ -257,8 +257,8 @@ def dense_tensor(f: SymmetricKernel) -> np.ndarray:
 
 
 def _require_positive_sigma2(sigma2: float) -> None:
-    if sigma2 <= 0:
-        raise ParameterOutOfRange(f"target second moment must be positive, got {sigma2}")
+    if not 0 < sigma2 < math.inf:  # NaN fails too
+        raise ParameterOutOfRange(f"target second moment must be finite and positive, got {sigma2}")
 
 
 def normalize_to_variance(f: SymmetricKernel, sigma2: float) -> SymmetricKernel:

@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import gammainc, ndtr
 
 from . import kernels
 from .errors import DimensionMismatch, InvalidDegrees, ParameterOutOfRange, ValidationError
@@ -338,6 +337,7 @@ def ks_statistic(sorted_samples: np.ndarray, target_cdf_values: np.ndarray) -> f
 
 
 def ks_normal(summary: SampleSummary) -> float:
+    from scipy.special import ndtr  # on first use: kernel commands never load scipy
     s = summary.sorted_samples()
     return ks_statistic(s, ndtr(s))
 
@@ -345,6 +345,7 @@ def ks_normal(summary: SampleSummary) -> float:
 def centered_chi2_cdf(x, nu: int):
     """P(Z <= x) for Z = (chi-square with nu degrees) - nu; zero at and
     below -nu; regularized lower incomplete gamma elsewhere."""
+    from scipy.special import gammainc  # on first use, as in ks_normal
     InvalidDegrees.check(nu)
     x = np.asarray(x, dtype=np.float64)
     shifted = np.maximum(x + nu, 0.0)

@@ -63,16 +63,31 @@ class TestKernelCommands:
                     "--out", str(out)]) == 0
         assert kernels.second_moment(kernels.read_kernel(out)) == pytest.approx(1.0, rel=1e-12)
 
-    @pytest.mark.parametrize("sigma2", ["-1", "0"])
+    # nan and inf got past a `<= 0` test and were blamed on the kernel entries
+    @pytest.mark.parametrize("sigma2", ["-1", "0", "nan", "inf"])
     @pytest.mark.parametrize("family, size", [
         ("constant", ["-N", "5"]), ("single_pair", []),
         ("disjoint_pairs", ["--m", "3"]), ("walsh", ["--d", "2", "-N", "5"]),
         ("random_sparse", ["--d", "2", "-N", "5"]),
     ])
-    def test_generate_non_positive_sigma2_exit_2(self, tmp_path, family, size, sigma2):
+    def test_generate_non_positive_sigma2_exit_2(self, tmp_path, capsys, family, size, sigma2):
         out = tmp_path / "k.kern"
         assert run(["kernel", "generate", "--family", family, *size, "--sigma2", sigma2,
                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: target second moment must be finite and positive, got {float(sigma2)}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sigma2", ["0", "nan", "inf"])
+    def test_normalize_bad_sigma2_exit_2(self, tmp_path, capsys, sigma2):
+        kern, out = tmp_path / "in.kern", tmp_path / "out.kern"
+        kernels.write_kernel(kernels.walsh_kernel(2, 10), kern)
+        assert run(["kernel", "normalize", "--kernel", str(kern), "--sigma2", sigma2,
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: target second moment must be finite and positive, got {float(sigma2)}\n"
+        )
         assert not out.exists()
 
     def test_generate_order_two_family_at_other_order_exit_2(self, tmp_path, capsys):
@@ -249,6 +264,18 @@ class TestBoundCommands:
         kernels.write_kernel(kernels.walsh_kernel(3, 7), kern)
         assert run(["bound", "chi2", "--kernel", str(kern), "--nu", "1",
                     "--out", str(tmp_path / "r.txt")]) == 2
+
+    @pytest.mark.parametrize("nu", ["0", "-1"])
+    def test_chi2_bound_bad_nu_exit_2(self, tmp_path, capsys, nu):
+        # 2 nu was taken as the target second moment first, and blamed for the error
+        kern, out = tmp_path / "c.kern", tmp_path / "r.txt"
+        kernels.write_kernel(kernels.constant_kernel(10, sigma2=2.0), kern)
+        assert run(["bound", "chi2", "--kernel", str(kern), "--nu", nu, "--law", "gaussian",
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: degrees of freedom must be a positive integer, got {nu}\n"
+        )
+        assert not out.exists()
 
     def test_multi_bound_emits_delta(self, tmp_path):
         kern = tmp_path / "d.kern"
@@ -864,3 +891,58 @@ def test_enumeration_report_bytes_pinned_at_one_blas_thread(tmp_path):
         for name in ENUMERATION_COMMANDS
     }
     assert got == ENUMERATION_SHA256
+
+
+# Start-up: kernel commands never load scipy, and the commands that use it
+# load it on first use.  The child runs each argv through cli.main and prints
+# the scipy modules loaded after `import homsum.cli` and after each command.
+_SCIPY_AFTER_EACH = (
+    "import json, sys\n"
+    "if sys.argv[1] == 'preload':\n"
+    "    import scipy.sparse, scipy.special\n"
+    "from homsum import cli\n"
+    "def scipy_modules():\n"
+    "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+    "loaded = [scipy_modules()]\n"
+    "for argv in json.loads(sys.stdin.read()):\n"
+    "    assert cli.main(argv) == 0, argv\n"
+    "    loaded.append(scipy_modules())\n"
+    "print(json.dumps(loaded))\n"
+)
+
+
+def _scipy_after_each(directory: Path, argvs: list, preload: bool = False) -> list:
+    directory.mkdir()
+    done = subprocess.run([sys.executable, "-c", _SCIPY_AFTER_EACH,
+                           "preload" if preload else "lazy"],
+                          input=json.dumps(argvs), capture_output=True, text=True,
+                          cwd=directory, env=_blas_env(1), check=True, timeout=120)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_kernel_commands_load_no_scipy(tmp_path):
+    loaded = _scipy_after_each(tmp_path / "run", [
+        ["kernel", "generate", "--family", "random_sparse", "--d", "3", "-N", "40",
+         "--out", "rs.kern"],
+        ["kernel", "normalize", "--kernel", "rs.kern", "--sigma2", "2", "--out", "rs2.kern"],
+        ["kernel", "inspect", "--kernel", "rs2.kern", "--out", "inspect.rep"],
+    ])
+    assert loaded == [[], [], [], []]
+
+
+def test_scipy_loaded_on_first_use_keeps_report_bytes(tmp_path):
+    argvs = [
+        ["kernel", "generate", "--family", "constant", "-N", "30", "--sigma2", "2",
+         "--out", "c.kern"],
+        ["simulate", "--kernel", "c.kern", "--law", "rademacher", "--n", "2000", "--seed", "1",
+         "--nu", "1", "--out", "sim.rep"],
+        ["bound", "normal", "--kernel", "c.kern", "--law", "rademacher", "--n", "2000",
+         "--seed", "1", "--out", "bound.rep"],
+    ]
+    lazy = _scipy_after_each(tmp_path / "lazy", argvs)
+    assert lazy[:2] == [[], []]
+    assert "scipy.special" in lazy[2] and "scipy.sparse" in lazy[3]
+    preloaded = _scipy_after_each(tmp_path / "preload", argvs, preload=True)
+    assert "scipy.sparse" in preloaded[0] and "scipy.special" in preloaded[0]
+    for name in ["c.kern", "sim.rep", "bound.rep"]:
+        assert (tmp_path / "lazy" / name).read_bytes() == (tmp_path / "preload" / name).read_bytes()
