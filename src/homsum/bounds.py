@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import contractions, kernels
-from .errors import OrderMismatch, ParameterOutOfRange
+from .errors import ValidationError
 from .kernels import SymmetricKernel
 
 EXACT = "exact"
@@ -48,7 +48,7 @@ class TestFunctionBudget:
     def __post_init__(self):
         for name in ("a", "b", "b3", "b2m", "b3m"):
             if not 0.0 <= getattr(self, name) < math.inf:  # NaN fails
-                raise ParameterOutOfRange(f"budget field {name} must be finite and >= 0")
+                raise ValidationError(f"budget field {name} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ class MomentProfile:
 
     def __post_init__(self):
         if not (1.0 <= self.beta3 < math.inf and 1.0 <= self.beta4 < math.inf):  # NaN fails
-            raise ParameterOutOfRange(
+            raise ValidationError(
                 "unit-variance laws force finite beta3 >= 1 and beta4 >= 1, got "
                 f"beta3={self.beta3}, beta4={self.beta4}"
             )
@@ -99,14 +99,14 @@ class BoundReport:
             return 4.0 * (c["b1"] + c["b2"]) ** (1.0 / 3.0)
         if self.kind == "multivariate":
             return c["b2m"] * c["delta_total"] + c["b3m"] * c["mixing_term"]
-        raise ParameterOutOfRange(f"unknown report kind {self.kind!r}")
+        raise ValidationError(f"unknown report kind {self.kind!r}")
 
 
 def _assembled(bound):
     """Each bound's report is finished here: its total is recomputed from its
     components, and a term that overflows, or a component or total that is
     not finite (bar the nan total of an inapplicable Wasserstein bound),
-    raises ParameterOutOfRange naming the moment profile, the test-function
+    raises ValidationError naming the moment profile, the test-function
     budget when the bound takes one, and the order."""
 
     @functools.wraps(bound)
@@ -121,7 +121,7 @@ def _assembled(bound):
             d = f.d if isinstance(f, SymmetricKernel) else ",".join(str(g.d) for g in f)
             budget = "".join(f" and the budget {a}" for a in (*args, *kwargs.values())
                              if isinstance(a, TestFunctionBudget))
-            raise ParameterOutOfRange(
+            raise ValidationError(
                 f"{bound.__name__} overflows or is not finite for the moment profile "
                 f"beta3={profile.beta3!r}, beta4={profile.beta4!r}{budget} at d={d}")
         return report
@@ -173,7 +173,7 @@ def t1(f) -> tuple:
     norms = contractions.chaos_norms(f)
     f = norms.f
     if f.d < 2:
-        raise ParameterOutOfRange(f"t1 needs d >= 2, got d={f.d}")
+        raise ValidationError(f"t1 needs d >= 2, got d={f.d}")
     kernels.require_second_moment(f, 1.0)
     value, exactness = _contraction_sum(norms, range(1, f.d))
     return math.sqrt(value), exactness
@@ -183,7 +183,7 @@ def t2(f: SymmetricKernel, fourth_moment: float) -> float:
     """Fourth-moment statistic sqrt(((d-1)/(3d)) |E F^4 - 3|); >= t1 when the
     fourth moment is the exact Gaussian-input value."""
     if f.d < 2:
-        raise ParameterOutOfRange(f"t2 needs d >= 2, got d={f.d}")
+        raise ValidationError(f"t2 needs d >= 2, got d={f.d}")
     kernels.require_second_moment(f, 1.0)
     return math.sqrt((f.d - 1) / (3.0 * f.d) * abs(fourth_moment - 3.0))
 
@@ -380,7 +380,7 @@ def delta_ij(f_i, f_j) -> float:
     n_i, n_j = contractions.chaos_norms(f_i), contractions.chaos_norms(f_j)
     di, dj = n_i.f.d, n_j.f.d
     if di > dj:
-        raise OrderMismatch(f"need d_i <= d_j, got d_i={di}, d_j={dj}")
+        raise ValidationError(f"need d_i <= d_j, got d_i={di}, d_j={dj}")
     kernels.require_second_moment(n_i.f, 1.0)
     kernels.require_second_moment(n_j.f, 1.0)
     acc = 0.0
@@ -428,7 +428,7 @@ def multivariate_smooth_bound(
     with C = sum_i max_j Inf_i(f_j).
     """
     if not kernel_list:
-        raise ParameterOutOfRange("need at least one kernel")
+        raise ValidationError("need at least one kernel")
     delta = delta_matrix(kernel_list)  # delta_ij checks each kernel's order and variance
     delta_total = float(np.trace(delta) + 2.0 * np.triu(delta, k=1).sum())
     n_max = max(f.N for f in kernel_list)

@@ -8,17 +8,28 @@ Exit codes: 0 success, 1 usage, 2 validation, 3 capacity.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from . import bounds, contractions, diagnose, kernels, moments, reductions, reportio, simulate
-from .errors import CapacityError, HomsumError, InvalidDegrees, UndecodableFile, ValidationError
+from .errors import CapacityError, ValidationError, check_degrees, reading
 
 
 class _UsageError(Exception):
     pass
 
 
+# argparse takes a value starting with "-" for a value only when it is a plain
+# negative decimal; no flag starts like -1e3, -.5, -1,3, -inf or -NaN
+_NUMBER_LIKE = re.compile(r"-(?:[\d.]|inf|nan)", re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
+    def _parse_optional(self, arg_string):
+        if _NUMBER_LIKE.match(arg_string):
+            return None  # a value, which reaches validation
+        return super()._parse_optional(arg_string)
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -86,9 +97,9 @@ def _emit(text: str, out_path) -> None:
 
 def _parse_floats(s: str, count: int, what: str):
     try:
-        values = [float(p) for p in s.split(",") if p != ""]
+        values = [float(p) for p in s.split(",")]
     except ValueError:
-        values = []  # a non-number is reported like a wrong count
+        values = []  # a non-number or an empty field is reported like a wrong count
     if len(values) != count:
         raise ValidationError(f"{what} needs {count} comma-separated numbers, got {s!r}")
     return values
@@ -188,7 +199,7 @@ def cmd_bound(args) -> list:
         budget = bounds.TestFunctionBudget(a=a, b=bb, b3=b3)
         chi2 = args.kind == "chi2"
         if chi2:
-            InvalidDegrees.check(args.nu)  # before 2 nu is used as the target second moment
+            check_degrees(args.nu)  # before 2 nu is used as the target second moment
         f = kernels.normalize_to_variance(kernel_list[0], 2.0 * args.nu if chi2 else 1.0)
         norms = contractions.ChaosNorms(f)
         eq3, eq4, exactness, se = moments.estimate_moments(norms, law, config, need_third=chi2)
@@ -210,7 +221,7 @@ def cmd_bound(args) -> list:
 
 def cmd_simulate(args) -> list:
     if args.nu is not None:
-        InvalidDegrees.check(args.nu)
+        check_degrees(args.nu)
         if len(args.kernel) > 1:
             raise ValidationError(f"simulate --nu takes one --kernel, got {len(args.kernel)}")
     kernel_list, law, config, params = _sampling_inputs(args)
@@ -240,7 +251,7 @@ def cmd_simulate(args) -> list:
 
 
 def cmd_diagnose(args) -> list:
-    with UndecodableFile.reading(args.spec), open(args.spec, encoding="utf-8") as fh:
+    with reading(args.spec), open(args.spec, encoding="utf-8") as fh:
         seq = dict(reportio.parse_sections(fh.read(), reportio.DIAGNOSE_MAGIC)).get("sequence")
     if seq is None:
         raise ValidationError("diagnose spec needs a [sequence] section")
@@ -276,7 +287,7 @@ def main(argv=None) -> int:
         detail = f": {exc}" if str(exc) else ""
         print(f"capacity error: out of memory{detail}", file=sys.stderr)
         return 3
-    except (HomsumError, OSError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -39,14 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, reductions
-from .errors import (
-    InvalidDegrees,
-    MaterializationTooLarge,
-    NotNormalizedToTwoNu,
-    OddOrder,
-    ParameterOutOfRange,
-    RankOutOfRange,
-)
+from .errors import CapacityError, ValidationError, check_degrees
 from .kernels import SymmetricKernel
 
 # the most values a dense kernel or contraction tensor may hold
@@ -67,20 +60,20 @@ class ContractionTensor:
 
 def _check_rank(f: SymmetricKernel, r: int) -> int:
     if int(r) != r or not 0 <= r <= f.d:
-        raise RankOutOfRange(f"contraction rank {r} outside 0..{f.d}")
+        raise ValidationError(f"contraction rank {r} outside 0..{f.d}")
     return int(r)
 
 
 def contract(f: SymmetricKernel, r: int) -> ContractionTensor:
     """Materialize f *_r f as a dense tensor on [N]^{2d-2r}; raises
-    MaterializationTooLarge past MATERIALIZATION_CAP values."""
+    CapacityError past MATERIALIZATION_CAP values."""
     r = _check_rank(f, r)
     if r == f.d:
         scalar = np.array(kernels.squared_norm(f))
         return ContractionTensor(arity=0, N=f.N, values=scalar)
     out_arity = 2 * f.d - 2 * r
     if max(f.N ** f.d, f.N ** out_arity) > MATERIALIZATION_CAP:
-        raise MaterializationTooLarge(
+        raise CapacityError(
             f"contraction d={f.d}, r={r}, N={f.N} needs {max(f.N**f.d, f.N**out_arity)} "
             f"values, cap is {MATERIALIZATION_CAP}"
         )
@@ -254,7 +247,7 @@ class ChaosNorms:
         return self._get(("gram", r), lambda: contraction_norm(self.f, r))
 
     def exact_symmetrized(self, r: int) -> float:
-        """||sym(f *_r f)||; raises MaterializationTooLarge past the cap."""
+        """||sym(f *_r f)||; raises CapacityError past the cap."""
         r = _check_rank(self.f, r)
         if r >= self.f.d - 1:
             return self.gram(r)
@@ -263,13 +256,13 @@ class ChaosNorms:
     def rank_sum(self, ranks, weight, acc: float = 0.0, exact: bool = False) -> tuple:
         """(acc + sum over ranks of weight(r) * ||sym(f *_r f)||^2, exact),
         added one rank after another in the order given.  With exact=True a
-        norm past the cap raises MaterializationTooLarge; otherwise its
-        Gram norm stands in and exact is False."""
+        norm past the cap raises CapacityError; otherwise its Gram norm
+        stands in and exact is False."""
         all_exact = True
         for r in ranks:
             try:
                 value = self.exact_symmetrized(r)
-            except MaterializationTooLarge:
+            except CapacityError:
                 if exact:
                     raise
                 value, all_exact = self.gram(r), False
@@ -277,7 +270,7 @@ class ChaosNorms:
         return acc, all_exact
 
     def defect(self) -> float:
-        """chi_square_defect(f); raises MaterializationTooLarge past the cap."""
+        """chi_square_defect(f); raises CapacityError past the cap."""
         return self._get("defect", lambda: chi_square_defect(self.f))
 
 
@@ -304,15 +297,14 @@ def max_influence(f: SymmetricKernel) -> float:
 
 def check_chi_square(d: int, nu=None, f: SymmetricKernel | None = None) -> None:
     """The preconditions of every chi-square quantity: nu (when given) a
-    positive integer, else InvalidDegrees; the order d even and >= 2, else
-    OddOrder; f (when given) normalized to E[Q^2] = 2 nu, else
-    NotNormalizedToTwoNu."""
+    positive integer; the order d even and >= 2; f (when given) normalized
+    to E[Q^2] = 2 nu.  Each failure is a ValidationError."""
     if nu is not None:
-        InvalidDegrees.check(nu)
+        check_degrees(nu)
     if d % 2 != 0 or d < 2:
-        raise OddOrder(f"chi-square approximation needs even order >= 2, got d={d}")
+        raise ValidationError(f"chi-square approximation needs even order >= 2, got d={d}")
     if f is not None:
-        kernels.require_second_moment(f, 2.0 * nu, NotNormalizedToTwoNu)
+        kernels.require_second_moment(f, 2.0 * nu)
 
 
 def chi_square_match_constant(d: int) -> float:
@@ -327,7 +319,7 @@ def chi_square_defect(f: SymmetricKernel) -> float:
     The symmetrized half-contraction carries diagonal mass; f is extended by
     zero there, so the defect norm runs over the full cube.
     """
-    c_d = chi_square_match_constant(f.d)  # raises OddOrder for an odd order
+    c_d = chi_square_match_constant(f.d)  # rejects an odd order
     T = symmetrize(contract(f, f.d // 2))
     diff = T.values - c_d * kernels.dense_tensor(f)
     return math.sqrt(reductions.sum_squares(diff))
@@ -340,7 +332,7 @@ def crux_gap(f: SymmetricKernel) -> tuple:
     diagonal entries, whose maximum is ((d-1)! * max_i Inf_i)^2.
     """
     if f.d < 2:
-        raise ParameterOutOfRange(f"crux gap needs d >= 2, got d={f.d}")
+        raise ValidationError(f"crux gap needs d >= 2, got d={f.d}")
     lhs = contraction_norm(f, f.d - 1) ** 2
     rhs = (math.factorial(f.d - 1) * max_influence(f)) ** 2
     return lhs, rhs

@@ -38,7 +38,8 @@ def _typed(value, hint, key: str):
     if hint is str and isinstance(value, str):
         return value
     try:
-        if hint is int and int(value) == value:
+        # bool subclasses int, but `true` is no integer
+        if hint is int and not isinstance(value, bool) and int(value) == value:
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass

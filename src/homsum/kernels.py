@@ -25,19 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from . import reductions
-from .errors import (
-    DimensionMismatch,
-    DuplicateTuple,
-    IndexOutOfRange,
-    MaterializationTooLarge,
-    NonCanonicalTuple,
-    NonFiniteValue,
-    NotNormalized,
-    ParameterOutOfRange,
-    UndecodableFile,
-    UnsupportedFamilyParameters,
-    ZeroKernel,
-)
+from .errors import CapacityError, ValidationError, reading
 
 FAMILY_TAGS = ("single_pair", "constant", "disjoint_pairs", "walsh", "random_sparse")
 NORMALIZED_RTOL = 1e-9
@@ -87,7 +75,7 @@ def kernel_from_arrays(d: int, N: int, index, values) -> SymmetricKernel:
     """
     check_order(d)
     if int(N) != N or N < d:
-        raise ParameterOutOfRange(f"dimension N must satisfy N >= d, got N={N}, d={d}")
+        raise ValidationError(f"dimension N must satisfy N >= d, got N={N}, d={d}")
     check_dimension(N)
     d, N = int(d), int(N)
     try:
@@ -95,24 +83,24 @@ def kernel_from_arrays(d: int, N: int, index, values) -> SymmetricKernel:
         index = np.array(index, dtype=np.int64, ndmin=2, copy=None)
         values = np.array(values, dtype=np.float64, ndmin=1)
     except (ValueError, OverflowError):
-        raise DimensionMismatch(f"entries must be integer {d}-tuples with real values") from None
+        raise ValidationError(f"entries must be integer {d}-tuples with real values") from None
     if index.size == 0:
         index = index.reshape(0, d)
     if index.ndim != 2 or index.shape[1] != d or values.shape != (len(index),):
-        raise DimensionMismatch(f"entry tuples have shape {index.shape}, need ({values.size}, {d})")
+        raise ValidationError(f"entry tuples have shape {index.shape}, need ({values.size}, {d})")
     if not _rows_sorted(index):  # files and families give sorted rows
         order = np.lexsort(index.T[::-1])
         index, values = index[order], values[order]
     distinct = np.ones(len(index), dtype=bool)
     distinct[1:] = (index[1:] != index[:-1]).any(axis=1)
-    for ok, exc, what in (
-        (((index > 0) & (index <= N)).all(axis=1), IndexOutOfRange, f"has an index outside 1..{N}"),
-        ((np.diff(index, axis=1) > 0).all(axis=1), NonCanonicalTuple, "is not strictly increasing"),
-        (np.isfinite(values), NonFiniteValue, "has a non-finite value"),
-        (distinct, DuplicateTuple, "is supplied twice"),
+    for ok, what in (
+        (((index > 0) & (index <= N)).all(axis=1), f"has an index outside 1..{N}"),
+        ((np.diff(index, axis=1) > 0).all(axis=1), "is not strictly increasing"),
+        (np.isfinite(values), "has a non-finite value"),
+        (distinct, "is supplied twice"),
     ):
         if not ok.all():
-            raise exc(f"entry tuple {tuple(index[np.argmin(ok)].tolist())} {what}")
+            raise ValidationError(f"entry tuple {tuple(index[np.argmin(ok)].tolist())} {what}")
     keep = values != 0.0
     if not keep.all():
         index, values = index[keep], values[keep]
@@ -124,13 +112,13 @@ def kernel_from_arrays(d: int, N: int, index, values) -> SymmetricKernel:
 def check_order(d) -> None:
     """Raise unless the order d is an integer in 1..MAX_ORDER."""
     if int(d) != d or not 1 <= d <= MAX_ORDER:
-        raise ParameterOutOfRange(f"order d must be an integer in 1..{MAX_ORDER}, got {d}")
+        raise ValidationError(f"order d must be an integer in 1..{MAX_ORDER}, got {d}")
 
 
 def check_dimension(N) -> None:
     """Raise unless the dimension N is at most MAX_DIMENSION."""
     if N > MAX_DIMENSION:
-        raise ParameterOutOfRange(f"dimension N must be at most {MAX_DIMENSION}, got N={N}")
+        raise ValidationError(f"dimension N must be at most {MAX_DIMENSION}, got N={N}")
 
 
 def _rows_sorted(index: np.ndarray) -> bool:
@@ -162,11 +150,11 @@ def second_moment(f: SymmetricKernel) -> float:
     return math.factorial(f.d) * squared_norm(f)
 
 
-def require_second_moment(f: SymmetricKernel, target: float, exc=NotNormalized) -> None:
-    """Raise `exc` unless E[Q_d^2] is within relative 1e-9 of target (NaN fails)."""
+def require_second_moment(f: SymmetricKernel, target: float) -> None:
+    """Raise unless E[Q_d^2] is within relative 1e-9 of target (NaN fails)."""
     got = second_moment(f)
     if not abs(got - target) <= NORMALIZED_RTOL * target:
-        raise exc(f"kernel second moment is {got!r}, expected {target!r}")
+        raise ValidationError(f"kernel second moment is {got!r}, expected {target!r}")
 
 
 # values the sparse path gathers at once (32 MB), which sets its row chunk
@@ -188,7 +176,7 @@ def evaluate_sum_batch(f: SymmetricKernel, X: np.ndarray) -> np.ndarray:
     over the whole batch, fed all of its rows at once."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != f.N:
-        raise DimensionMismatch(f"batch has shape {X.shape}, expected (n, {f.N})")
+        raise ValidationError(f"batch has shape {X.shape}, expected (n, {f.N})")
     out = np.empty(X.shape[0])
     RowSums(f, X.shape[0]).add(X, 0, out)
     return out
@@ -258,7 +246,7 @@ def dense_tensor(f: SymmetricKernel) -> np.ndarray:
 
 def _require_positive_sigma2(sigma2: float) -> None:
     if not 0 < sigma2 < math.inf:  # NaN fails too
-        raise ParameterOutOfRange(f"target second moment must be finite and positive, got {sigma2}")
+        raise ValidationError(f"target second moment must be finite and positive, got {sigma2}")
 
 
 def normalize_to_variance(f: SymmetricKernel, sigma2: float) -> SymmetricKernel:
@@ -266,7 +254,7 @@ def normalize_to_variance(f: SymmetricKernel, sigma2: float) -> SymmetricKernel:
     _require_positive_sigma2(sigma2)
     cur = second_moment(f)
     if cur == 0.0:
-        raise ZeroKernel("cannot normalize a kernel with zero norm")
+        raise ValidationError("cannot normalize a kernel with zero norm")
     lam = math.sqrt(sigma2 / cur)
     return kernel_from_arrays(f.d, f.N, f.index_array + 1, lam * f.value_array)
 
@@ -295,7 +283,7 @@ def single_pair(sigma2: float = 1.0) -> SymmetricKernel:
 def constant_kernel(N: int, sigma2: float = 1.0) -> SymmetricKernel:
     """Order-2 kernel constant off the diagonal, E[Q^2] = sigma2."""
     if N < 2:
-        raise UnsupportedFamilyParameters(f"constant family needs N >= 2, got {N}")
+        raise ValidationError(f"constant family needs N >= 2, got {N}")
     c = math.sqrt(sigma2 / (2.0 * N * (N - 1)))
     rows = np.column_stack(np.triu_indices(N, k=1)) + 1
     return kernel_from_arrays(2, N, rows, np.full(len(rows), c))
@@ -304,7 +292,7 @@ def constant_kernel(N: int, sigma2: float = 1.0) -> SymmetricKernel:
 def disjoint_pairs(m: int, sigma2: float = 1.0) -> SymmetricKernel:
     """m disjoint index pairs (2k-1, 2k), each with weight sqrt(sigma2)/(2 sqrt(m))."""
     if m < 1:
-        raise UnsupportedFamilyParameters(f"disjoint_pairs needs m >= 1, got {m}")
+        raise ValidationError(f"disjoint_pairs needs m >= 1, got {m}")
     v = math.sqrt(sigma2 / (4.0 * m))
     odd = np.arange(1, 2 * m, 2)
     return kernel_from_arrays(2, 2 * m, np.column_stack([odd, odd + 1]), np.full(m, v))
@@ -313,7 +301,7 @@ def disjoint_pairs(m: int, sigma2: float = 1.0) -> SymmetricKernel:
 def walsh_kernel(d: int, N: int, sigma2: float = 1.0) -> SymmetricKernel:
     """Kernel of x_1 ... x_{d-1} * sum_{i>=d} x_i / sqrt(N-d+1), E[Q^2] = sigma2."""
     if d < 2 or N <= d:
-        raise UnsupportedFamilyParameters(f"walsh family needs N > d >= 2, got d={d}, N={N}")
+        raise ValidationError(f"walsh family needs N > d >= 2, got d={d}, N={N}")
     v = math.sqrt(sigma2) / (math.factorial(d) * math.sqrt(N - d + 1))
     rows = np.column_stack([np.tile(np.arange(1, d), (N - d + 1, 1)), np.arange(d, N + 1)])
     return kernel_from_arrays(d, N, rows, np.full(N - d + 1, v))
@@ -329,12 +317,12 @@ def random_sparse_kernel(
 ) -> SymmetricKernel:
     """Seeded random support with standard-normal weights, normalized to sigma2."""
     if d < 1 or N < d:
-        raise UnsupportedFamilyParameters(f"random_sparse needs N >= d >= 1, got d={d}, N={N}")
+        raise ValidationError(f"random_sparse needs N >= d >= 1, got d={d}, N={N}")
     total = math.comb(N, d)
     if entry_count is None:
         entry_count = min(total, max(2 * N, 8))
     if not 1 <= entry_count <= total:
-        raise UnsupportedFamilyParameters(
+        raise ValidationError(
             f"entry_count {entry_count} outside 1..{total} for d={d}, N={N}"
         )
     rng = np.random.default_rng(seed)
@@ -345,7 +333,7 @@ def random_sparse_kernel(
         from . import contractions  # it imports this module, so its cap is read here
 
         if entry_count > contractions.MATERIALIZATION_CAP:
-            raise MaterializationTooLarge(
+            raise CapacityError(
                 f"random_sparse d={d}, N={N} samples {entry_count} entries, "
                 f"cap is {contractions.MATERIALIZATION_CAP}"
             )
@@ -361,9 +349,9 @@ def random_sparse_kernel(
 def generate_family(spec: KernelFamilySpec) -> SymmetricKernel:
     _require_positive_sigma2(spec.sigma2)
     if spec.seed < 0:
-        raise ParameterOutOfRange(f"seed must be >= 0, got {spec.seed}")
+        raise ValidationError(f"seed must be >= 0, got {spec.seed}")
     if spec.family in ("single_pair", "constant", "disjoint_pairs") and spec.d != 2:
-        raise UnsupportedFamilyParameters(f"{spec.family} family requires d = 2")
+        raise ValidationError(f"{spec.family} family requires d = 2")
     check_dimension({"disjoint_pairs": 2 * spec.size, "single_pair": 2}.get(spec.family, spec.size))
     if spec.family == "single_pair":
         return single_pair(spec.sigma2)
@@ -375,7 +363,7 @@ def generate_family(spec: KernelFamilySpec) -> SymmetricKernel:
         return walsh_kernel(spec.d, spec.size, spec.sigma2)
     if spec.family == "random_sparse":
         return random_sparse_kernel(spec.d, spec.size, seed=spec.seed, sigma2=spec.sigma2)
-    raise UnsupportedFamilyParameters(f"unknown family {spec.family!r}; know {FAMILY_TAGS}")
+    raise ValidationError(f"unknown family {spec.family!r}; know {FAMILY_TAGS}")
 
 
 # ---------------------------------------------------------------------------
@@ -408,27 +396,27 @@ def read_kernel(path) -> SymmetricKernel:
     them and blank ones are skipped; after the three header lines, each
     record is d indices and a value separated by whitespace, and
     `np.loadtxt` parses the records as the file is read."""
-    with UndecodableFile.reading(path), open(path, encoding="utf-8") as fh:
+    with reading(path), open(path, encoding="utf-8") as fh:
         lines = (ln for text in fh for ln in text.splitlines() if ln and not ln.isspace())
         header = list(itertools.islice(lines, 3))
         if not header or header[0].strip() != KERNEL_MAGIC:
-            raise ParameterOutOfRange(f"not a kernel file (expected header {KERNEL_MAGIC!r})")
+            raise ValidationError(f"not a kernel file (expected header {KERNEL_MAGIC!r})")
         try:
             d = int(header[1].split()[1])
             N = int(header[2].split()[1])
         except (IndexError, ValueError) as exc:
-            raise ParameterOutOfRange(f"malformed kernel header: {exc}") from None
+            raise ValidationError(f"malformed kernel header: {exc}") from None
         check_order(d)  # loadtxt sets up every field of a record: d must be small
         first = next(lines, None)  # on no records loadtxt only warns
         if first is None:
-            raise ParameterOutOfRange(f"kernel file {path} has no records")
+            raise ValidationError(f"kernel file {path} has no records")
         dtype = [("i", np.int64, (d,)), ("v", np.float64)]
         try:
             records = np.loadtxt(itertools.chain([first], lines), dtype, comments=None, ndmin=1)
         except UnicodeDecodeError:  # a ValueError, left for the `with` to name
             raise
         except ValueError:
-            raise ParameterOutOfRange(_malformed_record(fh, dtype)) from None
+            raise ValidationError(_malformed_record(fh, dtype)) from None
     return kernel_from_arrays(d, N, records["i"], records["v"])
 
 

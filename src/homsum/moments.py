@@ -23,7 +23,7 @@ import numpy as np
 
 from . import contractions, kernels, reductions, simulate
 from .bounds import EXACT, MONTE_CARLO
-from .errors import EnumerationTooLarge, MaterializationTooLarge, ParameterOutOfRange
+from .errors import CapacityError, ValidationError
 from .kernels import SymmetricKernel
 
 ENUMERATION_MAX_N = 22
@@ -44,7 +44,7 @@ def gaussian_fourth_moment(f) -> float:
 
     Exact; always >= 3, with equality only when all contractions vanish.
     f is a kernel or its contractions.ChaosNorms record; a symmetrized norm
-    past the cap raises MaterializationTooLarge.
+    past the cap raises CapacityError.
     """
     norms = contractions.chaos_norms(f)
     kernels.require_second_moment(norms.f, 1.0)
@@ -103,7 +103,7 @@ def estimate_moments(f, law, config, need_third: bool = False, summary=None) -> 
     if law.tag == "gaussian" and not need_third:
         try:
             return float("nan"), gaussian_fourth_moment(norms), EXACT, None
-        except MaterializationTooLarge:
+        except CapacityError:
             pass  # sampled below, like any other law
     if summary is None:
         summary = simulate.sample_sums(f, law, config)
@@ -121,11 +121,11 @@ class ExactDistribution:
         v = np.asarray(self.values, dtype=np.float64)
         p = np.asarray(self.probabilities, dtype=np.float64)
         if v.shape != p.shape or v.ndim != 1:
-            raise ParameterOutOfRange("atoms and probabilities must be matching 1-d arrays")
+            raise ValidationError("atoms and probabilities must be matching 1-d arrays")
         if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
-            raise ParameterOutOfRange("probabilities must be nonnegative and sum to 1")
+            raise ValidationError("probabilities must be nonnegative and sum to 1")
         if np.any(np.diff(v) < 0):
-            raise ParameterOutOfRange("atom values must be sorted ascending")
+            raise ValidationError("atom values must be sorted ascending")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "probabilities", p)
 
@@ -151,7 +151,7 @@ def exact_rademacher_distribution(f: SymmetricKernel) -> ExactDistribution:
     under exact uniqueness.
     """
     if f.N > ENUMERATION_MAX_N:
-        raise EnumerationTooLarge(
+        raise CapacityError(
             f"exact enumeration needs N <= {ENUMERATION_MAX_N}, got N={f.N}"
         )
     q = _rademacher_sums(f).reshape(-1)
@@ -214,6 +214,6 @@ def hypercontractivity_check(
     upstream, not a property of the inputs.
     """
     if q < 2:
-        raise ParameterOutOfRange(f"hypercontractivity check needs q >= 2, got {q}")
+        raise ValidationError(f"hypercontractivity check needs q >= 2, got {q}")
     bound = gamma ** d * (2.0 * math.sqrt(q - 1.0)) ** (q * d) * moment_2 ** (q / 2.0)
     return moment_q <= bound, bound - moment_q

@@ -45,7 +45,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from . import kernels
-from .errors import DimensionMismatch, InvalidDegrees, ParameterOutOfRange, ValidationError
+from .errors import ValidationError, check_degrees
 from .kernels import SymmetricKernel
 
 LAW_TAGS = ("gaussian", "rademacher", "uniform", "shifted_exponential", "two_point")
@@ -95,7 +95,7 @@ class DistributionSpec:
                 row.view(np.uint64)[:words] = raw(words)
 
             return fill
-        raise ParameterOutOfRange(f"unknown law tag {self.tag!r}")
+        raise ValidationError(f"unknown law tag {self.tag!r}")
 
     def finish(self, X: np.ndarray) -> None:
         """Turn rows of raw values from `filler` into law values, in place."""
@@ -137,11 +137,11 @@ def get_law(name: str) -> DistributionSpec:
         try:
             p = float(name.split(":", 1)[1])
         except (IndexError, ValueError):
-            raise ParameterOutOfRange(
+            raise ValidationError(
                 f"two_point law needs a probability, e.g. 'two_point:0.3', got {name!r}"
             ) from None
         if not 0.0 < p < 1.0:
-            raise ParameterOutOfRange(f"two_point probability must be in (0,1), got {p}")
+            raise ValidationError(f"two_point probability must be in (0,1), got {p}")
         q = 1.0 - p
         return DistributionSpec(
             tag="two_point",
@@ -159,7 +159,7 @@ def get_law(name: str) -> DistributionSpec:
         ),
     }
     if name not in table:
-        raise ParameterOutOfRange(f"unknown law {name!r}; know {LAW_TAGS}")
+        raise ValidationError(f"unknown law {name!r}; know {LAW_TAGS}")
     return table[name]
 
 
@@ -179,7 +179,7 @@ class SampleConfig:
     def __post_init__(self):
         # n >= 2: the standard errors divide by n - 1
         if self.n < 2 or self.seed < 0 or self.workers < 1 or self.batch_size < 1:
-            raise ParameterOutOfRange(
+            raise ValidationError(
                 f"bad sample config {self}: need n >= 2, seed >= 0, workers >= 1, batch_size >= 1"
             )
 
@@ -318,7 +318,7 @@ def sample_vector_sums(kernel_list, dist: DistributionSpec, config: SampleConfig
     evaluated on the same input draw (smaller kernels read a prefix of the
     shared vector)."""
     if not kernel_list:
-        raise DimensionMismatch("need at least one kernel")
+        raise ValidationError("need at least one kernel")
     return _sample_matrix(kernel_list, dist, config)
 
 
@@ -346,7 +346,7 @@ def centered_chi2_cdf(x, nu: int):
     """P(Z <= x) for Z = (chi-square with nu degrees) - nu; zero at and
     below -nu; regularized lower incomplete gamma elsewhere."""
     from scipy.special import gammainc  # on first use, as in ks_normal
-    InvalidDegrees.check(nu)
+    check_degrees(nu)
     x = np.asarray(x, dtype=np.float64)
     shifted = np.maximum(x + nu, 0.0)
     out = gammainc(nu / 2.0, shifted / 2.0)

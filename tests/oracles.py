@@ -51,12 +51,7 @@ from scipy import integrate, special
 
 from homsum import kernels
 from homsum.bounds import EXACT, UPPER_BOUND
-from homsum.errors import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    MaterializationTooLarge,
-    ParameterOutOfRange,
-)
+from homsum.errors import CapacityError, ValidationError
 
 
 def entries(f) -> dict:
@@ -69,9 +64,9 @@ def evaluate(f, idx) -> float:
     """Kernel value at an arbitrary ordered 1-based tuple (0 on diagonals)."""
     t = sorted(int(i) for i in idx)
     if len(t) != f.d:
-        raise DimensionMismatch(f"tuple length {len(t)} != order {f.d}")
+        raise ValidationError(f"tuple length {len(t)} != order {f.d}")
     if t[0] < 1 or t[-1] > f.N:
-        raise IndexOutOfRange(f"index {t[0] if t[0] < 1 else t[-1]} outside 1..{f.N}")
+        raise ValidationError(f"index {t[0] if t[0] < 1 else t[-1]} outside 1..{f.N}")
     hit = np.flatnonzero((f.index_array == np.subtract(t, 1)).all(axis=1))
     return float(f.value_array[hit[0]]) if hit.size else 0.0
 
@@ -197,24 +192,24 @@ def parse_kernel_whole_text(text: str):
     same exception type."""
     lines = [ln for ln in text.splitlines() if ln and not ln.isspace()]
     if not lines or lines[0].strip() != kernels.KERNEL_MAGIC:
-        raise ParameterOutOfRange("not a kernel file")
+        raise ValidationError("not a kernel file")
     try:
         d = int(lines[1].split()[1])
         N = int(lines[2].split()[1])
     except (IndexError, ValueError) as exc:
-        raise ParameterOutOfRange(f"malformed kernel header: {exc}") from None
+        raise ValidationError(f"malformed kernel header: {exc}") from None
     records = lines[3:]
     # one split over all records, with a "|" token between them: every record
     # has d + 1 fields exactly when each separator sits at its expected slot
     tokens = " | ".join(records).split()
     width = d + 2
     if len(tokens) != width * len(records) - 1 or tokens[d + 1 :: width].count("|") != len(records) - 1:
-        raise ParameterOutOfRange("malformed kernel record")
+        raise ValidationError("malformed kernel record")
     try:
         values = np.array(tokens[d::width], dtype=np.float64)
         columns = [np.array(tokens[k::width], dtype=np.int64) for k in range(d)]
     except (ValueError, OverflowError) as exc:
-        raise ParameterOutOfRange(f"malformed kernel record: {exc}") from None
+        raise ValidationError(f"malformed kernel record: {exc}") from None
     return kernels.kernel_from_arrays(d, N, np.array(columns, dtype=np.int64).T, values)
 
 
@@ -235,7 +230,7 @@ def _normal_contraction_sum(norms, ranks) -> tuple:
     for r in ranks:  # past the cap the Gram norm, an upper bound, stands in
         try:
             pairs.append((norms.exact_symmetrized(r), True))
-        except MaterializationTooLarge:
+        except CapacityError:
             pairs.append((norms.gram(r), False))
     acc = sum(
         math.factorial(r - 1) ** 2

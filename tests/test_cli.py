@@ -63,8 +63,9 @@ class TestKernelCommands:
                     "--out", str(out)]) == 0
         assert kernels.second_moment(kernels.read_kernel(out)) == pytest.approx(1.0, rel=1e-12)
 
-    # nan and inf got past a `<= 0` test and were blamed on the kernel entries
-    @pytest.mark.parametrize("sigma2", ["-1", "0", "nan", "inf"])
+    # nan and inf got past a `<= 0` test and were blamed on the kernel entries;
+    # argparse took -inf, -nan, -1e3 and -NaN (as -N aN) for flags and exited 1
+    @pytest.mark.parametrize("sigma2", ["-1", "0", "nan", "inf", "-inf", "-nan", "-1e3", "-NaN"])
     @pytest.mark.parametrize("family, size", [
         ("constant", ["-N", "5"]), ("single_pair", []),
         ("disjoint_pairs", ["--m", "3"]), ("walsh", ["--d", "2", "-N", "5"]),
@@ -79,7 +80,7 @@ class TestKernelCommands:
         )
         assert not out.exists()
 
-    @pytest.mark.parametrize("sigma2", ["0", "nan", "inf"])
+    @pytest.mark.parametrize("sigma2", ["0", "nan", "inf", "-inf", "-nan", "-1e3"])
     def test_normalize_bad_sigma2_exit_2(self, tmp_path, capsys, sigma2):
         kern, out = tmp_path / "in.kern", tmp_path / "out.kern"
         kernels.write_kernel(kernels.walsh_kernel(2, 10), kern)
@@ -299,10 +300,13 @@ class TestBoundCommands:
         ("multi", ["--profile", "1e300,1", "--budget", "1,1"]),
         # the message blamed only the moment profile
         ("normal", ["--law", "gaussian", "--budget", "0,0,1e308"]),
+        # argparse took a value with a leading "-" and a comma for a flag and exited 1
+        ("normal", ["--profile", "-1,3"]),
+        ("normal", ["--budget", "-1,0,1"]),
     ], ids=["profile_nan", "profile_inf", "budget_nan", "budget_not_a_number",
             "normal_profile_overflows", "wasserstein_profile_overflows",
             "chi2_profile_overflows", "law_moments_overflow", "multi_mixing_term_overflows",
-            "budget_overflows"])
+            "budget_overflows", "profile_negative", "budget_negative"])
     def test_non_finite_or_non_numeric_parameters_exit_2(self, tmp_path, capsys, kind, flags):
         kern, out = tmp_path / "d.kern", tmp_path / "r.txt"
         kernels.write_kernel(kernels.disjoint_pairs(10), kern)
@@ -312,6 +316,25 @@ class TestBoundCommands:
         assert err.startswith("error:")
         if flags[-2:] == ["--budget", "0,0,1e308"]:
             assert "b3=1e+308" in err  # the budget overflowed, not the Gaussian's profile
+        assert not out.exists()
+
+    # empty fields were dropped, so 1,,3 ran as 1,3
+    @pytest.mark.parametrize("kind, flag, value, what", [
+        ("normal", "--profile", "1,,3", "--profile needs 2"),
+        ("normal", "--profile", ",1,3", "--profile needs 2"),
+        ("normal", "--profile", "1,3,", "--profile needs 2"),
+        ("normal", "--budget", "0,,0,1", "--budget needs 3"),
+        ("multi", "--budget", "1,1,", "--budget (multi) needs 2"),
+    ], ids=["profile_inner", "profile_leading", "profile_trailing", "budget_inner",
+            "multi_budget_trailing"])
+    def test_empty_comma_field_exit_2(self, tmp_path, capsys, kind, flag, value, what):
+        kern, out = tmp_path / "d.kern", tmp_path / "r.txt"
+        kernels.write_kernel(kernels.disjoint_pairs(10), kern)
+        assert run(["bound", kind, "--kernel", str(kern), "--law", "rademacher",
+                    flag, value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {what} comma-separated numbers, got {value!r}\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["normal", "chi2", "wasserstein"])
@@ -576,9 +599,12 @@ class TestDiagnoseCommand:
           "laws": ["gaussian", "rademacher"]}, "de_jong takes one law"),
         ({"kind": "fourth_moment", "family": "constant", "d": 2,
           "sweep": [4, 99999999999999999999]}, "dimension N must be at most 4294967296"),
+        # a bool is an int to Python: seed = true ran with seed 1
+        ({"kind": "fourth_moment", "family": "disjoint_pairs", "d": 2, "sweep": [10, 20],
+          "seed": True}, "diagnose spec field 'seed' must be an integer, got True"),
     ], ids=["decreasing_sweep", "odd_order_chi2_universality", "odd_order_chi2_de_jong",
             "unknown_key_law", "unknown_key_threshold", "de_jong_two_laws",
-            "sweep_past_dimension_limit"])
+            "sweep_past_dimension_limit", "seed_boolean"])
     def test_invalid_sequence_exit_2(self, tmp_path, capsys, body, message):
         spec, out = tmp_path / "spec.txt", tmp_path / "r.txt"
         self._write_spec(spec, body)

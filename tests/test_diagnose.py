@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from homsum import diagnose, kernels, reportio, simulate
-from homsum.errors import InvalidDegrees, OddOrder, ValidationError
+from homsum.errors import ValidationError
 
 
 class TestTrendLogic:
@@ -78,12 +78,12 @@ class TestSequenceSpec:
             diagnose.SequenceSpec(family="disjoint_pairs", d=2, sweep=())
 
     def test_chi2_needs_valid_nu(self):
-        with pytest.raises(InvalidDegrees):
+        with pytest.raises(ValidationError, match="degrees of freedom must be a positive integer, got 0"):
             diagnose.SequenceSpec(family="constant", d=2, sweep=(10, 20), target="chi2", nu=0)
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_chi2_needs_even_order(self, d):
-        with pytest.raises(OddOrder):
+        with pytest.raises(ValidationError, match=f"needs even order >= 2, got d={d}$"):
             diagnose.SequenceSpec(family="walsh", d=d, sweep=(5, 9), target="chi2")
 
     def test_kernel_at_normalizes_to_target(self):
@@ -163,7 +163,7 @@ class TestChiSquareDiagnostic:
 
     def test_odd_order_rejected(self):
         spec = diagnose.SequenceSpec(family="walsh", d=3, sweep=(5, 9), target="normal")
-        with pytest.raises(OddOrder):
+        with pytest.raises(ValidationError, match="needs even order >= 2, got d=3"):
             diagnose.chi_square_diagnostic(spec)
 
 
