@@ -65,6 +65,11 @@ class MomentProfile:
                 f"beta3={self.beta3}, beta4={self.beta4}"
             )
 
+    @classmethod
+    def of_law(cls, law) -> MomentProfile:
+        """The exact profile of a `simulate.DistributionSpec`."""
+        return cls(beta3=law.abs_moment3, beta4=law.moment4)
+
     @property
     def alpha(self) -> float:
         return max(3.0, self.beta4)

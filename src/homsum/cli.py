@@ -34,9 +34,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_sampling_flags(p, default_n=100_000):
+def _add_sampling_flags(p):
     p.add_argument("--law", default="gaussian")
-    p.add_argument("--n", type=int, default=default_n)
+    p.add_argument("--n", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--batch", type=int, default=1024)
@@ -126,10 +126,7 @@ def cmd_kernel(args) -> list | None:
         size = {"disjoint_pairs": args.m, "single_pair": 2}.get(args.family, args.N)
         if size is None:
             raise ValidationError(f"family {args.family} needs --m or -N")
-        spec = kernels.KernelFamilySpec(
-            family=args.family, d=args.d, size=size, sigma2=args.sigma2, seed=args.seed
-        )
-        f = kernels.generate_family(spec)
+        f = kernels.generate_family(args.family, args.d, size, args.sigma2, args.seed)
         kernels.write_kernel(f, args.out)
         print(f"wrote {args.out}: d={f.d} N={f.N} entries={f.entry_count}")
         return None  # a kernel file, no report
@@ -187,7 +184,7 @@ def cmd_bound(args) -> list:
         beta3, beta4 = _parse_floats(args.profile, 2, "--profile")
         profile = bounds.MomentProfile(beta3=beta3, beta4=beta4)
     else:
-        profile = simulate.law_moment_profile(law)
+        profile = bounds.MomentProfile.of_law(law)
     params.update(kind=args.kind, profile=[profile.beta3, profile.beta4], budget=args.budget)
     if args.kind == "multi":
         b2m, b3m = _parse_floats(args.budget, 2, "--budget (multi)")
@@ -229,22 +226,19 @@ def cmd_simulate(args) -> list:
     if args.nu is not None:
         params["nu"] = args.nu
     sections = [("manifest", reportio.manifest_section("simulate", params, seed=args.seed))]
-    if len(kernel_list) == 1:
-        summary = simulate.sample_sums(kernel_list[0], law, config)
+    raw = simulate.sample_vector_sums(kernel_list, law, config)
+    m = len(kernel_list)
+    if m > 1:
+        head = {"law": law.name, "n": config.n, "seed": config.seed, "m": m}
+        head.update(reportio.matrix_items("covariance", reductions.covariance(raw)))
+        sections.append(("joint", head))
+    for j in range(m):
+        summary = simulate.SampleSummary(config.n, law.name, config.seed, raw[:, j])
         extra = {"ks_normal": simulate.ks_normal(summary)}
         if args.nu is not None:
             extra["ks_chi2"] = simulate.ks_chi2(summary, args.nu)
-        sections.append(("summary", reportio.summary_section(summary, extra)))
-        raw = summary.samples
-    else:
-        raw = simulate.sample_vector_sums(kernel_list, law, config)
-        head = {"law": law.name, "n": config.n, "seed": config.seed, "m": len(kernel_list)}
-        head.update(reportio.matrix_items("covariance", reductions.covariance(raw)))
-        sections.append(("joint", head))
-        for j in range(len(kernel_list)):
-            marg = simulate.SampleSummary(config.n, law.name, config.seed, raw[:, j])
-            extra = {"ks_normal": simulate.ks_normal(marg)}
-            sections.append((f"marginal.{j}", reportio.summary_section(marg, extra)))
+        name = f"marginal.{j}" if m > 1 else "summary"
+        sections.append((name, reportio.summary_section(summary, extra)))
     if args.dump_samples:
         simulate.write_samples(args.dump_samples, raw)
     return sections

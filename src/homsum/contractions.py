@@ -42,9 +42,6 @@ from . import kernels, reductions
 from .errors import CapacityError, ValidationError, check_degrees
 from .kernels import SymmetricKernel
 
-# the most values a dense kernel or contraction tensor may hold
-MATERIALIZATION_CAP = 10_000_000
-
 
 @dataclass(frozen=True)
 class ContractionTensor:
@@ -66,16 +63,16 @@ def _check_rank(f: SymmetricKernel, r: int) -> int:
 
 def contract(f: SymmetricKernel, r: int) -> ContractionTensor:
     """Materialize f *_r f as a dense tensor on [N]^{2d-2r}; raises
-    CapacityError past MATERIALIZATION_CAP values."""
+    CapacityError past kernels.MATERIALIZATION_CAP values."""
     r = _check_rank(f, r)
     if r == f.d:
         scalar = np.array(kernels.squared_norm(f))
         return ContractionTensor(arity=0, N=f.N, values=scalar)
     out_arity = 2 * f.d - 2 * r
-    if max(f.N ** f.d, f.N ** out_arity) > MATERIALIZATION_CAP:
+    if max(f.N ** f.d, f.N ** out_arity) > kernels.MATERIALIZATION_CAP:
         raise CapacityError(
             f"contraction d={f.d}, r={r}, N={f.N} needs {max(f.N**f.d, f.N**out_arity)} "
-            f"values, cap is {MATERIALIZATION_CAP}"
+            f"values, cap is {kernels.MATERIALIZATION_CAP}"
         )
     dense = kernels.dense_tensor(f)
     M = dense.reshape(f.N ** r, f.N ** (f.d - r))
@@ -120,8 +117,8 @@ def contraction_norm(f: SymmetricKernel, r: int) -> float:
     i.e. r! (d-r)! times the Frobenius norm of the slice Gram matrix.  Its
     stored values come from scipy's sparse product, or from a dense array
     when the slice matrix is at least half full and the Gram matrix holds
-    at most MATERIALIZATION_CAP values; both give the same values in the
-    same order, so the norm has the same bits either way.
+    at most kernels.MATERIALIZATION_CAP values; both give the same values
+    in the same order, so the norm has the same bits either way.
     """
     r = _check_rank(f, r)
     if r == f.d or r == 0:
@@ -129,7 +126,7 @@ def contraction_norm(f: SymmetricKernel, r: int) -> float:
     if f.entry_count == 0:
         return 0.0
     gram_sq = reductions.sum_squares(
-        reductions.gram_values(_slice_matrix(f, r), MATERIALIZATION_CAP))
+        reductions.gram_values(_slice_matrix(f, r), kernels.MATERIALIZATION_CAP))
     return math.factorial(r) * math.factorial(f.d - r) * math.sqrt(gram_sq)
 
 

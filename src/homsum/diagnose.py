@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from . import bounds, contractions, kernels, moments, simulate
 from .errors import ValidationError
-from .kernels import KernelFamilySpec, SymmetricKernel
+from .kernels import SymmetricKernel
 
 TREND_TOLERANCE = 1e-9
 TERMINAL_THRESHOLD = 0.05
@@ -74,10 +74,11 @@ class SequenceSpec:
             raise ValidationError(f"target must be 'normal' or 'chi2', got {self.target!r}")
         if self.target == "chi2":
             contractions.check_chi_square(self.d, self.nu)
-        # the sampling fields are checked for every kind, sampling or not
+        # every kind, sampling or not, checks the sampling fields and the last cell's seed
         simulate.SampleConfig(
             n=self.n, seed=self.seed, workers=self.workers, batch_size=self.batch_size
         )
+        self.sample_config(len(self.sweep) - 1, len(self.laws) - 1)
         if self.kind not in REPORTS:
             raise ValidationError(f"unknown diagnose kind {self.kind!r}")
         if self.kind == "de_jong" and len(self.laws) > 1:
@@ -102,9 +103,7 @@ class SequenceSpec:
 
     def kernel_at(self, size: int) -> SymmetricKernel:
         sigma2 = 2.0 * self.nu if self.target == "chi2" else 1.0
-        return kernels.generate_family(
-            KernelFamilySpec(family=self.family, d=self.d, size=size, sigma2=sigma2, seed=self.seed)
-        )
+        return kernels.generate_family(self.family, self.d, size, sigma2, self.seed)
 
     def sample_config(self, point_index: int, law_index: int = 0) -> simulate.SampleConfig:
         # distinct master seed per (point, law) cell; up to 16 laws keep stride 16
@@ -219,7 +218,7 @@ def de_jong_report(
     _, eq4, eq4_exact, eq4_se = moments.estimate_moments(f, dist, config, summary=summary)
     max_inf = contractions.max_influence(f)
     report = bounds.normal_smooth_bound(
-        f, simulate.law_moment_profile(dist), bounds.TestFunctionBudget(b3=1.0),
+        f, bounds.MomentProfile.of_law(dist), bounds.TestFunctionBudget(b3=1.0),
         eq4, eq4_exact, eq4_se,
     )
     stats = {

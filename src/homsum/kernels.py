@@ -235,6 +235,10 @@ class RowSums:
         return reductions.row_dots(unit, self.f.value_array) * float(math.factorial(self.f.d))
 
 
+# the most values a dense kernel or contraction tensor may hold
+MATERIALIZATION_CAP = 10_000_000
+
+
 def dense_tensor(f: SymmetricKernel) -> np.ndarray:
     """Dense (N,)*d array of kernel values over all ordered tuples, one
     scatter per coordinate permutation."""
@@ -262,18 +266,6 @@ def normalize_to_variance(f: SymmetricKernel, sigma2: float) -> SymmetricKernel:
 # ---------------------------------------------------------------------------
 # Named kernel families
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class KernelFamilySpec:
-    """Parameters for a named family; `size` is N (constant, walsh,
-    random_sparse) or the pair count m (disjoint_pairs)."""
-
-    family: str
-    d: int = 2
-    size: int = 2
-    sigma2: float = 1.0
-    seed: int = 0
-
 
 def single_pair(sigma2: float = 1.0) -> SymmetricKernel:
     # E[Q^2] = 4 v^2
@@ -330,12 +322,10 @@ def random_sparse_kernel(
         support = list(itertools.combinations(range(1, N + 1), d))
         chosen = [support[i] for i in rng.choice(total, size=entry_count, replace=False)]
     else:
-        from . import contractions  # it imports this module, so its cap is read here
-
-        if entry_count > contractions.MATERIALIZATION_CAP:
+        if entry_count > MATERIALIZATION_CAP:
             raise CapacityError(
                 f"random_sparse d={d}, N={N} samples {entry_count} entries, "
-                f"cap is {contractions.MATERIALIZATION_CAP}"
+                f"cap is {MATERIALIZATION_CAP}"
             )
         seen: set = set()
         while len(seen) < entry_count:
@@ -346,24 +336,26 @@ def random_sparse_kernel(
     return normalize_to_variance(kernel_from_arrays(d, N, chosen, values), sigma2)
 
 
-def generate_family(spec: KernelFamilySpec) -> SymmetricKernel:
-    _require_positive_sigma2(spec.sigma2)
-    if spec.seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {spec.seed}")
-    if spec.family in ("single_pair", "constant", "disjoint_pairs") and spec.d != 2:
-        raise ValidationError(f"{spec.family} family requires d = 2")
-    check_dimension({"disjoint_pairs": 2 * spec.size, "single_pair": 2}.get(spec.family, spec.size))
-    if spec.family == "single_pair":
-        return single_pair(spec.sigma2)
-    if spec.family == "constant":
-        return constant_kernel(spec.size, spec.sigma2)
-    if spec.family == "disjoint_pairs":
-        return disjoint_pairs(spec.size, spec.sigma2)
-    if spec.family == "walsh":
-        return walsh_kernel(spec.d, spec.size, spec.sigma2)
-    if spec.family == "random_sparse":
-        return random_sparse_kernel(spec.d, spec.size, seed=spec.seed, sigma2=spec.sigma2)
-    raise ValidationError(f"unknown family {spec.family!r}; know {FAMILY_TAGS}")
+def generate_family(family: str, d: int, size: int, sigma2: float, seed: int) -> SymmetricKernel:
+    """The named family's kernel; `size` is N, or the pair count m of
+    disjoint_pairs, and single_pair ignores it."""
+    _require_positive_sigma2(sigma2)
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    if family in ("single_pair", "constant", "disjoint_pairs") and d != 2:
+        raise ValidationError(f"{family} family requires d = 2")
+    check_dimension({"disjoint_pairs": 2 * size, "single_pair": 2}.get(family, size))
+    if family == "single_pair":
+        return single_pair(sigma2)
+    if family == "constant":
+        return constant_kernel(size, sigma2)
+    if family == "disjoint_pairs":
+        return disjoint_pairs(size, sigma2)
+    if family == "walsh":
+        return walsh_kernel(d, size, sigma2)
+    if family == "random_sparse":
+        return random_sparse_kernel(d, size, seed=seed, sigma2=sigma2)
+    raise ValidationError(f"unknown family {family!r}; know {FAMILY_TAGS}")
 
 
 # ---------------------------------------------------------------------------

@@ -113,13 +113,12 @@ def bound_report_section(report) -> dict:
     return out
 
 
-def summary_section(summary, extra=None) -> dict:
+def summary_section(summary, extra: dict) -> dict:
     out = {"law": summary.law, "n": summary.n, "seed": summary.seed}
     for k in range(1, 5):
         out[f"moment{k}"] = summary.moment(k)
         out[f"se{k}"] = summary.standard_error(k)
-    if extra:
-        out.update(extra)
+    out.update(extra)
     return out
 
 

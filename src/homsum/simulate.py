@@ -1,14 +1,15 @@
 """Seeded Monte Carlo sampling of homogeneous sums and empirical distances.
 
 Reproducibility contract: draw j of a run with master seed s reads from its
-own counter-based stream, Philox keyed by (s, j).  Each block keeps one
-Philox and fills its rows in slices of about _FILL_VALUES values that reuse
-one buffer: per draw one state reset to that stream's start and one raw
-fill into the draw's row of the slice (normals, exponentials, uniforms on
-[0, 1) or, for Rademacher, raw 64-bit words); then each law's transform
-runs once over the slice and gives exactly the values the law's direct
-numpy call would.  Sample values therefore depend only on (seed, draw
-index), never on batching, slices or worker count.
+own counter-based stream, Philox keyed by (s, j).  A worker keeps one
+Philox for its share of blocks and fills their rows in slices of about
+_FILL_VALUES values that reuse one buffer: per draw one state reset to
+that stream's start and one raw fill into the draw's row of the slice
+(normals, exponentials, uniforms on [0, 1) or, for Rademacher, raw 64-bit
+words); then each law's transform runs once over the slice and gives
+exactly the values the law's direct numpy call would.  Sample values
+therefore depend only on (seed, draw index), never on batching, slices or
+worker count.
 
 A sum's last bits depend on which rows BLAS reduces with it, that is on
 the evaluation unit it falls in, counted from the start of its block.
@@ -45,7 +46,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from . import kernels
-from .errors import ValidationError, check_degrees
+from .errors import CapacityError, ValidationError, check_degrees
 from .kernels import SymmetricKernel
 
 LAW_TAGS = ("gaussian", "rademacher", "uniform", "shifted_exponential", "two_point")
@@ -163,12 +164,6 @@ def get_law(name: str) -> DistributionSpec:
     return table[name]
 
 
-def law_moment_profile(dist: DistributionSpec):
-    from .bounds import MomentProfile
-
-    return MomentProfile(beta3=dist.abs_moment3, beta4=dist.moment4)
-
-
 @dataclass(frozen=True)
 class SampleConfig:
     n: int
@@ -177,10 +172,11 @@ class SampleConfig:
     batch_size: int = 1024
 
     def __post_init__(self):
-        # n >= 2: the standard errors divide by n - 1
-        if self.n < 2 or self.seed < 0 or self.workers < 1 or self.batch_size < 1:
+        # n >= 2: the standard errors divide by n - 1; Philox keys on 64 seed bits
+        if self.n < 2 or not 0 <= self.seed <= _MASK64 or self.workers < 1 or self.batch_size < 1:
             raise ValidationError(
-                f"bad sample config {self}: need n >= 2, seed >= 0, workers >= 1, batch_size >= 1"
+                f"bad sample config {self}: need n >= 2, 0 <= seed < 2**64, workers >= 1, "
+                "batch_size >= 1"
             )
 
 
@@ -213,12 +209,15 @@ class SampleSummary:
         return self._sorted
 
 
-def _compute_block(evaluators, dist, seed, lo, hi, n_inputs) -> np.ndarray:
-    """(hi - lo, len(evaluators)) sums of draws lo..hi-1, one column per
+def _compute_blocks(kernel_list, dist, seed, blocks, n_inputs):
+    """(lo, sums) of each block (lo, hi) of one worker's share: the
+    (hi - lo, len(kernel_list)) sums of draws lo..hi-1, one column per
     kernel's `kernels.RowSums`, filled in slices of whole rows holding about
-    _FILL_VALUES values."""
-    rows = hi - lo
-    step = min(rows, max(1, _FILL_VALUES // n_inputs))
+    _FILL_VALUES values.  The evaluators, dense forms included, the slice
+    buffer and the Philox state are built once for the share."""
+    batch = max(hi - lo for lo, hi in blocks)
+    evaluators = [kernels.RowSums(f, batch) for f in kernel_list]
+    step = min(batch, max(1, _FILL_VALUES // n_inputs))
     X = np.empty((step, n_inputs))
     bit_gen = Philox(key=(seed & _MASK64) << 64)
     fill = dist.filler(Generator(bit_gen))
@@ -229,25 +228,21 @@ def _compute_block(evaluators, dist, seed, lo, hi, n_inputs) -> np.ndarray:
     state["state"] = {name: v.tolist() for name, v in state["state"].items()}
     state["buffer"] = state["buffer"].tolist()
     key = state["state"]["key"]
-    block = np.empty((rows, len(evaluators)))
-    for start in range(0, rows, step):
-        part = X[: min(step, rows - start)]
-        for j, row in zip(range(lo + start, hi), part):
-            key[0] = j & _MASK64
-            bit_gen.state = state
-            fill(row)
-        dist.finish(part)
-        for col, sums in enumerate(evaluators):
-            sums.add(part, start, block[:, col])
-    return block
-
-
-def _compute_blocks(kernel_list, dist, seed, blocks, n_inputs):
-    """(lo, sums) of each block of one worker's share, with each kernel's
-    evaluator, dense form included, built once for the share."""
-    batch = max(hi - lo for lo, hi in blocks)
-    evaluators = [kernels.RowSums(f, batch) for f in kernel_list]
-    return [(lo, _compute_block(evaluators, dist, seed, lo, hi, n_inputs)) for lo, hi in blocks]
+    results = []
+    for lo, hi in blocks:
+        rows = hi - lo
+        block = np.empty((rows, len(kernel_list)))
+        for start in range(0, rows, step):
+            part = X[: min(step, rows - start)]
+            for j, row in zip(range(lo + start, hi), part):
+                key[0] = j & _MASK64
+                bit_gen.state = state
+                fill(row)
+            dist.finish(part)
+            for col, sums in enumerate(evaluators):
+                sums.add(part, start, block[:, col])
+        results.append((lo, block))
+    return results
 
 
 # [pool, size] of the innermost `worker_pool()` scope; None outside every scope
@@ -276,6 +271,10 @@ def _sample_matrix(kernel_list, dist: DistributionSpec, config: SampleConfig) ->
     land at fixed offsets, so the result is bitwise worker-independent.  At
     most one process per CPU and per block is busy."""
     n_inputs = max(f.N for f in kernel_list)
+    size = config.n * len(kernel_list) * 8
+    if size > np.iinfo(np.intp).max:
+        raise CapacityError(f"{config.n} x {len(kernel_list)} sums need {size} bytes, "
+                            f"past numpy's largest array of {np.iinfo(np.intp).max}")
     out = np.empty((config.n, len(kernel_list)))
     blocks = [
         (lo, min(lo + config.batch_size, config.n))

@@ -74,7 +74,7 @@ class TestT1T2:
         # cap too small to materialize the r=1 symmetrization for d=3
         f = kernels.normalize_to_variance(kernels.random_sparse_kernel(3, 8, seed=8), 1.0)
         exact_value, flag = bounds.t1(f)
-        monkeypatch.setattr(contractions, "MATERIALIZATION_CAP", 100)
+        monkeypatch.setattr(kernels, "MATERIALIZATION_CAP", 100)
         capped_value, capped_flag = bounds.t1(f)
         assert flag == bounds.EXACT and capped_flag == bounds.UPPER_BOUND
         assert capped_value >= exact_value - 1e-12
@@ -274,7 +274,7 @@ class TestReportInvariants:
         for f in random_kernels(rng, 10, d_range=(3, 3), n_max=7, sigma2=1.0):
             exact_value, _ = bounds.t1(f)
             with monkeypatch.context() as m:
-                m.setattr(contractions, "MATERIALIZATION_CAP", 10)
+                m.setattr(kernels, "MATERIALIZATION_CAP", 10)
                 upper_value, flag = bounds.t1(f)
             assert flag == bounds.UPPER_BOUND
             assert upper_value >= exact_value - 1e-12

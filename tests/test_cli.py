@@ -472,7 +472,7 @@ class TestSimulateCommand:
         def no_sampling(*args):
             raise AssertionError("sampled before checking --nu")
 
-        monkeypatch.setattr(simulate, "sample_sums", no_sampling)
+        monkeypatch.setattr(simulate, "sample_vector_sums", no_sampling)
         kern = tmp_path / "d.kern"
         kernels.write_kernel(kernels.disjoint_pairs(5), kern)
         out = tmp_path / "r.txt"
@@ -500,11 +500,46 @@ class TestSimulateCommand:
                               "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["simulate"], ["bound", "normal"]])
+    @pytest.mark.parametrize("seed", [2**64, 2**64 + 5])
+    def test_seed_past_64_bits_exit_2(self, tmp_path, capsys, command, seed):
+        # Philox is keyed by 64 seed bits: 2^64 + 5 used to sample what 5 did
+        kern = tmp_path / "d.kern"
+        kernels.write_kernel(kernels.disjoint_pairs(5), kern)
+        out = tmp_path / "r.txt"
+        assert run(command + ["--kernel", str(kern), "--law", "uniform", "--n", "100",
+                              "--seed", str(seed), "--out", str(out)]) == 2
+        assert "0 <= seed < 2**64" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_seed_samples(self, tmp_path):
+        kern = tmp_path / "d.kern"
+        kernels.write_kernel(kernels.disjoint_pairs(5), kern)
+        out = tmp_path / "r.txt"
+        assert run(["simulate", "--kernel", str(kern), "--n", "100", "--seed", str(2**64 - 1),
+                    "--out", str(out)]) == 0
+        assert out.exists()
+
+    @pytest.mark.parametrize("command", [["simulate"], ["bound", "normal"]])
+    @pytest.mark.parametrize("n", [2**62, 10**20])
+    def test_sample_count_past_numpy_exit_3(self, tmp_path, capsys, command, n):
+        # numpy refused these arrays with a ValueError, which left a traceback
+        kern = tmp_path / "d.kern"
+        kernels.write_kernel(kernels.disjoint_pairs(5), kern)
+        out = tmp_path / "r.txt"
+        assert run(command + ["--kernel", str(kern), "--law", "uniform", "--n", str(n),
+                              "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"capacity error: {n} x 1 sums need {8 * n} bytes, past numpy's largest array "
+            f"of {np.iinfo(np.intp).max}\n"
+        )
+        assert not out.exists()
+
     def test_out_of_memory_exit_3(self, tmp_path, monkeypatch, capsys):
         def no_memory(*args):
             raise MemoryError("Unable to allocate 745. GiB for an array")
 
-        monkeypatch.setattr(simulate, "sample_sums", no_memory)
+        monkeypatch.setattr(simulate, "sample_vector_sums", no_memory)
         kern = tmp_path / "d.kern"
         kernels.write_kernel(kernels.disjoint_pairs(5), kern)
         out = tmp_path / "r.txt"
@@ -640,13 +675,24 @@ class TestDiagnoseCommand:
         assert run(argv) == 2
         assert not out.exists()
 
+    # the last cell of two sizes and one law samples with seed + 7919 * 17
     @pytest.mark.parametrize("field, value", [("n", 0), ("n", 1), ("batch", -1), ("seed", -5),
-                                              ("workers", 0)])
+                                              ("workers", 0), ("seed", 2**64),
+                                              ("seed", 2**64 - 7919 * 17)])
     def test_bad_sampling_field_exit_2_without_sampling(self, tmp_path, field, value):
         spec, out = tmp_path / "spec.txt", tmp_path / "r.txt"
         body = {"kind": "fourth_moment", "family": "constant", "d": 2, "sweep": [10, 20]}
         self._write_spec(spec, {**body, field: value})
         assert run(["diagnose", "--spec", str(spec), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_sample_count_past_numpy_exit_3(self, tmp_path, capsys):
+        spec, out = tmp_path / "spec.txt", tmp_path / "r.txt"
+        self._write_spec(spec, {"kind": "universality", "family": "disjoint_pairs", "d": 2,
+                                "sweep": [4, 16], "laws": ["gaussian", "uniform"],
+                                "n": 10**20})
+        assert run(["diagnose", "--spec", str(spec), "--out", str(out)]) == 3
+        assert "past numpy's largest array" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("laws", [["gaussian", "gaussian"],
@@ -747,6 +793,7 @@ GOLDEN_INPUTS = {
     "rs3.kern": ["--family", "random_sparse", "--d", "3", "-N", "12", "--seed", "5"],
     "d.kern": ["--family", "disjoint_pairs", "--m", "50"],
     "w4.kern": ["--family", "walsh", "--d", "4", "-N", "6"],
+    "c12_chi2.kern": ["--family", "constant", "-N", "12", "--sigma2", "2"],
 }
 
 GOLDEN_SPECS = {
@@ -792,13 +839,20 @@ GOLDEN_COMMANDS = {
     "dejong_unif.rep": ["diagnose", "--spec", "dejong_unif.txt"],
     "joint_simulate.rep": ["simulate", "--kernel", "w3.kern", "--kernel", "dp8.kern",
                            "--law", "uniform", "--n", "3001", "--seed", "4"],
+    "chi2_simulate.rep": ["simulate", "--kernel", "c12_chi2.kern", "--law", "rademacher",
+                          "--n", "3000", "--seed", "9", "--nu", "1",
+                          "--dump-samples", "chi2_simulate.raw"],
 }
+
+# files the golden commands write besides their reports
+GOLDEN_DUMPS = ("chi2_simulate.raw",)
 
 # sha256 of each output (x86-64, numpy 2.4, OpenBLAS).  The first 19 were
 # taken before kernels moved to array-only storage, the rest (w4.kern onward)
-# before contraction norms were computed once per kernel, and the last
-# (joint_simulate.rep) before the joint samples lost their summary record;
-# none of these changes may move a byte.
+# before contraction norms were computed once per kernel, joint_simulate.rep
+# before the joint samples lost their summary record, and the last three
+# (c12_chi2.kern onward) while a single-kernel `simulate` still sampled
+# through its own path; none of these changes may move a byte.
 # Sizes stay small enough that no BLAS call splits across threads: at
 # N = 16 the 2^N sign enumeration already gives thread-dependent moments.
 GOLDEN_SHA256 = {
@@ -830,6 +884,9 @@ GOLDEN_SHA256 = {
     "dejong_rad.rep": "39c69edb15c010ae6b9229d55f52d247bbd3a4c1cbbd930afbcf948a267a5910",
     "dejong_unif.rep": "7bc5a51afa0fa48e719529fa0da6ec32852faa153b74ca4182fa367e452f1fc2",
     "joint_simulate.rep": "c080e21980e5333efdcb507c9b4e74c52e371b8b0e39677f9d915386d5232f13",
+    "c12_chi2.kern": "d538d04f92a85b8b91c21cea60fb4d04a1bf4ffe0eac0046a0f0e784105136cd",
+    "chi2_simulate.rep": "b33edf8930a9ad62bd29bb7dc9cf79af682bef93e76ead0bf52b6d32d6aa4ecc",
+    "chi2_simulate.raw": "2fe92f6c24edb4a1a0858d6def394af3da1694aafcc481635a5f539327418bd6",
 }
 
 
@@ -849,7 +906,7 @@ def _golden_argvs(directory: Path) -> list:
 def _golden_hashes(directory: Path) -> dict:
     return {
         name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
-        for name in [*GOLDEN_INPUTS, *GOLDEN_COMMANDS]
+        for name in [*GOLDEN_INPUTS, *GOLDEN_COMMANDS, *GOLDEN_DUMPS]
     }
 
 

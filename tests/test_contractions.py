@@ -65,7 +65,7 @@ class TestContract:
 
     def test_materialization_cap(self, monkeypatch):
         f = kernels.walsh_kernel(2, 200)
-        monkeypatch.setattr(contractions, "MATERIALIZATION_CAP", 10_000)
+        monkeypatch.setattr(kernels, "MATERIALIZATION_CAP", 10_000)
         with pytest.raises(CapacityError, match="needs 40000 values, cap is 10000"):
             contractions.contract(f, 1)
 
@@ -123,7 +123,7 @@ def test_first_seen_ids_equal_unique_numbering(name):
 class TestChaosNorms:
     def test_past_cap_falls_back_to_gram(self, monkeypatch):
         f = kernels.walsh_kernel(4, 6)  # ranks 1 and 2 need 6^6 and 6^4 values
-        monkeypatch.setattr(contractions, "MATERIALIZATION_CAP", 1000)
+        monkeypatch.setattr(kernels, "MATERIALIZATION_CAP", 1000)
         norms = contractions.ChaosNorms(f)
         for _ in range(2):
             with pytest.raises(CapacityError, match="r=1, N=6 needs 46656 values, cap is 1000"):
@@ -443,7 +443,7 @@ class TestDenseGram:
     def test_cancelling_sums_are_dropped(self, dense_calls):
         f = dict(dense_gram_cases())["cancelling"]
         S = contractions._slice_matrix(f, 1)
-        values = reductions.gram_values(S, contractions.MATERIALIZATION_CAP)
+        values = reductions.gram_values(S, kernels.MATERIALIZATION_CAP)
         assert len(dense_calls) == 1 and S.shape == (4, 4)
         assert reductions.gram(S).nnz == 4 and values.tolist() == [2.0, 2.0, 2.0, 2.0]
 
@@ -462,7 +462,7 @@ class TestDenseGram:
     def test_past_the_cap_stays_sparse(self, dense_calls, monkeypatch):
         f = kernels.constant_kernel(100)
         want = contractions.contraction_norm(f, 1)
-        monkeypatch.setattr(contractions, "MATERIALIZATION_CAP", 100 * 100 - 1)
+        monkeypatch.setattr(kernels, "MATERIALIZATION_CAP", 100 * 100 - 1)
         assert contractions.contraction_norm(f, 1).hex() == want.hex()
         assert len(dense_calls) == 1
 
@@ -472,7 +472,7 @@ class TestDenseGram:
         S = contractions._slice_matrix(kernels.constant_kernel(1000), 1)
         tracemalloc.start()
         try:
-            reductions.gram_values(S, contractions.MATERIALIZATION_CAP)
+            reductions.gram_values(S, kernels.MATERIALIZATION_CAP)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -100,6 +100,14 @@ class TestSequenceSpec:
         few = diagnose.SequenceSpec(family="disjoint_pairs", d=2, sweep=(4, 8), laws=laws[:16])
         assert few.sample_config(1, 0).seed == 7919 * 17
 
+    def test_last_cell_seed_must_fit_64_bits(self):
+        # two sizes and two laws: the last cell's seed is seed + 7919 * 18
+        body = dict(family="disjoint_pairs", d=2, sweep=(4, 8), laws=("gaussian", "uniform"))
+        top = 2**64 - 1 - 7919 * 18
+        assert diagnose.SequenceSpec(**body, seed=top).sample_config(1, 1).seed == 2**64 - 1
+        with pytest.raises(ValidationError, match=r"seed=18446744073709551616.*seed < 2\*\*64"):
+            diagnose.SequenceSpec(**body, seed=top + 1)
+
 
 class TestFourthMomentDiagnostic:
     def test_disjoint_pairs_positive(self):

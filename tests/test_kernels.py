@@ -286,15 +286,15 @@ class TestFamilies:
 
     def test_all_families_hit_target_second_moment(self):
         specs = [
-            kernels.KernelFamilySpec("single_pair"),
-            kernels.KernelFamilySpec("constant", size=6, sigma2=2.0),
-            kernels.KernelFamilySpec("disjoint_pairs", size=10, sigma2=0.5),
-            kernels.KernelFamilySpec("walsh", d=3, size=9, sigma2=1.5),
-            kernels.KernelFamilySpec("random_sparse", d=3, size=7, seed=99),
+            ("single_pair", 2, 2, 1.0, 0),
+            ("constant", 2, 6, 2.0, 0),
+            ("disjoint_pairs", 2, 10, 0.5, 0),
+            ("walsh", 3, 9, 1.5, 0),
+            ("random_sparse", 3, 7, 1.0, 99),
         ]
-        for spec in specs:
-            f = kernels.generate_family(spec)
-            assert abs(kernels.second_moment(f) - spec.sigma2) <= 1e-12 * spec.sigma2
+        for family, d, size, sigma2, seed in specs:
+            f = kernels.generate_family(family, d, size, sigma2, seed)
+            assert abs(kernels.second_moment(f) - sigma2) <= 1e-12 * sigma2
 
     def test_normalization_idempotent_on_families(self):
         f = kernels.disjoint_pairs(5)
@@ -307,9 +307,9 @@ class TestFamilies:
         with pytest.raises(ValidationError, match="disjoint_pairs needs m >= 1, got 0"):
             kernels.disjoint_pairs(0)
         with pytest.raises(ValidationError, match="constant family requires d = 2"):
-            kernels.generate_family(kernels.KernelFamilySpec("constant", d=3, size=5))
+            kernels.generate_family("constant", 3, 5, 1.0, 0)
         with pytest.raises(ValidationError, match="unknown family 'nope'"):
-            kernels.generate_family(kernels.KernelFamilySpec("nope"))
+            kernels.generate_family("nope", 2, 2, 1.0, 0)
 
     def test_random_sparse_is_seeded(self):
         a = kernels.random_sparse_kernel(2, 9, seed=5)

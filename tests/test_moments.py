@@ -136,7 +136,7 @@ def _same_value_or_error(library, oracle, *args):
 # r costs N^(2d-2r) (2d-2r)! additions, so orders 5 and 6 run under a cap
 # that keeps contractions of arity 8 and more from being built
 RANK_SUM_N_MAX = {2: 30, 3: 10, 4: 6, 5: 6, 6: 7}
-DEFAULT_CAP = contractions.MATERIALIZATION_CAP
+DEFAULT_CAP = kernels.MATERIALIZATION_CAP
 
 
 def _rank_sum_caps(d: int, N: int) -> list:
@@ -180,7 +180,7 @@ class TestRankSumKeepsBits:
             [g] = random_kernels(rng, 1, d_range=(d, d), n_max=RANK_SUM_N_MAX[d],
                                  sigma2=2.0 * nu)
             for cap in _rank_sum_caps(d, f.N):
-                monkeypatch.setattr(contractions, "MATERIALIZATION_CAP", cap)
+                monkeypatch.setattr(kernels, "MATERIALIZATION_CAP", cap)
                 norms = contractions.ChaosNorms(f)
                 value, exactness = bounds.t1(norms)
                 assert (value, exactness) == oracles.t1_by_rank_loop(norms)
@@ -190,7 +190,7 @@ class TestRankSumKeepsBits:
                 _same_value_or_error(moments.gaussian_fourth_moment,
                                      oracles.fourth_moment_by_rank_loop, norms)
             for cap in _rank_sum_caps(d, g.N) if d % 2 == 0 else []:
-                monkeypatch.setattr(contractions, "MATERIALIZATION_CAP", cap)
+                monkeypatch.setattr(kernels, "MATERIALIZATION_CAP", cap)
                 norms = contractions.ChaosNorms(g)
                 _same_value_or_error(lambda n: bounds.t3(n, nu), oracles.t3_by_rank_loop, norms)
                 _same_value_or_error(moments.gaussian_chi_square_combination,
@@ -198,7 +198,7 @@ class TestRankSumKeepsBits:
 
     def test_past_the_cap_names_size_and_cap(self, monkeypatch):
         f = kernels.normalize_to_variance(kernels.walsh_kernel(4, 6), 1.0)
-        monkeypatch.setattr(contractions, "MATERIALIZATION_CAP", 40_000)
+        monkeypatch.setattr(kernels, "MATERIALIZATION_CAP", 40_000)
         with pytest.raises(CapacityError,
                            match=r"d=4, r=1, N=6 needs 46656 values, cap is 40000"):
             moments.gaussian_fourth_moment(f)
