@@ -88,11 +88,23 @@ def build_parser() -> _Parser:
 
 
 def _emit(text: str, out_path) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write a report to `out_path` as UTF-8, or to stdout.  The whole report
+    is encoded before a byte is written, and before the file is opened: one
+    that cannot be (it names a path that is not UTF-8) raises a
+    ValidationError quoting its line, and creates no file."""
+    try:
+        if not out_path:
+            sys.stdout.write(text)
+            return
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        line = text[text.rfind("\n", 0, exc.start) + 1 : text.find("\n", exc.start)]
+        raise ValidationError(
+            f"cannot write the report to {out_path or 'stdout'}: line {line!r} "
+            f"cannot be encoded as {exc.encoding} ({exc.reason})"
+        ) from None
+    with open(out_path, "wb") as fh:
+        fh.write(data)
 
 
 def _parse_floats(s: str, count: int, what: str):

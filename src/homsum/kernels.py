@@ -235,7 +235,8 @@ class RowSums:
         return reductions.row_dots(unit, self.f.value_array) * float(math.factorial(self.f.d))
 
 
-# the most values a dense kernel or contraction tensor may hold
+# the most values a dense kernel or contraction tensor may hold, and the
+# most entries a named family may have
 MATERIALIZATION_CAP = 10_000_000
 
 
@@ -267,6 +268,13 @@ def normalize_to_variance(f: SymmetricKernel, sigma2: float) -> SymmetricKernel:
 # Named kernel families
 # ---------------------------------------------------------------------------
 
+def _require_within_cap(entries: int, what: str) -> None:
+    """Raise CapacityError, before a family builds any array, when it would
+    hold more than MATERIALIZATION_CAP entries; `what` names the family."""
+    if entries > MATERIALIZATION_CAP:
+        raise CapacityError(f"{what} {entries} entries, cap is {MATERIALIZATION_CAP}")
+
+
 def single_pair(sigma2: float = 1.0) -> SymmetricKernel:
     # E[Q^2] = 4 v^2
     return make_kernel(2, 2, {(1, 2): math.sqrt(sigma2) / 2.0})
@@ -276,6 +284,7 @@ def constant_kernel(N: int, sigma2: float = 1.0) -> SymmetricKernel:
     """Order-2 kernel constant off the diagonal, E[Q^2] = sigma2."""
     if N < 2:
         raise ValidationError(f"constant family needs N >= 2, got {N}")
+    _require_within_cap(N * (N - 1) // 2, f"constant family N={N} has")
     c = math.sqrt(sigma2 / (2.0 * N * (N - 1)))
     rows = np.column_stack(np.triu_indices(N, k=1)) + 1
     return kernel_from_arrays(2, N, rows, np.full(len(rows), c))
@@ -285,6 +294,7 @@ def disjoint_pairs(m: int, sigma2: float = 1.0) -> SymmetricKernel:
     """m disjoint index pairs (2k-1, 2k), each with weight sqrt(sigma2)/(2 sqrt(m))."""
     if m < 1:
         raise ValidationError(f"disjoint_pairs needs m >= 1, got {m}")
+    _require_within_cap(m, f"disjoint_pairs m={m} has")
     v = math.sqrt(sigma2 / (4.0 * m))
     odd = np.arange(1, 2 * m, 2)
     return kernel_from_arrays(2, 2 * m, np.column_stack([odd, odd + 1]), np.full(m, v))
@@ -294,6 +304,7 @@ def walsh_kernel(d: int, N: int, sigma2: float = 1.0) -> SymmetricKernel:
     """Kernel of x_1 ... x_{d-1} * sum_{i>=d} x_i / sqrt(N-d+1), E[Q^2] = sigma2."""
     if d < 2 or N <= d:
         raise ValidationError(f"walsh family needs N > d >= 2, got d={d}, N={N}")
+    _require_within_cap(N - d + 1, f"walsh family d={d}, N={N} has")
     v = math.sqrt(sigma2) / (math.factorial(d) * math.sqrt(N - d + 1))
     rows = np.column_stack([np.tile(np.arange(1, d), (N - d + 1, 1)), np.arange(d, N + 1)])
     return kernel_from_arrays(d, N, rows, np.full(N - d + 1, v))
@@ -322,11 +333,7 @@ def random_sparse_kernel(
         support = list(itertools.combinations(range(1, N + 1), d))
         chosen = [support[i] for i in rng.choice(total, size=entry_count, replace=False)]
     else:
-        if entry_count > MATERIALIZATION_CAP:
-            raise CapacityError(
-                f"random_sparse d={d}, N={N} samples {entry_count} entries, "
-                f"cap is {MATERIALIZATION_CAP}"
-            )
+        _require_within_cap(entry_count, f"random_sparse d={d}, N={N} samples")
         seen: set = set()
         while len(seen) < entry_count:
             seen.add(tuple(sorted(rng.choice(N, size=d, replace=False) + 1)))
@@ -338,12 +345,15 @@ def random_sparse_kernel(
 
 def generate_family(family: str, d: int, size: int, sigma2: float, seed: int) -> SymmetricKernel:
     """The named family's kernel; `size` is N, or the pair count m of
-    disjoint_pairs, and single_pair ignores it."""
+    disjoint_pairs, and single_pair ignores it.  The order, the dimension
+    and the family's entry count (N(N-1)/2 for constant, m for
+    disjoint_pairs, N-d+1 for walsh) are checked before any array is built."""
     _require_positive_sigma2(sigma2)
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     if family in ("single_pair", "constant", "disjoint_pairs") and d != 2:
         raise ValidationError(f"{family} family requires d = 2")
+    check_order(d)
     check_dimension({"disjoint_pairs": 2 * size, "single_pair": 2}.get(family, size))
     if family == "single_pair":
         return single_pair(sigma2)
@@ -365,22 +375,50 @@ def generate_family(family: str, d: int, size: int, sigma2: float, seed: int) ->
 KERNEL_MAGIC = "artifact-kernel v1"
 
 
+# records formatted, encoded and written at once
+WRITE_BLOCK = 1 << 16
+
+
 def format_kernel(f: SymmetricKernel) -> str:
     """Canonical text form: header, then one `i1 ... id value` record per entry.
 
-    Values are written with repr(), which round-trips doubles exactly, and
-    records are sorted, so write -> read -> write is byte identical.
+    Indices are written with str() and values with repr(), which round-trips
+    doubles exactly, and records are sorted, so write -> read -> write is
+    byte identical.  C-level loops build the records, WRITE_BLOCK at a time:
+    `np.unique` finds the block's distinct values and the indices it uses,
+    each of these gets one str() or repr(), an object-array gather puts the
+    texts back in record order and `" ".join` is mapped over the zipped
+    columns.  No table spans range(N), which may hold 2^32 indices.
     """
-    record = " ".join(["{}"] * f.d) + " {!r}"
-    lines = [KERNEL_MAGIC, f"d {f.d}", f"N {f.N}"]
-    rows = zip((f.index_array + 1).tolist(), f.value_array.tolist())
-    lines += [record.format(*t, v) for t, v in rows]
-    return "\n".join(lines) + "\n"
+    return "".join(_text_blocks(f))
+
+
+def _text_blocks(f: SymmetricKernel):
+    """`format_kernel(f)` in pieces: the header with the first WRITE_BLOCK
+    records, then the next WRITE_BLOCK records at a time."""
+    head = f"{KERNEL_MAGIC}\nd {f.d}\nN {f.N}\n"
+    if f.entry_count == 0:
+        yield head
+    for lo in range(0, f.entry_count, WRITE_BLOCK):
+        index = f.index_array[lo : lo + WRITE_BLOCK]
+        used, at = np.unique(index, return_inverse=True)
+        names = np.array([str(i) for i in (used + 1).tolist()], dtype=object)
+        names = names[at.reshape(index.shape)]
+        distinct, at = np.unique(f.value_array[lo : lo + WRITE_BLOCK], return_inverse=True)
+        texts = np.array([repr(v) for v in distinct.tolist()], dtype=object)[at]
+        yield head + "\n".join(map(" ".join, zip(*names.T, texts))) + "\n"
+        head = ""
 
 
 def write_kernel(f: SymmetricKernel, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(format_kernel(f))
+    """Write `format_kernel(f)` to `path` as UTF-8, one block of records at
+    a time, so memory does not grow with the file.  The header and the
+    first block are formatted before the file is opened."""
+    blocks = (text.encode("utf-8") for text in _text_blocks(f))
+    first = next(blocks)
+    with open(path, "wb") as fh:
+        fh.write(first)
+        fh.writelines(blocks)
 
 
 def read_kernel(path) -> SymmetricKernel:

@@ -32,6 +32,9 @@ code paths, so they can certify library output:
   lexsort numbering.
 * parse_kernel_whole_text: a kernel file's text split into lines all at
   once, the reference for the library's streamed reading.
+* format_kernel_by_record: a kernel file's text with each record formatted
+  on its own by `str.format`, the reference for the library's block-wise
+  formatter.
 * symmetrize_all_permutations: the average of a tensor over every axis
   permutation, one strided transpose added after another, the reference
   for the library's symmetrize.
@@ -211,6 +214,17 @@ def parse_kernel_whole_text(text: str):
     except (ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed kernel record: {exc}") from None
     return kernels.kernel_from_arrays(d, N, np.array(columns, dtype=np.int64).T, values)
+
+
+def format_kernel_by_record(f) -> str:
+    """The text of a kernel file: the three header lines, then one
+    `i1 ... id value` record per entry, built by one `str.format` call of
+    its own ("{}" for each 1-based index, "{!r}" for the value)."""
+    record = " ".join(["{}"] * f.d) + " {!r}"
+    lines = [kernels.KERNEL_MAGIC, f"d {f.d}", f"N {f.N}"]
+    rows = zip((f.index_array + 1).tolist(), f.value_array.tolist())
+    lines += [record.format(*t, v) for t, v in rows]
+    return "\n".join(lines) + "\n"
 
 
 def symmetrize_all_permutations(values: np.ndarray) -> np.ndarray:

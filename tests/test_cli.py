@@ -203,19 +203,93 @@ class TestInputFileLimits:
                 "sweep": [4, 4294967296]})]))
             argv = ["diagnose", "--spec", str(spec)]
         out = tmp_path / "out.txt"
-        code = (
-            "import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
-            "from homsum import cli\n"
-            f"sys.exit(cli.main({argv + ['--out', str(out)]!r}))\n"
-        )
-        env = {**os.environ, "PYTHONPATH": str(Path(homsum.__file__).parents[1])}
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, timeout=60)
+        done = _run_in_2_gib(argv + ["--out", str(out)])
         assert done.returncode == 3
         assert done.stderr == ("capacity error: random_sparse d=2, N=4294967296 samples "
                                "8589934592 entries, cap is 10000000\n")
         assert not out.exists()
+
+    # Each family's order and entry count are checked before it builds an
+    # array.  Before, constant -N 200000 exited 3 only when numpy failed to
+    # allocate its 37.3 GiB (N, N) triangle mask; walsh --d 1000000 computed
+    # 1000000! and ended in an OverflowError traceback (exit 1), and
+    # random_sparse --d 1000000 ran for more than 30 s.  Children run in 2 GiB.
+    @pytest.mark.parametrize("flags, code, message", [
+        (["--family", "constant", "-N", "200000"], 3,
+         "capacity error: constant family N=200000 has 19999900000 entries, cap is 10000000"),
+        (["--family", "constant", "-N", "4473"], 3,
+         "capacity error: constant family N=4473 has 10001628 entries, cap is 10000000"),
+        (["--family", "disjoint_pairs", "--m", "400000000"], 3,
+         "capacity error: disjoint_pairs m=400000000 has 400000000 entries, cap is 10000000"),
+        (["--family", "walsh", "-N", "400000000"], 3,
+         "capacity error: walsh family d=2, N=400000000 has 399999999 entries, cap is 10000000"),
+        (["--family", "walsh", "--d", "1000000", "-N", "2000000"], 2,
+         "error: order d must be an integer in 1..12, got 1000000"),
+        (["--family", "random_sparse", "--d", "1000000", "-N", "2000000"], 2,
+         "error: order d must be an integer in 1..12, got 1000000"),
+    ], ids=["constant_200000", "constant_4473", "disjoint_pairs", "walsh", "walsh_order",
+            "random_sparse_order"])
+    def test_generate_family_checked_before_building(self, tmp_path, flags, code, message):
+        out = tmp_path / "g.kern"
+        done = _run_in_2_gib(["kernel", "generate", *flags, "--out", str(out)])
+        assert (done.returncode, done.stderr) == (code, message + "\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("how", ["generate", "diagnose_sweep"])
+    @pytest.mark.parametrize("family, d, size, message", [
+        ("constant", 2, 15, "constant family N=15 has 105 entries"),
+        ("disjoint_pairs", 2, 101, "disjoint_pairs m=101 has 101 entries"),
+        ("walsh", 3, 103, "walsh family d=3, N=103 has 101 entries"),
+    ], ids=["constant", "disjoint_pairs", "walsh"])
+    def test_family_past_patched_cap_exit_3(self, tmp_path, monkeypatch, capsys, how,
+                                            family, d, size, message):
+        monkeypatch.setattr(kernels, "MATERIALIZATION_CAP", 100)
+        if how == "generate":
+            flag = "--m" if family == "disjoint_pairs" else "-N"
+            argv = ["kernel", "generate", "--family", family, "--d", str(d), flag, str(size)]
+        else:
+            spec = tmp_path / "spec.txt"
+            spec.write_text(reportio.format_sections(reportio.DIAGNOSE_MAGIC, [("sequence", {
+                "kind": "fourth_moment", "family": family, "d": d, "sweep": [size]})]))
+            argv = ["diagnose", "--spec", str(spec)]
+        out = tmp_path / "out.txt"
+        assert run(argv + ["--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"capacity error: {message}, cap is 100\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("to_stdout", [False, True], ids=["out", "stdout"])
+    @pytest.mark.parametrize("command", [["kernel", "inspect"],
+                                         ["bound", "normal", "--law", "rademacher"],
+                                         ["simulate", "--n", "10"]],
+                             ids=["inspect", "bound_normal", "simulate"])
+    def test_report_naming_a_non_utf8_path_exit_2(self, tmp_path, capsys, command, to_stdout):
+        # a file name that is not UTF-8 reaches Python as surrogates, and the
+        # report's manifest names the kernel by it; this was a traceback
+        # (exit 1) that left an empty report.  The captured stdout, like
+        # stdout in a UTF-8 locale, encodes strictly.
+        kern = tmp_path / os.fsdecode(b"\xff.kern")
+        kernels.write_kernel(kernels.disjoint_pairs(3), kern)
+        out = tmp_path / "r.rep"
+        assert run(command + ["--kernel", str(kern)] + ([] if to_stdout else ["--out", str(out)])) == 2
+        line = f"param.kernel = {kern}"
+        assert capsys.readouterr() == ("", (
+            f"error: cannot write the report to {'stdout' if to_stdout else out}: line {line!r} "
+            "cannot be encoded as utf-8 (surrogates not allowed)\n"))
+        assert not out.exists()
+
+
+def _run_in_2_gib(argv) -> subprocess.CompletedProcess:
+    """`cli.main(argv)` in a child whose address space is limited to 2 GiB,
+    so that a command that does start a huge allocation fails fast."""
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from homsum import cli\n"
+        f"sys.exit(cli.main({argv!r}))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(homsum.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
 
 
 class TestBoundCommands:
@@ -974,6 +1048,39 @@ def test_enumeration_report_bytes_pinned_at_one_blas_thread(tmp_path):
         for name in ENUMERATION_COMMANDS
     }
     assert got == ENUMERATION_SHA256
+
+
+# Kernel files of up to 244,650 records (the constant(700) files span four
+# blocks of the writer), and one whose values print in exponent form.
+# Hashes taken while each record was still formatted by its own
+# `str.format` call; the block-wise writer may not move a byte.
+KERNEL_FILE_COMMANDS = {
+    "c700.kern": ["kernel", "generate", "--family", "constant", "-N", "700"],
+    "dp10000.kern": ["kernel", "generate", "--family", "disjoint_pairs", "--m", "10000"],
+    "w4_5000.kern": ["kernel", "generate", "--family", "walsh", "--d", "4", "-N", "5000"],
+    "rs3_tiny.kern": ["kernel", "generate", "--family", "random_sparse", "--d", "3",
+                      "-N", "60", "--sigma2", "1e-30"],
+    "c700_s3.kern": ["kernel", "normalize", "--kernel", "c700.kern", "--sigma2", "3"],
+}
+
+KERNEL_FILE_SHA256 = {
+    "c700.kern": "ac5bd2adbff651f488c175f486d463b2b6f0ea3d0439c3ae09896a98864e2351",
+    "dp10000.kern": "77e97f043e5e431f0f0e356af0a18deae05c9b1b5a9fceb3724ee69439d5b046",
+    "w4_5000.kern": "704efc2ad6e77edcce5c4223f89a8a4d16d6fbe9d1b7eb5503759a8298fe093a",
+    "rs3_tiny.kern": "a4834081e743f962fd0d5478a197df7eb83beb36c4006ebec806d198abe418d2",
+    "c700_s3.kern": "f13e8e23c91ac4c592aa904bef61ed43be2fac494a419f324f1acac65082cc64",
+}
+
+
+def test_kernel_file_bytes_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, argv in KERNEL_FILE_COMMANDS.items():
+        assert run([*argv, "--out", name]) == 0, argv
+    got = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in KERNEL_FILE_COMMANDS
+    }
+    assert got == KERNEL_FILE_SHA256
 
 
 # Start-up: kernel commands never load scipy, and the commands that use it

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from homsum import cli, kernels
-from homsum.errors import ValidationError
+from homsum.errors import CapacityError, ValidationError
 from conftest import random_kernels
-from oracles import entries, evaluate, parse_kernel_whole_text, unit_sums
+from oracles import entries, evaluate, format_kernel_by_record, parse_kernel_whole_text, unit_sums
 
 
 class TestMakeKernel:
@@ -311,6 +311,17 @@ class TestFamilies:
         with pytest.raises(ValidationError, match="unknown family 'nope'"):
             kernels.generate_family("nope", 2, 2, 1.0, 0)
 
+    @pytest.mark.parametrize("family, d, size, within", [
+        ("constant", 2, 15, 14),  # N(N-1)/2 entries: 105, then 91
+        ("disjoint_pairs", 2, 101, 100),  # m entries
+        ("walsh", 3, 103, 102),  # N-d+1 entries: 101, then 100
+    ])
+    def test_family_past_cap_raises_before_building(self, monkeypatch, family, d, size, within):
+        monkeypatch.setattr(kernels, "MATERIALIZATION_CAP", 100)
+        assert kernels.generate_family(family, d, within, 1.0, 0).entry_count <= 100
+        with pytest.raises(CapacityError, match=r" has 10[15] entries, cap is 100$"):
+            kernels.generate_family(family, d, size, 1.0, 0)
+
     def test_random_sparse_is_seeded(self):
         a = kernels.random_sparse_kernel(2, 9, seed=5)
         b = kernels.random_sparse_kernel(2, 9, seed=5)
@@ -401,6 +412,78 @@ class TestKernelFile:
         path.write_text("not a kernel\n")
         with pytest.raises(ValidationError, match="not a kernel file"):
             kernels.read_kernel(path)
+
+
+def _mixed_kernel(rng, d, N, count):
+    """`count` random canonical rows of order d whose values mix repeats (a
+    pool of eight, each drawn many times), distinct normals, subnormals and
+    +-1e300."""
+    rows = set()
+    while len(rows) < count:
+        rows.add(tuple(sorted(rng.choice(N, size=d, replace=False) + 1)))
+    pool = np.array([0.5, -0.25, 1 / 3, 5e-324, -2.5e-310, 1e300, -1e300, 7.0])
+    values = np.where(rng.random(count) < 0.5, rng.choice(pool, count), rng.standard_normal(count))
+    return kernels.kernel_from_arrays(d, N, sorted(rows), values)
+
+
+class TestKernelWriter:
+    """format_kernel formats each distinct value and used index once, block
+    by block; it must give the per-record formatter's text exactly."""
+
+    @pytest.mark.parametrize("block", [1, 5, kernels.WRITE_BLOCK], ids=lambda b: f"block_{b}")
+    def test_same_text_as_per_record_formatter(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(kernels, "WRITE_BLOCK", block)
+        rng = np.random.default_rng(24)
+        cases = [
+            _mixed_kernel(rng, 2, 40, 300),
+            _mixed_kernel(rng, 3, 12, 200),
+            _mixed_kernel(rng, 1, 50, 37),
+            kernels.make_kernel(1, 1, {(1,): -0.0625}),
+            kernels.make_kernel(2, 4, {}),
+            kernels.make_kernel(2, kernels.MAX_DIMENSION,
+                                {(1, kernels.MAX_DIMENSION): 0.5, (7, 2**32 - 1): -1e-300}),
+            *random_kernels(rng, 6),
+        ]
+        for f in cases:
+            want = format_kernel_by_record(f)
+            assert kernels.format_kernel(f) == want, f
+            path = tmp_path / "k.kern"
+            kernels.write_kernel(f, path)
+            assert path.read_bytes() == want.encode("ascii"), f
+        assert kernels.format_kernel(cases[4]) == "artifact-kernel v1\nd 2\nN 4\n"
+
+    def test_widest_dimension_formatted_without_an_index_table(self):
+        # a table over range(N) would hold 2^32 texts
+        f = kernels.make_kernel(2, kernels.MAX_DIMENSION,
+                                {(7, 2**32 - 1): -1e-300, (3, kernels.MAX_DIMENSION): 0.5})
+        tracemalloc.start()
+        try:
+            text = kernels.format_kernel(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == ("artifact-kernel v1\nd 2\nN 4294967296\n"
+                        "3 4294967296 0.5\n7 4294967295 -1e-300\n")
+        assert peak < 2**20
+
+    # the per-record formatter, which held every record and the whole text
+    # before writing, peaked at 55.7 and 48.7 MiB on these kernels; formatting
+    # all records at once with one text per distinct item, at 45.2 and 52.9 MiB
+    @pytest.mark.parametrize("make, per_record_peak_mib", [
+        (lambda: kernels.constant_kernel(700), 55.7),
+        (lambda: kernels.random_sparse_kernel(2, 2000, seed=1, entry_count=200_000), 48.7),
+    ], ids=["constant_700", "random_sparse_200k"])
+    def test_write_memory_bounded(self, tmp_path, make, per_record_peak_mib):
+        f = make()
+        path = tmp_path / "k.kern"
+        tracemalloc.start()
+        try:
+            kernels.write_kernel(f, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < per_record_peak_mib * 2**20
+        assert kernels.read_kernel(path) == f
 
 
 def _kernel_text(records):
