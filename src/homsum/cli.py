@@ -39,7 +39,6 @@ def _add_sampling_flags(p):
     p.add_argument("--n", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--batch", type=int, default=1024)
 
 
 def build_parser() -> _Parser:
@@ -79,6 +78,7 @@ def build_parser() -> _Parser:
     s.add_argument("--dump-samples")
     s.add_argument("--out")
     _add_sampling_flags(s)
+    s.add_argument("--batch", type=int, default=1024, help="draws per block")
 
     d = sub.add_parser("diagnose")
     d.add_argument("--spec", required=True)
@@ -117,14 +117,13 @@ def _parse_floats(s: str, count: int, what: str):
     return values
 
 
-def _sampling_inputs(args) -> tuple:
+def _sampling_inputs(args, **config) -> tuple:
     """(kernels, law, SampleConfig, manifest parameters) of a command that
-    takes --kernel and the sampling flags."""
+    takes --kernel and the sampling flags; `config` holds SampleConfig's
+    other fields (`bound` samples in its default blocks)."""
     kernel_list = [kernels.read_kernel(p) for p in args.kernel]
     law = simulate.get_law(args.law)
-    config = simulate.SampleConfig(
-        n=args.n, seed=args.seed, workers=args.workers, batch_size=args.batch
-    )
+    config = simulate.SampleConfig(n=args.n, seed=args.seed, workers=args.workers, **config)
     params = {
         "kernel": list(args.kernel) if len(args.kernel) > 1 else args.kernel[0],
         "law": args.law,
@@ -233,7 +232,7 @@ def cmd_simulate(args) -> list:
         check_degrees(args.nu)
         if len(args.kernel) > 1:
             raise ValidationError(f"simulate --nu takes one --kernel, got {len(args.kernel)}")
-    kernel_list, law, config, params = _sampling_inputs(args)
+    kernel_list, law, config, params = _sampling_inputs(args, batch_size=args.batch)
     params["batch"] = args.batch
     if args.nu is not None:
         params["nu"] = args.nu

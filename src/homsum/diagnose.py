@@ -99,7 +99,28 @@ class SequenceSpec:
         if unknown:
             raise ValidationError(f"unknown diagnose spec key {', '.join(map(repr, unknown))}"
                                   f" (known: {', '.join(names)})")
-        return cls(**{names[k]: _typed(v, hints[names[k]], k) for k, v in section.items()})
+        spec = cls(**{names[k]: _typed(v, hints[names[k]], k) for k, v in section.items()})
+        spec._require_read_by_kind(section)
+        return spec
+
+    def _require_read_by_kind(self, keys) -> None:
+        """Raise when one of the given keys is one the spec's kind does not
+        read: a `target` other than its own, `nu` off a chi-square target,
+        or `laws`, `n` or `batch` where nothing is sampled.  Every kind reads
+        `seed` and `workers`."""
+        targets = {"universality": ("normal", "chi2"), "chi_square": ("chi2",)}
+        targets = targets.get(self.kind, ("normal",))
+        if "target" in keys and self.target not in targets:
+            raise ValidationError(f"diagnose kind {self.kind} takes target "
+                                  f"{' or '.join(targets)}, got {self.target!r}")
+        chi2 = self.kind == "chi_square" or self.kind == "universality" and self.target == "chi2"
+        sampled = self.kind in ("universality", "de_jong")
+        unread = [k for k in keys if k == "nu" and not chi2
+                  or k in ("laws", "n", "batch") and not sampled]
+        if unread:
+            at = f" at target {self.target}" if self.kind == "universality" else ""
+            raise ValidationError(f"diagnose kind {self.kind} does not read "
+                                  f"{', '.join(map(repr, unread))}{at}")
 
     def kernel_at(self, size: int) -> SymmetricKernel:
         sigma2 = 2.0 * self.nu if self.target == "chi2" else 1.0

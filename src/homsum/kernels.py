@@ -171,17 +171,6 @@ def evaluation_chunk(f: SymmetricKernel) -> int | None:
     return min(4096, max(16, GATHER_VALUES // max(1, f.entry_count * f.d)))
 
 
-def evaluate_sum_batch(f: SymmetricKernel, X: np.ndarray) -> np.ndarray:
-    """Q_d over a batch of input rows, shape (n, N) -> (n,): one `RowSums`
-    over the whole batch, fed all of its rows at once."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != f.N:
-        raise ValidationError(f"batch has shape {X.shape}, expected (n, {f.N})")
-    out = np.empty(X.shape[0])
-    RowSums(f, X.shape[0]).add(X, 0, out)
-    return out
-
-
 class RowSums:
     """Q_d of the rows of batches of at most `batch` rows, each batch fed in
     pieces of any length through `add`.
@@ -379,23 +368,19 @@ KERNEL_MAGIC = "artifact-kernel v1"
 WRITE_BLOCK = 1 << 16
 
 
-def format_kernel(f: SymmetricKernel) -> str:
-    """Canonical text form: header, then one `i1 ... id value` record per entry.
+def _text_blocks(f: SymmetricKernel):
+    """The canonical text form, a header and then one `i1 ... id value`
+    record per entry, in pieces: the header with the first WRITE_BLOCK
+    records, then the next WRITE_BLOCK records at a time.
 
     Indices are written with str() and values with repr(), which round-trips
     doubles exactly, and records are sorted, so write -> read -> write is
-    byte identical.  C-level loops build the records, WRITE_BLOCK at a time:
-    `np.unique` finds the block's distinct values and the indices it uses,
-    each of these gets one str() or repr(), an object-array gather puts the
-    texts back in record order and `" ".join` is mapped over the zipped
-    columns.  No table spans range(N), which may hold 2^32 indices.
+    byte identical.  C-level loops build each block's records: `np.unique`
+    finds its distinct values and the indices it uses, each of these gets
+    one str() or repr(), an object-array gather puts the texts back in
+    record order and `" ".join` is mapped over the zipped columns.  No table
+    spans range(N), which may hold 2^32 indices.
     """
-    return "".join(_text_blocks(f))
-
-
-def _text_blocks(f: SymmetricKernel):
-    """`format_kernel(f)` in pieces: the header with the first WRITE_BLOCK
-    records, then the next WRITE_BLOCK records at a time."""
     head = f"{KERNEL_MAGIC}\nd {f.d}\nN {f.N}\n"
     if f.entry_count == 0:
         yield head
@@ -411,9 +396,9 @@ def _text_blocks(f: SymmetricKernel):
 
 
 def write_kernel(f: SymmetricKernel, path) -> None:
-    """Write `format_kernel(f)` to `path` as UTF-8, one block of records at
-    a time, so memory does not grow with the file.  The header and the
-    first block are formatted before the file is opened."""
+    """Write the canonical text form of f to `path` as UTF-8, one block of
+    records at a time, so memory does not grow with the file.  The header
+    and the first block are formatted before the file is opened."""
     blocks = (text.encode("utf-8") for text in _text_blocks(f))
     first = next(blocks)
     with open(path, "wb") as fh:

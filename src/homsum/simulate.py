@@ -17,13 +17,13 @@ Each kernel's `kernels.RowSums` owns that rule: the sampler hands it every
 slice of a block, it copies the slice's columns or products (exact
 elementwise) into its unit buffer at their rows' offsets, and it reduces a
 unit once the unit's last row is in.  So every BLAS call sees exactly the
-rows it sees when the block is evaluated whole (`evaluate_sum_batch`),
-while a block needs one slice and one unit buffer per kernel; a worker
-builds each evaluator, dense form included, once for its share of blocks.
-Sums can depend on the batch size, which sets the blocks.  They never
-depend on the worker count: blocks are the same for any worker count, are
-written into a preallocated array at fixed offsets, and all reductions run
-over that array in index order.
+rows it sees when the block is fed to one `RowSums.add` whole, while a
+block needs one slice and one unit buffer per kernel; a worker builds each
+evaluator, dense form included, once for its share of blocks.  Sums can
+depend on the batch size, which sets the blocks, so every manifest that
+sets it records it.  They never depend on the worker count: blocks are the
+same for any worker count, are written into a preallocated array at fixed
+offsets, and all reductions run over that array in index order.
 
 Worker processes come from one pool per `worker_pool()` scope, which the
 CLI opens around each command: the pool starts on the first call that
@@ -371,22 +371,10 @@ SAMPLE_MAGIC = b"HSUMRAW1"
 
 
 def write_samples(path, samples: np.ndarray) -> None:
+    """The magic, a little-endian u64 count, then that many `<f8` values:
+    `np.fromfile(path, "<f8", offset=16)` reads them back."""
     data = np.ascontiguousarray(samples, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(SAMPLE_MAGIC)
         fh.write(struct.pack("<Q", data.size))
         fh.write(data.tobytes())
-
-
-def read_samples(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        head = fh.read(16)
-        if head[:8] != SAMPLE_MAGIC:
-            raise ValidationError(f"not a raw sample file (magic {head[:8]!r})")
-        if len(head) < 16:
-            raise ValidationError(f"truncated sample file: header of {len(head)} bytes, need 16")
-        (count,) = struct.unpack("<Q", head[8:])
-        data = np.frombuffer(fh.read(count * 8), dtype="<f8")
-    if data.size != count:
-        raise ValidationError(f"truncated sample file: header {count}, got {data.size}")
-    return data.astype(np.float64)

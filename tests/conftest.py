@@ -2,6 +2,7 @@ import concurrent.futures
 import math
 import multiprocessing
 
+import numpy as np
 import pytest
 
 from homsum import kernels, simulate
@@ -79,4 +80,13 @@ def random_kernels(rng, count, d_range=(1, 4), n_max=8, sigma2=None):
                 sigma2=s2,
             )
         )
+    return out
+
+
+def row_sums(f, X) -> np.ndarray:
+    """Q_d of each row of the (n, N) batch X, by one `kernels.RowSums` fed
+    the whole batch at once."""
+    X = np.asarray(X, dtype=np.float64)
+    out = np.empty(len(X))
+    kernels.RowSums(f, len(X)).add(X, 0, out)
     return out

@@ -35,6 +35,8 @@ code paths, so they can certify library output:
 * format_kernel_by_record: a kernel file's text with each record formatted
   on its own by `str.format`, the reference for the library's block-wise
   formatter.
+* read_samples: a raw sample dump read back by its layout, checked, the
+  reader of the library's `--dump-samples` files.
 * symmetrize_all_permutations: the average of a tensor over every axis
   permutation, one strided transpose added after another, the reference
   for the library's symmetrize.
@@ -47,6 +49,7 @@ code paths, so they can certify library output:
 
 import itertools
 import math
+import struct
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -225,6 +228,22 @@ def format_kernel_by_record(f) -> str:
     rows = zip((f.index_array + 1).tolist(), f.value_array.tolist())
     lines += [record.format(*t, v) for t, v in rows]
     return "\n".join(lines) + "\n"
+
+
+def read_samples(path) -> np.ndarray:
+    """The values of a raw sample dump: the magic HSUMRAW1, a little-endian
+    u64 count, then that many `<f8` values."""
+    with open(path, "rb") as fh:
+        head = fh.read(16)
+        if head[:8] != b"HSUMRAW1":
+            raise ValidationError(f"not a raw sample file (magic {head[:8]!r})")
+        if len(head) < 16:
+            raise ValidationError(f"truncated sample file: header of {len(head)} bytes, need 16")
+        (count,) = struct.unpack("<Q", head[8:])
+        data = np.frombuffer(fh.read(count * 8), dtype="<f8")
+    if data.size != count:
+        raise ValidationError(f"truncated sample file: header {count}, got {data.size}")
+    return data.astype(np.float64)
 
 
 def symmetrize_all_permutations(values: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ import pytest
 
 import homsum
 from homsum import cli, contractions, kernels, reportio, simulate
+from oracles import read_samples
 
 
 def run(args):
@@ -422,6 +423,15 @@ class TestBoundCommands:
         assert f"bound {kind} takes one --kernel, got 2" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_batch_flag_is_a_usage_error(self, tmp_path, capsys):
+        # bound samples in 1024-draw blocks, which its manifest need not record
+        kern, out = tmp_path / "d.kern", tmp_path / "r.rep"
+        kernels.write_kernel(kernels.disjoint_pairs(100), kern)
+        assert run(["bound", "normal", "--kernel", str(kern), "--law", "uniform",
+                    "--n", "3001", "--seed", "5", "--batch", "7", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "usage error: unrecognized arguments: --batch 7\n"
+        assert not out.exists()
+
     def test_directory_as_kernel_exit_2(self, tmp_path):
         out = tmp_path / "r.txt"
         assert run(["bound", "normal", "--kernel", str(tmp_path), "--out", str(out)]) == 2
@@ -630,7 +640,7 @@ class TestSimulateCommand:
         dump = tmp_path / "s.raw"
         assert run(["simulate", "--kernel", str(kern), "--n", "256", "--seed", "9",
                     "--dump-samples", str(dump), "--out", str(tmp_path / "r.txt")]) == 0
-        samples = simulate.read_samples(dump)
+        samples = read_samples(dump)
         assert samples.size == 256
 
     def test_joint_simulation(self, tmp_path):
@@ -711,9 +721,29 @@ class TestDiagnoseCommand:
         # a bool is an int to Python: seed = true ran with seed 1
         ({"kind": "fourth_moment", "family": "disjoint_pairs", "d": 2, "sweep": [10, 20],
           "seed": True}, "diagnose spec field 'seed' must be an integer, got True"),
+        # a key its kind does not read: these exited 0, the first two with a
+        # normal-target report whose manifest said param.target = chi2
+        ({"kind": "de_jong", "family": "disjoint_pairs", "d": 2, "sweep": [20], "n": 200,
+          "target": "chi2"}, "diagnose kind de_jong takes target normal, got 'chi2'"),
+        ({"kind": "fourth_moment", "family": "disjoint_pairs", "d": 2, "sweep": [10, 20],
+          "target": "chi2"}, "diagnose kind fourth_moment takes target normal, got 'chi2'"),
+        ({"kind": "chi_square", "family": "constant", "d": 2, "sweep": [10, 20],
+          "target": "normal"}, "diagnose kind chi_square takes target chi2, got 'normal'"),
+        ({"kind": "fourth_moment", "family": "disjoint_pairs", "d": 2, "sweep": [10, 20],
+          "nu": 2}, "diagnose kind fourth_moment does not read 'nu'"),
+        ({"kind": "universality", "family": "disjoint_pairs", "d": 2, "sweep": [4, 16],
+          "laws": ["gaussian", "uniform"], "n": 200, "nu": 2},
+         "diagnose kind universality does not read 'nu' at target normal"),
+        ({"kind": "fourth_moment", "family": "disjoint_pairs", "d": 2, "sweep": [10, 20],
+          "laws": ["rademacher"], "n": 500},
+         "diagnose kind fourth_moment does not read 'laws', 'n'"),
+        ({"kind": "chi_square", "family": "constant", "d": 2, "sweep": [10, 20],
+          "batch": 7}, "diagnose kind chi_square does not read 'batch'"),
     ], ids=["decreasing_sweep", "odd_order_chi2_universality", "odd_order_chi2_de_jong",
             "unknown_key_law", "unknown_key_threshold", "de_jong_two_laws",
-            "sweep_past_dimension_limit", "seed_boolean"])
+            "sweep_past_dimension_limit", "seed_boolean", "de_jong_chi2_target",
+            "fourth_moment_chi2_target", "chi_square_normal_target", "nu_unread",
+            "nu_unread_at_normal_target", "laws_n_unread", "batch_unread"])
     def test_invalid_sequence_exit_2(self, tmp_path, capsys, body, message):
         spec, out = tmp_path / "spec.txt", tmp_path / "r.txt"
         self._write_spec(spec, body)
@@ -839,14 +869,15 @@ class TestWorkerPool:
 
     def test_reports_byte_identical_across_workers_with_leftover_rows(self, tmp_path,
                                                                      monkeypatch):
-        # --batch 7 leaves a short last block and rows past BLAS's groups
-        # of 4; the universality pool serves four cells in turn
+        # each sampling leaves a short last block with rows past BLAS's groups
+        # of 4: 1501 draws in blocks of 1024 (477 = 4 * 119 + 1) or of 7; the
+        # universality pool serves four cells in turn
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)
         kern = tmp_path / "d.kern"
         kernels.write_kernel(kernels.disjoint_pairs(30), kern)
         commands = {
             "bound": ["bound", "normal", "--kernel", str(kern), "--law", "uniform",
-                      "--n", "1501", "--seed", "5", "--batch", "7"],
+                      "--n", "1501", "--seed", "5"],
             "diagnose": self._universality(tmp_path, n=1501, batch=7),
         }
         for name, argv in commands.items():
@@ -1053,7 +1084,10 @@ def test_enumeration_report_bytes_pinned_at_one_blas_thread(tmp_path):
 # Kernel files of up to 244,650 records (the constant(700) files span four
 # blocks of the writer), and one whose values print in exponent form.
 # Hashes taken while each record was still formatted by its own
-# `str.format` call; the block-wise writer may not move a byte.
+# `str.format` call; the block-wise writer may not move a byte.  They run in
+# a subprocess with one OpenBLAS thread: normalizing the 244,650 values of
+# constant(700) splits its np.dot over BLAS threads, so c700_s3.kern has
+# other bits at two threads (its hash was taken at one).
 KERNEL_FILE_COMMANDS = {
     "c700.kern": ["kernel", "generate", "--family", "constant", "-N", "700"],
     "dp10000.kern": ["kernel", "generate", "--family", "disjoint_pairs", "--m", "10000"],
@@ -1068,14 +1102,15 @@ KERNEL_FILE_SHA256 = {
     "dp10000.kern": "77e97f043e5e431f0f0e356af0a18deae05c9b1b5a9fceb3724ee69439d5b046",
     "w4_5000.kern": "704efc2ad6e77edcce5c4223f89a8a4d16d6fbe9d1b7eb5503759a8298fe093a",
     "rs3_tiny.kern": "a4834081e743f962fd0d5478a197df7eb83beb36c4006ebec806d198abe418d2",
-    "c700_s3.kern": "f13e8e23c91ac4c592aa904bef61ed43be2fac494a419f324f1acac65082cc64",
+    "c700_s3.kern": "6a9cee80e982615a1bf4486a186d606ecc1a09c3f7080880b3b4d765b8a98a35",
 }
 
 
-def test_kernel_file_bytes_pinned(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+def test_kernel_file_bytes_pinned(tmp_path):
+    env = _blas_env(1)
     for name, argv in KERNEL_FILE_COMMANDS.items():
-        assert run([*argv, "--out", name]) == 0, argv
+        subprocess.run([sys.executable, "-m", "homsum.cli", *argv, "--out", name],
+                       cwd=tmp_path, env=env, check=True, timeout=120)
     got = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in KERNEL_FILE_COMMANDS

@@ -54,6 +54,21 @@ class TestSequenceSpec:
         )
         assert spec == diagnose.SequenceSpec(kind="de_jong", sweep=(8,), batch_size=7, workers=2)
 
+    @pytest.mark.parametrize("section", [
+        {"kind": "universality", "target": "chi2", "nu": 2, "laws": ["gaussian", "uniform"],
+         "n": 200, "batch": 50},
+        {"kind": "universality", "target": "normal", "laws": ["gaussian", "uniform"]},
+        {"kind": "chi_square", "target": "chi2", "nu": 2},
+        {"kind": "de_jong", "target": "normal", "laws": "uniform", "n": 200, "batch": 7},
+        {"kind": "fourth_moment", "target": "normal"},
+    ], ids=["universality_chi2", "universality_normal", "chi_square", "de_jong",
+            "fourth_moment"])
+    def test_from_section_takes_each_key_its_kind_reads(self, section):
+        # seed and workers apply to every kind
+        spec = diagnose.SequenceSpec.from_section(
+            {**section, "sweep": [10, 20], "seed": 3, "workers": 2})
+        assert (spec.kind, spec.seed, spec.workers) == (section["kind"], 3, 2)
+
     def test_unknown_kind_rejected_when_built(self):
         with pytest.raises(ValidationError, match="unknown diagnose kind 'bogus'"):
             diagnose.SequenceSpec(kind="bogus", sweep=(4, 8))

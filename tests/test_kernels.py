@@ -9,7 +9,7 @@ import pytest
 
 from homsum import cli, kernels
 from homsum.errors import CapacityError, ValidationError
-from conftest import random_kernels
+from conftest import random_kernels, row_sums
 from oracles import entries, evaluate, format_kernel_by_record, parse_kernel_whole_text, unit_sums
 
 
@@ -143,22 +143,18 @@ class TestNorms:
 
 class TestEvaluateSum:
     def test_all_ones(self, p2):
-        assert kernels.evaluate_sum_batch(p2, np.array([[1.0, 1.0]]))[0] == 1.0
+        assert row_sums(p2, np.array([[1.0, 1.0]]))[0] == 1.0
 
     def test_sign_flip(self, p2):
-        assert kernels.evaluate_sum_batch(p2, np.array([[1.0, -1.0]]))[0] == -1.0
+        assert row_sums(p2, np.array([[1.0, -1.0]]))[0] == -1.0
 
     def test_zero_vector(self, c3):
-        assert kernels.evaluate_sum_batch(c3, np.zeros((1, 3)))[0] == 0.0
-
-    def test_dimension_mismatch(self, p2):
-        with pytest.raises(ValidationError, match=r"batch has shape \(1, 3\), expected \(n, 2\)"):
-            kernels.evaluate_sum_batch(p2, np.array([[1.0, 2.0, 3.0]]))
+        assert row_sums(c3, np.zeros((1, 3)))[0] == 0.0
 
     @pytest.mark.parametrize("f", [kernels.constant_kernel(40), kernels.disjoint_pairs(5)],
                              ids=["dense", "sparse"])
     def test_empty_batch(self, f):
-        got = kernels.evaluate_sum_batch(f, np.empty((0, f.N)))
+        got = row_sums(f, np.empty((0, f.N)))
         assert got.shape == (0,)
 
     def test_matches_bruteforce_ordered_sum(self):
@@ -169,7 +165,7 @@ class TestEvaluateSum:
                 evaluate(f, idx) * np.prod([x[i - 1] for i in idx])
                 for idx in itertools.product(range(1, f.N + 1), repeat=f.d)
             )
-            got = kernels.evaluate_sum_batch(f, x[None, :])[0]
+            got = row_sums(f, x[None, :])[0]
             assert got == pytest.approx(brute, rel=1e-10, abs=1e-12)
 
     def test_single_index_decomposition(self):
@@ -180,22 +176,22 @@ class TestEvaluateSum:
             i = int(rng.integers(0, f.N))
             x0 = x.copy()
             x0[i] = 0.0
-            u = kernels.evaluate_sum_batch(f, x0[None, :])[0]
+            u = row_sums(f, x0[None, :])[0]
             x1 = x.copy()
             x1[i] = 1.0
-            v = kernels.evaluate_sum_batch(f, x1[None, :])[0] - u
+            v = row_sums(f, x1[None, :])[0] - u
             for lam in (-2.0, 0.5, 3.0):
                 xl = x.copy()
                 xl[i] = lam
-                got = kernels.evaluate_sum_batch(f, xl[None, :])[0]
+                got = row_sums(f, xl[None, :])[0]
                 assert got == pytest.approx(u + lam * v, rel=1e-9, abs=1e-12)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(37)
         for f in random_kernels(rng, 6, d_range=(1, 3), n_max=7):
             X = rng.standard_normal((5, f.N))
-            batch = kernels.evaluate_sum_batch(f, X)
-            single = [kernels.evaluate_sum_batch(f, row[None, :])[0] for row in X]
+            batch = row_sums(f, X)
+            single = [row_sums(f, row[None, :])[0] for row in X]
             np.testing.assert_allclose(batch, single, rtol=1e-12)
 
     def test_dense_path_matches_sparse_path(self):
@@ -204,7 +200,7 @@ class TestEvaluateSum:
         assert f.entry_count > f.N
         rng = np.random.default_rng(41)
         X = rng.standard_normal((16, 12))
-        dense = kernels.evaluate_sum_batch(f, X)
+        dense = row_sums(f, X)
         sparse = [
             2.0 * sum(v * X[r, t[0] - 1] * X[r, t[1] - 1] for t, v in entries(f).items())
             for r in range(16)
@@ -243,7 +239,7 @@ class TestRowSums:
             for start in range(0, rows, piece):
                 sums.add(X[start : start + piece], start, got)
             assert got.tobytes() == whole.tobytes() == want.tobytes()
-            assert kernels.evaluate_sum_batch(f, X[:, : f.N]).tobytes() == want.tobytes()
+            assert row_sums(f, X[:, : f.N]).tobytes() == want.tobytes()
 
 
 class TestNormalize:
@@ -367,9 +363,10 @@ class TestKernelFile:
     @pytest.mark.parametrize("suffix", [" 7", "x"], ids=["extra_field", "non_number"])
     def test_bad_record_far_into_a_large_file(self, tmp_path, suffix):
         # constant(400) has 79,800 records; the bad one lies past the first 50,000
-        lines = kernels.format_kernel(kernels.constant_kernel(400)).splitlines()
-        lines[3 + 60_000] += suffix
         path = tmp_path / "c400.kern"
+        kernels.write_kernel(kernels.constant_kernel(400), path)
+        lines = path.read_text().splitlines()
+        lines[3 + 60_000] += suffix
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValidationError, match="malformed kernel record '.*' at line 60004:"):
             kernels.read_kernel(path)
@@ -427,8 +424,8 @@ def _mixed_kernel(rng, d, N, count):
 
 
 class TestKernelWriter:
-    """format_kernel formats each distinct value and used index once, block
-    by block; it must give the per-record formatter's text exactly."""
+    """write_kernel formats each distinct value and used index once, block
+    by block; it must write the per-record formatter's text exactly."""
 
     @pytest.mark.parametrize("block", [1, 5, kernels.WRITE_BLOCK], ids=lambda b: f"block_{b}")
     def test_same_text_as_per_record_formatter(self, tmp_path, monkeypatch, block):
@@ -444,26 +441,26 @@ class TestKernelWriter:
                                 {(1, kernels.MAX_DIMENSION): 0.5, (7, 2**32 - 1): -1e-300}),
             *random_kernels(rng, 6),
         ]
+        path = tmp_path / "k.kern"
         for f in cases:
-            want = format_kernel_by_record(f)
-            assert kernels.format_kernel(f) == want, f
-            path = tmp_path / "k.kern"
             kernels.write_kernel(f, path)
-            assert path.read_bytes() == want.encode("ascii"), f
-        assert kernels.format_kernel(cases[4]) == "artifact-kernel v1\nd 2\nN 4\n"
+            assert path.read_bytes() == format_kernel_by_record(f).encode("ascii"), f
+        kernels.write_kernel(cases[4], path)
+        assert path.read_bytes() == b"artifact-kernel v1\nd 2\nN 4\n"
 
-    def test_widest_dimension_formatted_without_an_index_table(self):
+    def test_widest_dimension_formatted_without_an_index_table(self, tmp_path):
         # a table over range(N) would hold 2^32 texts
         f = kernels.make_kernel(2, kernels.MAX_DIMENSION,
                                 {(7, 2**32 - 1): -1e-300, (3, kernels.MAX_DIMENSION): 0.5})
+        path = tmp_path / "k.kern"
         tracemalloc.start()
         try:
-            text = kernels.format_kernel(f)
+            kernels.write_kernel(f, path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert text == ("artifact-kernel v1\nd 2\nN 4294967296\n"
-                        "3 4294967296 0.5\n7 4294967295 -1e-300\n")
+        assert path.read_bytes() == (b"artifact-kernel v1\nd 2\nN 4294967296\n"
+                                     b"3 4294967296 0.5\n7 4294967295 -1e-300\n")
         assert peak < 2**20
 
     # the per-record formatter, which held every record and the whole text
@@ -490,7 +487,7 @@ def _kernel_text(records):
     return "artifact-kernel v1\nd 2\nN 30\n" + "".join(r + "\n" for r in records)
 
 
-_C30 = kernels.format_kernel(kernels.constant_kernel(30))
+_C30 = format_kernel_by_record(kernels.constant_kernel(30))
 _C30_RECORDS = _C30.splitlines()[3:]
 STREAM_TEXTS = {
     "lf": _C30,
@@ -561,10 +558,11 @@ class TestStreamedReading:
         # splits at once.  A file read turns "\r" into "\n", so form feeds
         # separate the lines.
         f = kernels.constant_kernel(300)
-        text = kernels.format_kernel(f)
+        path = tmp_path / "k.kern"
+        kernels.write_kernel(f, path)
+        text = path.read_text()
         seconds = {}
         for sep in ("\n", "\x0c"):
-            path = tmp_path / "k.kern"
             path.write_text(text.replace("\n", sep))
             start = time.perf_counter()
             assert kernels.read_kernel(path) == f

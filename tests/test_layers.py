@@ -1,7 +1,9 @@
 """The package's import graph runs one way: a module imports homsum modules
-only at its top, and only those that come before it in LAYERS."""
+only at its top, and only those that come before it in LAYERS; and every
+public function has a user in the package or in the acceptance suite."""
 
 import ast
+import collections
 from pathlib import Path
 
 import homsum
@@ -11,6 +13,10 @@ import homsum
 LAYERS = ("errors", "reductions", "kernels", "contractions", "bounds", "simulate", "moments",
           "diagnose", "reportio", "cli")
 PACKAGE = Path(homsum.__file__).parent
+ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
+# public names that something outside the package and the acceptance suite
+# looks up by name: the benchmark tracer wraps DistributionSpec.sample
+USED_BY_NAME = {"simulate.DistributionSpec.sample"}
 
 
 def _trees() -> dict:
@@ -63,3 +69,41 @@ def test_each_module_imports_only_layers_below_it():
         if rank[module] >= rank[name]
     ]
     assert upward == []
+
+
+def _public_defs(tree) -> list:
+    """(qualified name, node) of each public top-level function and each
+    public method of a public top-level class."""
+    defs = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            defs += [(f"{node.name}.{sub.name}", sub) for sub in node.body
+                     if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     and not sub.name.startswith("_")]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and not node.name.startswith("_"):
+            defs.append((node.name, node))
+    return defs
+
+
+def _references(node) -> collections.Counter:
+    """How often each name is read under `node`, as a name or an attribute."""
+    return collections.Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_public_name_has_a_user():
+    # a reference inside the function itself, a recursive call, is no user
+    trees = _trees()
+    refs = sum((_references(tree) for tree in trees.values()), collections.Counter())
+    refs += _references(ast.parse(ACCEPTANCE.read_text(), str(ACCEPTANCE)))
+    unused = [
+        f"{module}.{qualname}"
+        for module, tree in trees.items()
+        for qualname, node in _public_defs(tree)
+        if refs[node.name] == _references(node)[node.name]
+        and f"{module}.{qualname}" not in USED_BY_NAME
+    ]
+    assert unused == []

@@ -1,10 +1,11 @@
 """The benchmark's self-test, run against the current source.
 
 The benchmark's tracer wraps every public function of the homsum modules by
-name and reads the arguments of `contract`, `symmetrize` and
-`evaluate_sum_batch`, so a source change that breaks the tracer or a
-benchmark check fails here.  It runs in a subprocess because the self-test
-pins BLAS threads at import and patches homsum's modules while tracing.
+name, and `DistributionSpec.sample`, and reads the arguments and results of
+functions such as `read_kernel`, `contract` and `symmetrize`, so a source
+change that breaks the tracer or a benchmark check fails here.  It runs in a
+subprocess because the self-test pins BLAS threads at import and patches
+homsum's modules while tracing.
 """
 
 import os

@@ -7,7 +7,8 @@ import pytest
 
 from homsum import kernels, moments, reductions, simulate
 from homsum.errors import ValidationError
-from oracles import draw_generator, law_draw, product_normal_cdf, unit_sums, whole_block_sums
+from oracles import (draw_generator, law_draw, product_normal_cdf, read_samples, unit_sums,
+                     whole_block_sums)
 
 LAW_NAMES = [t if t != "two_point" else "two_point:0.3" for t in simulate.LAW_TAGS]
 
@@ -498,8 +499,10 @@ class TestRawDump:
         data = np.array([0.0, -1.5, math.pi, 1e-300])
         path = tmp_path / "s.raw"
         simulate.write_samples(path, data)
-        back = simulate.read_samples(path)
+        back = read_samples(path)
         np.testing.assert_array_equal(back, data)
+        # the layout the README gives
+        np.testing.assert_array_equal(np.fromfile(path, "<f8", offset=16), data)
         raw = path.read_bytes()
         assert raw[:8] == b"HSUMRAW1"
         assert len(raw) == 16 + 8 * data.size
@@ -508,10 +511,10 @@ class TestRawDump:
         path = tmp_path / "bad.raw"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 8)
         with pytest.raises(ValidationError, match="not a raw sample file"):
-            simulate.read_samples(path)
+            read_samples(path)
 
     def test_header_shorter_than_16_bytes(self, tmp_path):
         path = tmp_path / "short.raw"
         path.write_bytes(b"HSUMRAW1")
         with pytest.raises(ValidationError, match="truncated sample file"):
-            simulate.read_samples(path)
+            read_samples(path)
