@@ -19,15 +19,19 @@ Norms come in two flavors:
   only counting; when S is at least half full and S^T S fits the cap, the
   same stored values come from the dense product S^T D instead
   (`reductions.gram_values`), with the same bits.
-* the symmetrized norm ||sym(f *_r f)|| needs the dense tensor (there is no
-  Gram shortcut after averaging over coordinate permutations), except for
-  output arity 2 where the contraction is already symmetric.  `symmetrize`
-  adds, at every entry, all (2d-2r)! transposed values in permutation order.
-  f *_r f is often bitwise symmetric within each half of its axes and under
-  swapping the halves, so most transposes repeat: each distinct one (10 of
-  the 720 at arity 6 when all these symmetries hold) is copied once per
-  cache-sized slab and added wherever its permutations fall in that order.
-  The sum keeps every bit of the plain loop over strided transposes.
+* the symmetrized norm ||sym(f *_r f)|| (`symmetrized_norm`) holds the
+  contraction and one leaf (there is no Gram shortcut after averaging over
+  coordinate permutations, except for output arity 2 where the contraction
+  is already symmetric).  `_symmetrized_slabs` adds, at every entry, all
+  (2d-2r)! transposed values in permutation order, one cache-sized slab of
+  the output at a time.  f *_r f is often bitwise symmetric within each
+  half of its axes and under swapping the halves, so most transposes
+  repeat: each distinct one (10 of the 720 at arity 6 when all these
+  symmetries hold) is copied once per slab and added wherever its
+  permutations fall in that order.  The sum keeps every bit of the plain
+  loop over strided transposes.  Each slab is squared where it lies and
+  streamed into `reductions.streamed_sum`, which gives the bits of numpy's
+  sum over the whole array of squares.
 """
 
 from __future__ import annotations
@@ -130,9 +134,9 @@ def contraction_norm(f: SymmetricKernel, r: int) -> float:
     return math.factorial(r) * math.factorial(f.d - r) * math.sqrt(gram_sq)
 
 
-# symmetrize works through its output in slabs of about this many values, so
-# that the slab and the transposes it holds stay in cache while every
-# permutation is added in turn
+# _symmetrized_slabs works through its output in slabs of about this many
+# values, so that the slab and the transposes it holds stay in cache while
+# every permutation is added in turn
 _SLAB_VALUES = 1 << 14
 # at most this many distinct transposes are held per slab (4 MB at most);
 # a class met while the limit is reached is added from its strided view
@@ -195,23 +199,26 @@ def _slabs(shape: tuple):
             yield lead + (slice(lo, lo + step),)
 
 
-def symmetrize(T: ContractionTensor) -> ContractionTensor:
-    """Average over all coordinate permutations of the tensor.
+def _symmetrized_slabs(T: ContractionTensor):
+    """(index, values) of sym(T) slab by slab in C order: `values` is a new
+    array holding sym(T)[index], the average over all coordinate
+    permutations.
 
     Every entry adds its (arity)! transposed values one by one, starting at
     0.0 and in itertools.permutations order, then divides by (arity)!.
     Transposes that are bitwise equal (found from the symmetries T's values
     have) are copied once per slab and the copy is added for each of them,
-    so the result is bitwise that of adding every strided transpose in turn.
+    so each slab is bitwise that of adding every strided transpose in turn.
+    At arity 0 or 1, sym(T) is T and comes as one copy of T's values.
     """
     if T.arity <= 1:
-        return T
+        yield ..., T.values.copy()
+        return
     perms, first = _transpose_classes(T.values)
     last = {c: i for i, c in enumerate(first)}
     views = {c: np.transpose(T.values, perms[c]) for c in last}
-    acc = np.zeros_like(T.values)
     for slab in _slabs(T.values.shape):
-        out, held = acc[slab], {}
+        out, held = np.zeros(T.values[slab].shape), {}
         for i, c in enumerate(first):
             part = held.get(c)
             if part is None:
@@ -222,8 +229,29 @@ def symmetrize(T: ContractionTensor) -> ContractionTensor:
             out += part
             if last[c] == i:
                 held.pop(c, None)
-    acc /= math.factorial(T.arity)
-    return ContractionTensor(T.arity, T.N, acc)
+        out /= math.factorial(T.arity)
+        yield slab, out
+
+
+def _squared_slabs(T: ContractionTensor, minus):
+    """The squares of sym(T) - c F, with (c, F) = minus, or of sym(T) when
+    minus is None, slab by slab in C order as flat arrays."""
+    for slab, values in _symmetrized_slabs(T):
+        if minus is not None:
+            values -= minus[0] * minus[1][slab]
+        np.square(values, out=values)
+        yield values.reshape(-1)
+
+
+def symmetrized_norm(T: ContractionTensor, minus=None) -> float:
+    """||sym(T)||, or ||sym(T) - c F|| when minus = (c, F) with F an array
+    of T's shape, over all ordered tuples.
+
+    sym(T) is never held whole: each slab of it is squared where it lies
+    and streamed into reductions.streamed_sum, which gives the bits of
+    numpy's sum over the full array of squares.
+    """
+    return math.sqrt(reductions.streamed_sum(_squared_slabs(T, minus), T.values.size))
 
 
 class ChaosNorms:
@@ -248,7 +276,7 @@ class ChaosNorms:
         r = _check_rank(self.f, r)
         if r >= self.f.d - 1:
             return self.gram(r)
-        return self._get(("sym", r), lambda: symmetrize(contract(self.f, r)).frobenius_norm())
+        return self._get(("sym", r), lambda: symmetrized_norm(contract(self.f, r)))
 
     def rank_sum(self, ranks, weight, acc: float = 0.0, exact: bool = False) -> tuple:
         """(acc + sum over ranks of weight(r) * ||sym(f *_r f)||^2, exact),
@@ -317,9 +345,8 @@ def chi_square_defect(f: SymmetricKernel) -> float:
     zero there, so the defect norm runs over the full cube.
     """
     c_d = chi_square_match_constant(f.d)  # rejects an odd order
-    T = symmetrize(contract(f, f.d // 2))
-    diff = T.values - c_d * kernels.dense_tensor(f)
-    return math.sqrt(reductions.sum_squares(diff))
+    T = contract(f, f.d // 2)
+    return symmetrized_norm(T, minus=(c_d, kernels.dense_tensor(f)))
 
 
 def crux_gap(f: SymmetricKernel) -> tuple:

@@ -231,10 +231,11 @@ MATERIALIZATION_CAP = 10_000_000
 
 def dense_tensor(f: SymmetricKernel) -> np.ndarray:
     """Dense (N,)*d array of kernel values over all ordered tuples, one
-    scatter per coordinate permutation."""
+    scatter per coordinate permutation, indexed by the columns of
+    index_array in place (no copy of the index array)."""
     F = np.zeros((f.N,) * f.d)
     for p in itertools.permutations(range(f.d)):
-        F[tuple(f.index_array[:, list(p)].T)] = f.value_array
+        F[tuple(f.index_array[:, k] for k in p)] = f.value_array
     return F
 
 

@@ -156,12 +156,16 @@ def exact_rademacher_distribution(f: SymmetricKernel) -> ExactDistribution:
         )
     q = _rademacher_sums(f).reshape(-1)
     q.sort()  # q is private to this call: sort in place, no flattened copy
-    starts = np.empty(q.size, dtype=bool)
-    starts[0] = True
-    np.not_equal(q[1:], q[:-1], out=starts[1:])
-    starts = np.flatnonzero(starts)
-    counts = np.diff(starts, append=q.size)
-    return ExactDistribution(values=q[starts], probabilities=counts / q.size)
+    patterns = q.size
+    # starts[k]: an atom starts at sorted pattern k; the extra last True
+    # closes the last atom
+    starts = np.empty(patterns + 1, dtype=bool)
+    starts[0] = starts[-1] = True
+    np.not_equal(q[1:], q[:-1], out=starts[1:-1])
+    values = q[starts[:-1]]
+    del q  # the 2^N sums go before the counts are built
+    probabilities = np.diff(np.flatnonzero(starts)) / patterns
+    return ExactDistribution(values=values, probabilities=probabilities)
 
 
 def _rademacher_sums(f: SymmetricKernel) -> np.ndarray:

@@ -3,15 +3,18 @@
 Squared norms and exact moments (`dot`), the values of a homogeneous sum
 over a block of input rows (`row_dots`, `row_quadratic_forms`),
 contraction Gram matrices (`gram`), the stored values of sparse Gram
-matrices (`gram_values`), empirical covariances (`covariance`) and the
-Frobenius norms taken from contractions (`sum_squares`) are computed here
-and nowhere else.  The dense products go to BLAS, which picks the order of
-its additions by its build, its CPU kernel and its thread count, so the
-last bits of these numbers follow those too.  Each function but
-`gram_values` is the plain numpy expression it names; `gram_values` gives
-the bits of scipy's sparse product, from that product or from a dense
-array.  No other module of the package calls `@`, `dot`, `matmul` or
-`einsum` of its own (`tests/test_reductions.py` scans for them).
+matrices (`gram_values`), empirical covariances (`covariance`), the
+Frobenius norms taken from contractions (`sum_squares`) and the sums of
+squares streamed from symmetrized contractions (`streamed_sum`) are
+computed here and nowhere else.  The dense products go to BLAS, which
+picks the order of its additions by its build, its CPU kernel and its
+thread count, so the last bits of these numbers follow those too.  Each
+function but `gram_values` and `streamed_sum` is the plain numpy
+expression it names; `gram_values` gives the bits of scipy's sparse
+product, from that product or from a dense array, and `streamed_sum` the
+bits of np.sum over values it never holds all at once.  No other module
+of the package calls `@`, `dot`, `matmul` or `einsum` of its own
+(`tests/test_reductions.py` scans for them).
 """
 
 from __future__ import annotations
@@ -118,3 +121,63 @@ def covariance(S: np.ndarray) -> np.ndarray:
 def sum_squares(x: np.ndarray) -> float:
     """sum of x^2 over all entries (numpy's pairwise sum)."""
     return float((x ** 2).sum())
+
+
+# streamed_sum splits its run down to parts of at most this many values
+_LEAF = 1 << 16
+
+
+def streamed_sum(chunks, n: int) -> float:
+    """np.sum over the n float64 values that the 1-d arrays `chunks` yield
+    in turn, bit for bit, holding at most 2^16 of them at a time.
+
+    numpy's pairwise sum of a contiguous run of more than 128 values adds
+    the sum of a first part (`_first_part`) to the sum of the rest.  The
+    run is split the same way here until a part holds at most 2^16 values;
+    each part is copied from the chunks into one reused buffer and summed
+    there by np.sum, and the parts' sums are added up the same tree.  The
+    last addition of 0.0 is np.sum's own start value.
+    """
+    sizes = _leaf_sizes(n, [])
+    return 0.0 + _add_up_leaves(n, _leaf_sums(chunks, sizes, np.empty(max(sizes))))
+
+
+def _leaf_sizes(n: int, sizes: list) -> list:
+    """`sizes` extended by the sizes of the parts of a run of n values, in order."""
+    if n <= _LEAF:
+        sizes.append(n)
+    else:
+        first = _first_part(n)
+        _leaf_sizes(first, sizes)
+        _leaf_sizes(n - first, sizes)
+    return sizes
+
+
+def _leaf_sums(chunks, sizes: list, buffer: np.ndarray):
+    """The np.sum of each part in turn, its values copied from the chunks
+    into the front of `buffer`."""
+    chunks, chunk = iter(chunks), buffer[:0]
+    for size in sizes:
+        filled = 0
+        while filled < size:
+            if not chunk.size:
+                chunk = next(chunks)
+            take = min(size - filled, chunk.size)
+            buffer[filled:filled + take] = chunk[:take]
+            chunk, filled = chunk[take:], filled + take
+        yield float(buffer[:size].sum())
+
+
+def _add_up_leaves(n: int, leaf_sums) -> float:
+    """The pairwise sum of a run of n values from its parts' sums, taken
+    from `leaf_sums` in order."""
+    if n <= _LEAF:
+        return next(leaf_sums)
+    first = _first_part(n)
+    return _add_up_leaves(first, leaf_sums) + _add_up_leaves(n - first, leaf_sums)
+
+
+def _first_part(n: int) -> int:
+    """The size of the first part numpy's pairwise sum splits n values into:
+    the largest multiple of 8 at most n / 2."""
+    return n // 2 - n // 2 % 8

@@ -1,6 +1,7 @@
 import concurrent.futures
 import math
 import multiprocessing
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,3 +91,14 @@ def row_sums(f, X) -> np.ndarray:
     out = np.empty(len(X))
     kernels.RowSums(f, len(X)).add(X, 0, out)
     return out
+
+
+def traced_memory(fn) -> tuple:
+    """(bytes still held, peak bytes) that tracemalloc saw allocated during
+    one call of fn."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()

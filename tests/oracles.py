@@ -39,7 +39,10 @@ code paths, so they can certify library output:
   reader of the library's `--dump-samples` files.
 * symmetrize_all_permutations: the average of a tensor over every axis
   permutation, one strided transpose added after another, the reference
-  for the library's symmetrize.
+  for the library's slab-wise symmetrization.
+* symmetrize: a contraction's symmetrization assembled whole from the
+  library's slabs, so that tests can hold it against
+  symmetrize_all_permutations; the library itself only streams the slabs.
 * t1_by_rank_loop, t3_by_rank_loop, fourth_moment_by_rank_loop and
   chi_square_combination_by_rank_loop: each statistic's weighted sum of
   squared symmetrized norms written out as its own loop, with its own weight
@@ -55,7 +58,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy import integrate, special
 
-from homsum import kernels
+from homsum import contractions, kernels
 from homsum.bounds import EXACT, UPPER_BOUND
 from homsum.errors import CapacityError, ValidationError
 
@@ -249,12 +252,21 @@ def read_samples(path) -> np.ndarray:
 def symmetrize_all_permutations(values: np.ndarray) -> np.ndarray:
     """Sum of np.transpose(values, p) over the permutations p of the axes, in
     itertools.permutations order and starting from 0.0, divided by
-    (arity)!.  The library's symmetrize must give the same bits."""
+    (arity)!.  The library's symmetrized slabs must give the same bits."""
     acc = np.zeros_like(values)
     for p in itertools.permutations(range(values.ndim)):
         acc += np.transpose(values, p)
     acc /= math.factorial(values.ndim)
     return acc
+
+
+def symmetrize(T):
+    """T averaged over all coordinate permutations, as a ContractionTensor
+    filled slab by slab from the library's symmetrized slabs."""
+    values = np.empty_like(T.values)
+    for slab, part in contractions._symmetrized_slabs(T):
+        values[slab] = part
+    return contractions.ContractionTensor(T.arity, T.N, values)
 
 
 def _normal_contraction_sum(norms, ranks) -> tuple:

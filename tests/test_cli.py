@@ -516,8 +516,8 @@ def test_each_norm_computed_once_per_command(tmp_path, monkeypatch):
         "sequence", {"kind": "fourth_moment", "family": "constant", "d": 2, "sweep": [10, 20, 30]},
     )]))
     calls = _count_calls(monkeypatch, contractions,
-                         ("contract", "symmetrize", "contraction_norm", "chi_square_defect"))
-    once_per_rank = {"contract": 2, "symmetrize": 2, "contraction_norm": 1}
+                         ("contract", "symmetrized_norm", "contraction_norm", "chi_square_defect"))
+    once_per_rank = {"contract": 2, "symmetrized_norm": 2, "contraction_norm": 1}
     cases = [
         (["bound", "normal", "--kernel", "w4.kern", "--law", "gaussian"], once_per_rank),
         (["bound", "chi2", "--kernel", "w4.kern", "--law", "gaussian", "--n", "200"],

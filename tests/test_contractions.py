@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import os
@@ -12,8 +13,9 @@ import scipy.sparse
 
 from homsum import contractions, kernels, reductions
 from homsum.errors import CapacityError, ValidationError
-from conftest import random_kernels
-from oracles import entries, evaluate, first_seen_ids_by_unique, symmetrize_all_permutations
+from conftest import random_kernels, traced_memory
+from oracles import (entries, evaluate, first_seen_ids_by_unique, symmetrize,
+                     symmetrize_all_permutations)
 
 
 def brute_force_contraction(f, r):
@@ -140,7 +142,7 @@ class TestChaosNorms:
         f = kernels.walsh_kernel(4, 6)
         norms = contractions.ChaosNorms(f)
         for r in (1, 2):
-            T = contractions.symmetrize(contractions.contract(f, r))
+            T = symmetrize(contractions.contract(f, r))
             assert norms.exact_symmetrized(r) == T.frobenius_norm()
             assert norms.rank_sum([r], lambda _: 1.0) == (T.frobenius_norm() ** 2, True)
         for r in (1, 2, 3):
@@ -151,18 +153,18 @@ class TestChaosNorms:
 class TestSymmetrize:
     def test_fixed_point(self, p2):
         T = contractions.contract(p2, 1)
-        S = contractions.symmetrize(T)
+        S = symmetrize(T)
         np.testing.assert_array_equal(S.values, T.values)
 
     def test_two_permutations(self):
         T = contractions.ContractionTensor(arity=2, N=2, values=np.array([[0.0, 1.0], [0.0, 0.0]]))
-        S = contractions.symmetrize(T)
+        S = symmetrize(T)
         np.testing.assert_allclose(S.values, [[0.0, 0.5], [0.5, 0.0]])
 
     def test_invariance_spot_check(self):
         rng = np.random.default_rng(107)
         f = random_kernels(rng, 1, d_range=(3, 3), n_max=5)[0]
-        S = contractions.symmetrize(contractions.contract(f, 1))
+        S = symmetrize(contractions.contract(f, 1))
         for perm in itertools.permutations(range(S.arity)):
             np.testing.assert_allclose(np.transpose(S.values, perm), S.values, atol=1e-15)
 
@@ -179,7 +181,7 @@ class TestSymmetrize:
         f = kernels.random_sparse_kernel(2, 5, seed=7)
         T = contractions.contract(f, 1).values
         want = 0.5 * (T + T.T)
-        got = contractions.symmetrize(contractions.contract(f, 1)).values
+        got = symmetrize(contractions.contract(f, 1)).values
         np.testing.assert_allclose(got, want, atol=1e-16)
         assert contractions.ChaosNorms(f).exact_symmetrized(1) == pytest.approx(
             float(np.sqrt((want ** 2).sum())), rel=1e-13
@@ -215,10 +217,12 @@ def symmetrize_bit_identity_cases():
 
 def assert_symmetrize_matches_oracle_bitwise():
     for name, T in symmetrize_bit_identity_cases():
-        got, want = contractions.symmetrize(T), symmetrize_all_permutations(T.values)
+        got, want = symmetrize(T), symmetrize_all_permutations(T.values)
         assert (got.arity, got.N) == (T.arity, T.N), name
         # tobytes also tells the signs of zeros apart
         assert np.array_equal(got.values, want) and got.values.tobytes() == want.tobytes(), name
+        norm = math.sqrt(reductions.sum_squares(want))
+        assert contractions.symmetrized_norm(T).hex() == norm.hex(), name
 
 
 class TestSymmetrizeBitIdentity:
@@ -239,12 +243,17 @@ class TestSymmetrizeBitIdentity:
     @pytest.mark.parametrize("arity", [0, 1])
     def test_low_arity_passes_through(self, arity):
         T = contractions.ContractionTensor(arity, 3, np.arange(3.0 ** arity).reshape((3,) * arity))
-        assert contractions.symmetrize(T) is T
+        kept = T.values.copy()
+        assert symmetrize(T).values.tobytes() == kept.tobytes()
+        assert contractions.symmetrized_norm(T) == T.frobenius_norm()
+        assert T.values.tobytes() == kept.tobytes()
 
     def test_chi_square_defect_bitwise_against_oracle(self):
-        for f in (kernels.walsh_kernel(4, 7), kernels.random_sparse_kernel(4, 10, seed=2)):
-            sym = symmetrize_all_permutations(contractions.contract(f, 2).values)
-            diff = sym - contractions.chi_square_match_constant(4) * kernels.dense_tensor(f)
+        # 300^2 values at order 2: the streamed sum splits into leaves
+        for f in (kernels.walsh_kernel(4, 7), kernels.random_sparse_kernel(4, 10, seed=2),
+                  kernels.random_sparse_kernel(2, 300, seed=4)):
+            sym = symmetrize_all_permutations(contractions.contract(f, f.d // 2).values)
+            diff = sym - contractions.chi_square_match_constant(f.d) * kernels.dense_tensor(f)
             want = float(np.sqrt((diff ** 2).sum()))
             assert contractions.chi_square_defect(f).hex() == want.hex()
 
@@ -265,6 +274,35 @@ class TestSymmetrizeBitIdentity:
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
+
+
+class TestSymmetrizedNormMemory:
+    """The symmetrized norms hold the contraction and a few slab-sized
+    buffers, never the symmetrized tensor, its difference or its square
+    whole."""
+
+    def test_exact_symmetrized_peak(self):
+        # the rank-1 contraction holds 40^4 values (19.5 MiB); sym(T) or its
+        # square held whole would add as much again
+        norms = contractions.ChaosNorms(kernels.random_sparse_kernel(3, 40, seed=8))
+        assert traced_memory(lambda: norms.exact_symmetrized(1))[1] < 24 * 2**20
+
+    def test_chi_square_defect_peak(self):
+        # the contraction and the dense kernel hold 2000^2 values each
+        # (30.5 MiB); a third array of that size would pass the bound
+        f = kernels.constant_kernel(2000)
+        assert traced_memory(lambda: contractions.chi_square_defect(f))[1] < 70 * 2**20
+
+    def test_nothing_outlives_the_call(self):
+        # no reference cycle keeps the contraction until the next collection:
+        # what stays is the memo entry
+        norms = contractions.ChaosNorms(kernels.random_sparse_kernel(3, 40, seed=8))
+        gc.disable()
+        try:
+            held = traced_memory(lambda: norms.exact_symmetrized(1))[0]
+        finally:
+            gc.enable()
+        assert held < 64 * 2**10
 
 
 class TestInfluence:

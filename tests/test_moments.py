@@ -6,7 +6,7 @@ import pytest
 
 from homsum import bounds, contractions, kernels, moments, reductions, simulate
 from homsum.errors import CapacityError, ValidationError
-from conftest import random_kernels, row_sums
+from conftest import random_kernels, row_sums, traced_memory
 import oracles
 
 
@@ -233,6 +233,12 @@ class TestExactRademacher:
         dist = moments.exact_rademacher_distribution(kernels.disjoint_pairs(2))
         np.testing.assert_allclose(dist.values, [-math.sqrt(2), 0.0, math.sqrt(2)], atol=1e-15)
         np.testing.assert_allclose(dist.probabilities, [0.25, 0.5, 0.25])
+
+    def test_memory_bounded(self):
+        # the 2^20 sums take 8 MiB; held while the counts are built, they
+        # and the counts pass the bound
+        f = kernels.random_sparse_kernel(2, 20, seed=7)
+        assert traced_memory(lambda: moments.exact_rademacher_distribution(f))[1] < 17.5 * 2**20
 
     def test_zero_kernel(self):
         dist = moments.exact_rademacher_distribution(kernels.make_kernel(2, 3, {}))

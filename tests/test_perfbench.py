@@ -2,8 +2,8 @@
 
 The benchmark's tracer wraps every public function of the homsum modules by
 name, and `DistributionSpec.sample`, and reads the arguments and results of
-functions such as `read_kernel`, `contract` and `symmetrize`, so a source
-change that breaks the tracer or a benchmark check fails here.  It runs in a
+functions such as `read_kernel` and `contract`, so a source change that
+breaks the tracer or a benchmark check fails here.  It runs in a
 subprocess because the self-test pins BLAS threads at import and patches
 homsum's modules while tracing.
 """

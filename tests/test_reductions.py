@@ -1,11 +1,18 @@
 """The reductions whose bits reach a report are taken in `homsum.reductions`
 alone: an AST scan of the other modules finds no matrix product, dot,
-matmul or einsum of their own."""
+matmul or einsum of their own.  `streamed_sum` gives np.sum's bits however
+its values are cut into chunks."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
+
 import homsum
+from homsum import reductions
 
 PRODUCT_CALLS = {"dot", "vdot", "matmul", "einsum", "inner", "tensordot"}
 # its two `@` products multiply integer permutation codes, not floats
@@ -68,3 +75,61 @@ def test_scan_finds_every_form():
         *["contractions.f:4"] * 4,
         *["contractions.K.g:7"] * 3,
     ]
+
+
+# run lengths around numpy's 8-value unroll, its 128-value block and the
+# 2^16-value leaves of streamed_sum, a contraction of 40^4 values, and a run
+# whose halves are cut down to multiples of 8 at several levels
+STREAMED_SIZES = (0, 1, 7, 8, 9, 127, 128, 129, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5,
+                  40**4, 10**6 + 3)
+
+
+def streamed_sum_chunkings(x: np.ndarray, rng) -> list:
+    """(name, chunks) ways of cutting x: whole, with empty chunks between
+    pieces, with one-value chunks on both sides of every leaf edge, and at
+    random points."""
+    n = x.size
+    edges = np.cumsum(reductions._leaf_sizes(n, []))[:-1]
+    at_edges = np.unique(np.clip(np.concatenate([edges - 1, edges, edges + 1]), 0, n))
+    return [
+        ("one chunk", [x]),
+        ("empty chunks", [x[:0], *np.array_split(x, 3)[:2], x[:0], x[:0],
+                          *np.array_split(x, 3)[2:], x[:0]]),
+        ("ones at leaf edges", np.split(x, at_edges)),
+        ("random cuts", np.split(x, np.sort(rng.integers(0, n + 1, 25)))),
+    ]
+
+
+def assert_streamed_sum_matches_np_sum():
+    rng = np.random.default_rng(131)
+    told_apart = 0  # draws on which adding the leaves in a row misses np.sum
+    for n in STREAMED_SIZES:
+        for _ in range(3):
+            x = 10.0 ** rng.uniform(-8, 8, n)
+            want = float(np.sum(x)).hex()
+            for name, chunks in streamed_sum_chunkings(x, rng):
+                assert sum(c.size for c in chunks) == n
+                assert reductions.streamed_sum(iter(chunks), n).hex() == want, (n, name)
+            leaves = np.split(x, np.cumsum(reductions._leaf_sizes(n, []))[:-1])
+            told_apart += (0.0 + sum(float(leaf.sum()) for leaf in leaves)).hex() != want
+    # the values tell the order of additions apart, so the tree is tested
+    assert told_apart > 0
+
+
+class TestStreamedSum:
+    def test_matches_np_sum_bitwise(self):
+        assert_streamed_sum_matches_np_sum()
+
+    def test_matches_np_sum_at_a_lower_simd_level(self):
+        # numpy reads NPY_DISABLE_CPU_FEATURES when it loads, hence a child
+        here = Path(__file__).resolve().parent
+        src = str(Path(homsum.__file__).resolve().parents[1])
+        path = [src, str(here), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+               "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        code = ("from numpy._core._multiarray_umath import __cpu_features__ as on\n"
+                "assert not on['X86_V4']\n"
+                "import test_reductions as t; t.assert_streamed_sum_matches_np_sum()")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
