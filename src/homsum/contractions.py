@@ -26,16 +26,17 @@ Norms come in two flavors:
   (2d-2r)! transposed values in permutation order, one cache-sized slab of
   the output at a time.  f *_r f is often bitwise symmetric within each
   half of its axes and under swapping the halves, so most transposes
-  repeat: each distinct one (10 of the 720 at arity 6 when all these
-  symmetries hold) is copied once per slab and added wherever its
-  permutations fall in that order.  The sum keeps every bit of the plain
-  loop over strided transposes.  Each slab is squared where it lies and
-  streamed into `reductions.streamed_sum`, which gives the bits of numpy's
-  sum over the whole array of squares.
+  repeat (10 distinct of the 720 at arity 6 when all these symmetries
+  hold).  Per slab it holds the output slab and one copy of each of the
+  first _MAX_HELD reused distinct transposes, each added wherever its
+  permutations fall; the rest are added from strided views.  The sum keeps
+  every bit of the plain loop over strided transposes.  Each slab is
+  squared where it lies and streamed into `reductions.streamed_sum`.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -70,18 +71,21 @@ def contract(f: SymmetricKernel, r: int) -> ContractionTensor:
     CapacityError past kernels.MATERIALIZATION_CAP values."""
     r = _check_rank(f, r)
     if r == f.d:
-        scalar = np.array(kernels.squared_norm(f))
-        return ContractionTensor(arity=0, N=f.N, values=scalar)
+        return ContractionTensor(arity=0, N=f.N, values=np.array(kernels.squared_norm(f)))
+    return _dense_contraction(f, r)[0]
+
+
+def _dense_contraction(f: SymmetricKernel, r: int) -> tuple:
+    """(f *_r f, f's dense tensor) for r < d, as `contract` raises past the cap."""
     out_arity = 2 * f.d - 2 * r
-    if max(f.N ** f.d, f.N ** out_arity) > kernels.MATERIALIZATION_CAP:
-        raise CapacityError(
-            f"contraction d={f.d}, r={r}, N={f.N} needs {max(f.N**f.d, f.N**out_arity)} "
-            f"values, cap is {kernels.MATERIALIZATION_CAP}"
-        )
+    need = max(f.N ** f.d, f.N ** out_arity)
+    if need > kernels.MATERIALIZATION_CAP:
+        raise CapacityError(f"contraction d={f.d}, r={r}, N={f.N} needs {need} values, "
+                            f"cap is {kernels.MATERIALIZATION_CAP}")
     dense = kernels.dense_tensor(f)
     M = dense.reshape(f.N ** r, f.N ** (f.d - r))
     out = reductions.gram(M).reshape((f.N,) * out_arity)
-    return ContractionTensor(arity=out_arity, N=f.N, values=out)
+    return ContractionTensor(arity=out_arity, N=f.N, values=out), dense
 
 
 def _first_seen_ids(rows: np.ndarray) -> tuple:
@@ -138,8 +142,8 @@ def contraction_norm(f: SymmetricKernel, r: int) -> float:
 # values, so that the slab and the transposes it holds stay in cache while
 # every permutation is added in turn
 _SLAB_VALUES = 1 << 14
-# at most this many distinct transposes are held per slab (4 MB at most);
-# a class met while the limit is reached is added from its strided view
+# at most this many transpose classes are copied per slab (4 MB at most);
+# any other class is added from its strided view
 _MAX_HELD = 32
 
 
@@ -202,45 +206,31 @@ def _slabs(shape: tuple):
 def _symmetrized_slabs(T: ContractionTensor):
     """(index, values) of sym(T) slab by slab in C order: `values` is a new
     array holding sym(T)[index], the average over all coordinate
-    permutations.
+    permutations (a scalar T counts as one value).
 
     Every entry adds its (arity)! transposed values one by one, starting at
     0.0 and in itertools.permutations order, then divides by (arity)!.
     Transposes that are bitwise equal (found from the symmetries T's values
-    have) are copied once per slab and the copy is added for each of them,
-    so each slab is bitwise that of adding every strided transpose in turn.
-    At arity 0 or 1, sym(T) is T and comes as one copy of T's values.
+    have) form a class.  The first _MAX_HELD non-identity classes used more
+    than once, in order of first use, are copied once per slab and the copy
+    is added for each member; every other class is added from its strided
+    view.  Either way each slab is bitwise that of adding every strided
+    transpose in turn.
     """
-    if T.arity <= 1:
-        yield ..., T.values.copy()
-        return
-    perms, first = _transpose_classes(T.values)
-    last = {c: i for i, c in enumerate(first)}
-    views = {c: np.transpose(T.values, perms[c]) for c in last}
-    for slab in _slabs(T.values.shape):
-        out, held = np.zeros(T.values[slab].shape), {}
-        for i, c in enumerate(first):
-            part = held.get(c)
-            if part is None:
-                part = views[c][slab]
-                # a strided slab that is added again later is copied once
-                if last[c] > i and not part.flags.c_contiguous and len(held) < _MAX_HELD:
-                    part = held[c] = part.copy()
-            out += part
-            if last[c] == i:
-                held.pop(c, None)
-        out /= math.factorial(T.arity)
+    values = np.atleast_1d(T.values)
+    perms, first = _transpose_classes(values)
+    uses = collections.Counter(first)  # classes in order of first use
+    copied = [c for c, n in uses.items() if c and n > 1][:_MAX_HELD]
+    views = {c: np.transpose(values, perms[c]) for c in uses}
+    for slab in _slabs(values.shape):
+        parts = {c: view[slab] for c, view in views.items()}
+        for c in copied:
+            parts[c] = parts[c].copy()
+        out = np.zeros(parts[0].shape)
+        for c in first:
+            out += parts[c]
+        out /= math.factorial(values.ndim)
         yield slab, out
-
-
-def _squared_slabs(T: ContractionTensor, minus):
-    """The squares of sym(T) - c F, with (c, F) = minus, or of sym(T) when
-    minus is None, slab by slab in C order as flat arrays."""
-    for slab, values in _symmetrized_slabs(T):
-        if minus is not None:
-            values -= minus[0] * minus[1][slab]
-        np.square(values, out=values)
-        yield values.reshape(-1)
 
 
 def symmetrized_norm(T: ContractionTensor, minus=None) -> float:
@@ -251,7 +241,12 @@ def symmetrized_norm(T: ContractionTensor, minus=None) -> float:
     and streamed into reductions.streamed_sum, which gives the bits of
     numpy's sum over the full array of squares.
     """
-    return math.sqrt(reductions.streamed_sum(_squared_slabs(T, minus), T.values.size))
+    def squares():
+        for slab, values in _symmetrized_slabs(T):
+            if minus is not None:
+                values -= minus[0] * minus[1][slab]
+            yield np.square(values, out=values).reshape(-1)
+    return math.sqrt(reductions.streamed_sum(squares(), T.values.size))
 
 
 class ChaosNorms:
@@ -345,8 +340,8 @@ def chi_square_defect(f: SymmetricKernel) -> float:
     zero there, so the defect norm runs over the full cube.
     """
     c_d = chi_square_match_constant(f.d)  # rejects an odd order
-    T = contract(f, f.d // 2)
-    return symmetrized_norm(T, minus=(c_d, kernels.dense_tensor(f)))
+    T, F = _dense_contraction(f, f.d // 2)
+    return symmetrized_norm(T, minus=(c_d, F))
 
 
 def crux_gap(f: SymmetricKernel) -> tuple:

@@ -12,7 +12,9 @@ thread count, so the last bits of these numbers follow those too.  Each
 function but `gram_values` and `streamed_sum` is the plain numpy
 expression it names; `gram_values` gives the bits of scipy's sparse
 product, from that product or from a dense array, and `streamed_sum` the
-bits of np.sum over values it never holds all at once.  No other module
+bits of np.sum over values it never holds all at once: it descends
+numpy's pairwise split and reads each part from the chunks in order into
+one 2^16-value buffer as the descent reaches it.  No other module
 of the package calls `@`, `dot`, `matmul` or `einsum` of its own
 (`tests/test_reductions.py` scans for them).
 """
@@ -132,52 +134,30 @@ def streamed_sum(chunks, n: int) -> float:
     in turn, bit for bit, holding at most 2^16 of them at a time.
 
     numpy's pairwise sum of a contiguous run of more than 128 values adds
-    the sum of a first part (`_first_part`) to the sum of the rest.  The
-    run is split the same way here until a part holds at most 2^16 values;
-    each part is copied from the chunks into one reused buffer and summed
-    there by np.sum, and the parts' sums are added up the same tree.  The
-    last addition of 0.0 is np.sum's own start value.
+    the sum of a first part, the largest multiple of 8 at most half the
+    run, to the sum of the rest.  `_pairwise` descends the same split, down
+    to parts of at most 2^16 values, each copied from the chunks into one
+    reused buffer and summed there by np.sum; Python takes a before b in
+    `a + b`, so the chunks are read in order.  The last addition of 0.0 is
+    np.sum's own start value.
     """
-    sizes = _leaf_sizes(n, [])
-    return 0.0 + _add_up_leaves(n, _leaf_sums(chunks, sizes, np.empty(max(sizes))))
+    buffer = np.empty(min(n, _LEAF))
+    return 0.0 + _pairwise(n, [iter(chunks), buffer[:0], buffer])
 
 
-def _leaf_sizes(n: int, sizes: list) -> list:
-    """`sizes` extended by the sizes of the parts of a run of n values, in order."""
-    if n <= _LEAF:
-        sizes.append(n)
-    else:
-        first = _first_part(n)
-        _leaf_sizes(first, sizes)
-        _leaf_sizes(n - first, sizes)
-    return sizes
-
-
-def _leaf_sums(chunks, sizes: list, buffer: np.ndarray):
-    """The np.sum of each part in turn, its values copied from the chunks
-    into the front of `buffer`."""
-    chunks, chunk = iter(chunks), buffer[:0]
-    for size in sizes:
-        filled = 0
-        while filled < size:
-            if not chunk.size:
-                chunk = next(chunks)
-            take = min(size - filled, chunk.size)
-            buffer[filled:filled + take] = chunk[:take]
-            chunk, filled = chunk[take:], filled + take
-        yield float(buffer[:size].sum())
-
-
-def _add_up_leaves(n: int, leaf_sums) -> float:
-    """The pairwise sum of a run of n values from its parts' sums, taken
-    from `leaf_sums` in order."""
-    if n <= _LEAF:
-        return next(leaf_sums)
-    first = _first_part(n)
-    return _add_up_leaves(first, leaf_sums) + _add_up_leaves(n - first, leaf_sums)
-
-
-def _first_part(n: int) -> int:
-    """The size of the first part numpy's pairwise sum splits n values into:
-    the largest multiple of 8 at most n / 2."""
-    return n // 2 - n // 2 % 8
+def _pairwise(n: int, stream: list) -> float:
+    """The pairwise sum of the next n values of stream = [chunk iterator,
+    the unread rest of the current chunk, buffer]."""
+    if n > _LEAF:
+        first = n // 2 - n // 2 % 8
+        return _pairwise(first, stream) + _pairwise(n - first, stream)
+    chunks, chunk, buffer = stream
+    filled = 0
+    while filled < n:
+        if not chunk.size:
+            chunk = next(chunks)
+        take = min(n - filled, chunk.size)
+        buffer[filled:filled + take] = chunk[:take]
+        chunk, filled = chunk[take:], filled + take
+    stream[1] = chunk
+    return float(buffer[:n].sum())

@@ -43,6 +43,9 @@ code paths, so they can certify library output:
 * symmetrize: a contraction's symmetrization assembled whole from the
   library's slabs, so that tests can hold it against
   symmetrize_all_permutations; the library itself only streams the slabs.
+* pairwise_leaf_sizes: the sizes of the runs numpy's pairwise sum splits a
+  run into, from numpy's splitting rule, the reference for the leaves of
+  the library's streamed sum.
 * t1_by_rank_loop, t3_by_rank_loop, fourth_moment_by_rank_loop and
   chi_square_combination_by_rank_loop: each statistic's weighted sum of
   squared symmetrized norms written out as its own loop, with its own weight
@@ -262,11 +265,30 @@ def symmetrize_all_permutations(values: np.ndarray) -> np.ndarray:
 
 def symmetrize(T):
     """T averaged over all coordinate permutations, as a ContractionTensor
-    filled slab by slab from the library's symmetrized slabs."""
+    filled slab by slab from the library's symmetrized slabs; at arity 0
+    or 1 that average is a copy of T."""
+    if T.arity <= 1:
+        return contractions.ContractionTensor(T.arity, T.N, T.values.copy())
     values = np.empty_like(T.values)
     for slab, part in contractions._symmetrized_slabs(T):
         values[slab] = part
     return contractions.ContractionTensor(T.arity, T.N, values)
+
+
+def pairwise_leaf_sizes(n: int, leaf: int) -> list:
+    """The sizes, in order, of the runs numpy's pairwise sum cuts n values
+    into until none holds more than `leaf`: a longer run is cut after
+    n2 = n // 2 values, n2 lowered to a multiple of 8 (pairwise_sum in
+    numpy's loops_utils.h), and its first part summed first."""
+    sizes, todo = [], [n]
+    while todo:
+        m = todo.pop()
+        if m <= leaf:
+            sizes.append(m)
+        else:
+            first = m // 2 - m // 2 % 8
+            todo += [m - first, first]
+    return sizes
 
 
 def _normal_contraction_sum(norms, ranks) -> tuple:

@@ -520,8 +520,9 @@ def test_each_norm_computed_once_per_command(tmp_path, monkeypatch):
     once_per_rank = {"contract": 2, "symmetrized_norm": 2, "contraction_norm": 1}
     cases = [
         (["bound", "normal", "--kernel", "w4.kern", "--law", "gaussian"], once_per_rank),
+        # the defect contracts through a private helper, not through `contract`
         (["bound", "chi2", "--kernel", "w4.kern", "--law", "gaussian", "--n", "200"],
-         {**once_per_rank, "chi_square_defect": 1}),
+         {**once_per_rank, "contract": 1, "chi_square_defect": 1}),
         (["bound", "multi", "--kernel", "rs3.kern", "--kernel", "w4.kern", "--budget", "1,1"],
          {"contraction_norm": 5}),
         (["diagnose", "--spec", "fm.txt"], {"contraction_norm": 3}),  # one per sweep point

@@ -70,6 +70,8 @@ class TestContract:
         monkeypatch.setattr(kernels, "MATERIALIZATION_CAP", 10_000)
         with pytest.raises(CapacityError, match="needs 40000 values, cap is 10000"):
             contractions.contract(f, 1)
+        with pytest.raises(CapacityError, match="d=2, r=1, N=200 needs 40000 values, cap is 10000"):
+            contractions.chi_square_defect(f)
 
 
 class TestContractionNorm:
@@ -293,6 +295,22 @@ class TestSymmetrizedNormMemory:
         f = kernels.constant_kernel(2000)
         assert traced_memory(lambda: contractions.chi_square_defect(f))[1] < 70 * 2**20
 
+    def test_copy_plan_peaks(self):
+        # each copied transpose class holds one slab; the bounds sit 0.5 MiB
+        # (arity 6) and 1.5 MiB (the others) above the peaks of 4.28, 1.92
+        # and 2.82 MiB taken when each copy was dropped after its last use
+        a = np.random.default_rng(7).standard_normal((125, 125))
+        half_swap = contractions.ContractionTensor(6, 5, (a + a.T).reshape((5,) * 6))
+        # 359 non-identity classes used twice each, more than are copied
+        assert len(set(contractions._transpose_classes(half_swap.values)[1])) == 360
+        cases = [
+            (half_swap, 4.28 + 0.5),
+            (contractions.contract(kernels.walsh_kernel(4, 8), 1), 1.92 + 1.5),
+            (contractions.contract(kernels.random_sparse_kernel(3, 40, seed=8), 1), 2.82 + 1.5),
+        ]
+        for T, mib in cases:
+            assert traced_memory(lambda: contractions.symmetrized_norm(T))[1] < mib * 2**20
+
     def test_nothing_outlives_the_call(self):
         # no reference cycle keeps the contraction until the next collection:
         # what stays is the memo entry
@@ -357,6 +375,14 @@ class TestChiSquareDefect:
             defect = contractions.chi_square_defect(f)
             ratio = defect * math.sqrt(N)
             assert 0.9 <= ratio <= 1.1
+
+    def test_dense_kernel_built_once(self, monkeypatch):
+        builds, build = [], kernels.dense_tensor
+        monkeypatch.setattr(kernels, "dense_tensor", lambda f: builds.append(f) or build(f))
+        for f in (kernels.constant_kernel(30), kernels.walsh_kernel(4, 6)):
+            builds.clear()
+            contractions.chi_square_defect(f)
+            assert builds == [f]
 
     def test_matches_materialized_oracle(self):
         rng = np.random.default_rng(131)

@@ -4,15 +4,18 @@ matmul or einsum of their own.  `streamed_sum` gives np.sum's bits however
 its values are cut into chunks."""
 
 import ast
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 
 import homsum
 from homsum import reductions
+from oracles import pairwise_leaf_sizes
 
 PRODUCT_CALLS = {"dot", "vdot", "matmul", "einsum", "inner", "tensordot"}
 # its two `@` products multiply integer permutation codes, not floats
@@ -89,7 +92,7 @@ def streamed_sum_chunkings(x: np.ndarray, rng) -> list:
     pieces, with one-value chunks on both sides of every leaf edge, and at
     random points."""
     n = x.size
-    edges = np.cumsum(reductions._leaf_sizes(n, []))[:-1]
+    edges = np.cumsum(pairwise_leaf_sizes(n, 2**16))[:-1]
     at_edges = np.unique(np.clip(np.concatenate([edges - 1, edges, edges + 1]), 0, n))
     return [
         ("one chunk", [x]),
@@ -110,7 +113,7 @@ def assert_streamed_sum_matches_np_sum():
             for name, chunks in streamed_sum_chunkings(x, rng):
                 assert sum(c.size for c in chunks) == n
                 assert reductions.streamed_sum(iter(chunks), n).hex() == want, (n, name)
-            leaves = np.split(x, np.cumsum(reductions._leaf_sizes(n, []))[:-1])
+            leaves = np.split(x, np.cumsum(pairwise_leaf_sizes(n, 2**16))[:-1])
             told_apart += (0.0 + sum(float(leaf.sum()) for leaf in leaves)).hex() != want
     # the values tell the order of additions apart, so the tree is tested
     assert told_apart > 0
@@ -119,6 +122,28 @@ def assert_streamed_sum_matches_np_sum():
 class TestStreamedSum:
     def test_matches_np_sum_bitwise(self):
         assert_streamed_sum_matches_np_sum()
+
+    def test_leaf_sizes_follow_numpys_split(self):
+        assert pairwise_leaf_sizes(0, 2**16) == [0]
+        assert pairwise_leaf_sizes(2**16 + 1, 2**16) == [32768, 32769]
+        assert pairwise_leaf_sizes(300, 128) == [72, 72, 72, 84]
+
+    def test_holds_no_chunk_after_the_call(self):
+        # with the collector off, a reference cycle would keep the last chunk
+        refs = []
+
+        def chunks():
+            x = np.ones(3 * 2**16 + 5)
+            refs.append(weakref.ref(x))
+            yield x[:100]
+            yield x[100:]
+
+        gc.disable()
+        try:
+            assert reductions.streamed_sum(chunks(), 3 * 2**16 + 5) == 3 * 2**16 + 5
+            assert refs[0]() is None
+        finally:
+            gc.enable()
 
     def test_matches_np_sum_at_a_lower_simd_level(self):
         # numpy reads NPY_DISABLE_CPU_FEATURES when it loads, hence a child
